@@ -15,7 +15,6 @@ from .algebra import (
     invert,
     is_imaginary_unit,
     make_algebra,
-    mul,
     norm_sq,
     ordered_inverse_product,
     ordered_product,
@@ -95,7 +94,6 @@ __all__ = [
     "is_slice_regular",
     "make_algebra",
     "monomial_stem",
-    "mul",
     "norm_sq",
     "one_variable_split",
     "ordered_inverse_product",

@@ -11,7 +11,6 @@ stem machinery relies on; floats enter only where the caller brings them in
 (or through square roots that are not exact).
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -80,6 +79,9 @@ class AlgebraDef:
         self.associative = associative
         self.norm_kind = norm_kind
         self._name_to_index = {n: i for i, n in enumerate(self.basis_names)}
+        # exactly the fields __eq__ compares
+        self._hash = hash((dim, self.mul_index, self.mul_sign,
+                           self.conj_signs))
         self._dense = None
         self._default_unit = None
         if self.mul_index[0] != tuple(range(dim)) or any(
@@ -101,7 +103,7 @@ class AlgebraDef:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.dim))
+        return self._hash
 
     # -- element constructors -------------------------------------------------
 
@@ -305,18 +307,8 @@ class Element:
     def coeffs_float(self):
         return np.array([float(c) for c in self.coeffs])
 
-    def map_coeffs(self, fn):
-        return Element(self.algebra, tuple(fn(c) for c in self.coeffs))
-
 
 # -- basic operations ---------------------------------------------------------
-
-def mul(a, b):
-    """Table product a*b."""
-    if not isinstance(a, Element) or not isinstance(b, Element):
-        raise AlgebraMismatch("mul expects two Elements")
-    return a * b
-
 
 def conj(a):
     """Anti-involution a^c."""
@@ -355,11 +347,6 @@ class ConeDecomposition:
 
     def compose(self):
         return self.algebra.from_real(self.alpha) + self.beta * self.unit
-
-    def conjugate(self):
-        """The decomposition of x^c = alpha - beta*J, kept with beta >= 0."""
-        return ConeDecomposition(self.algebra, self.alpha, self.beta,
-                                 -self.unit)
 
     def z(self):
         """(alpha, beta) as floats, the point of the upper half plane."""
@@ -613,7 +600,3 @@ def algebra_from_json(obj, kind="custom"):
     )
     return AlgebraDef(kind, dim, obj["names"], mul_index, mul_sign,
                       [int(s) for s in obj["conj_signs"]], associative)
-
-
-def algebra_to_json_str(A, indent=None):
-    return json.dumps(algebra_to_json(A), indent=indent)

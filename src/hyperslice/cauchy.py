@@ -5,18 +5,24 @@ parametrized by xi_h(t) = c_h + r_h e^{Jt}.  Reconstruction integrates the
 non-associative integrand over the angle torus with the tensor trapezoid
 rule; on one slice every kernel factor lives in a commutative plane, so
 the grid evaluation reduces to complex arrays plus one left-multiplication
-matrix per unit involved.  The pointwise integrand stays in exact Element
-arithmetic and serves as the oracle for the vectorized path.
+matrix per unit involved.  The function only supplies its boundary values
+on the grid: a polynomial or stem is evaluated on all nodes at once, a
+callable once per node, and one array kernel serves both.  The pointwise
+integrand (cauchy_integrand) stays in exact Element arithmetic; summed
+over the same grid it is the oracle for that kernel.
 """
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from . import sparse
 from .algebra import DEFAULT_TOL, invert, norm_sq, ordered_product, trace
 from .errors import (
     AlgebraMismatch,
+    HypersliceError,
     NonAssociativeAlgebra,
     NotInQuadraticCone,
     OnSingularSphere,
@@ -76,6 +82,10 @@ class BoundaryTorus:
             norm_circles.append(tuple(row))
         self.circles = tuple(norm_circles)
         self.J = J if J is not None else algebra.default_imaginary_unit()
+        if samples_per_circle < 1:
+            raise HypersliceError(
+                f"samples_per_circle must be at least 1, "
+                f"got {samples_per_circle}")
         self.samples_per_circle = samples_per_circle
 
     @classmethod
@@ -259,10 +269,12 @@ def _grid_angles(n, N):
     return [g.reshape(-1) for g in grids]
 
 
-def _stem_on_grid(stem, alphas, betas, J_mat, dim):
+def _stem_on_grid(stem, torus, zs):
     """f(xi) over the grid: component values collapsed through powers of J."""
-    G = alphas[0].shape[0]
+    G = zs[0].shape[0]
     n = stem.n
+    dim = torus.algebra.dim
+    J_mat = torus.algebra.left_mult_matrix(torus.J)
     # per-variable power tables up to the needed degree
     max_deg = [0] * (2 * n)
     for poly in stem.components.values():
@@ -273,10 +285,10 @@ def _stem_on_grid(stem, alphas, betas, J_mat, dim):
     for h in range(n):
         pa = [np.ones(G)]
         for _ in range(max_deg[2 * h]):
-            pa.append(pa[-1] * alphas[h])
+            pa.append(pa[-1] * zs[h].real)
         pb = [np.ones(G)]
         for _ in range(max_deg[2 * h + 1]):
-            pb.append(pb[-1] * betas[h])
+            pb.append(pb[-1] * zs[h].imag)
         pows.append((pa, pb))
     out = np.zeros((G, dim))
     eye = np.eye(dim)
@@ -296,6 +308,18 @@ def _stem_on_grid(stem, alphas, betas, J_mat, dim):
     return out
 
 
+def _callable_on_grid(f, torus, zs):
+    """f(xi) over the grid, one call per node."""
+    algebra = torus.algebra
+    units = [torus.J] * torus.n
+    alphas = np.stack([z.real for z in zs], axis=1).tolist()
+    betas = np.stack([z.imag for z in zs], axis=1).tolist()
+    out = np.empty((len(alphas), algebra.dim))
+    for g, (a, b) in enumerate(zip(alphas, betas)):
+        out[g] = f(SlicePoint(algebra, a, b, units)).coeffs_float()
+    return out
+
+
 def _apply_complex_factor(vec, w, L):
     """Left-multiply the A-valued rows by w.real + w.imag * unit."""
     out = vec * w.real[:, None]
@@ -303,15 +327,16 @@ def _apply_complex_factor(vec, w, L):
     return out + imag_part * w.imag[:, None]
 
 
-def cauchy_reconstruct(f, torus, x, tol=DEFAULT_TOL):
+def cauchy_reconstruct(f, torus, x):
     """Average the integrand over the angle torus; value plus diagnostics.
 
-    Polynomial or stem inputs run on the vectorized slice engine; plain
-    callables fall back to pointwise Element arithmetic on the same grid.
-    Diagnostics report the sample count, the worst kernel conditioning,
-    and the disagreement against direct evaluation when one is available.
+    f is an OrderedPolynomial, a StemPoly, or a callable taking a
+    SlicePoint to an Element.  The input only supplies boundary values: a
+    stem is evaluated on the whole grid at once, a callable once per grid
+    node, and one array kernel does the rest.  Diagnostics report the
+    sample count, the worst kernel conditioning, and, for polynomial and
+    stem inputs, the disagreement against direct evaluation.
     """
-    algebra = torus.algebra
     n = torus.n
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
@@ -320,10 +345,9 @@ def cauchy_reconstruct(f, torus, x, tol=DEFAULT_TOL):
             "reconstruction point must lie inside the circularized domain")
     N = torus.samples_per_circle
     stem = _as_stem(f)
-    if stem is None:
-        value, min_delta = _reconstruct_pointwise(f, torus, x, tol)
-    else:
-        value, min_delta = _reconstruct_vectorized(stem, torus, x)
+    boundary_values = (partial(_callable_on_grid, f) if stem is None
+                       else partial(_stem_on_grid, stem))
+    value, min_delta = _reconstruct(boundary_values, torus, x)
     diagnostics = {
         "N": N,
         "grid_points": N ** n * len(torus.combos()),
@@ -337,38 +361,43 @@ def cauchy_reconstruct(f, torus, x, tol=DEFAULT_TOL):
     return value, diagnostics
 
 
-def _reconstruct_vectorized(stem, torus, x):
+def _reconstruct(boundary_values, torus, x):
+    """The subset-expanded integrand summed over the grid in float arrays.
+
+    boundary_values(torus, zs) returns f at the boundary nodes zs (one
+    complex array per variable) as a (G, dim) coefficient array.  It is
+    called only after the pole-sphere guard has passed for every circle
+    choice.
+    """
     algebra = torus.algebra
     n = torus.n
     dim = algebra.dim
     N = torus.samples_per_circle
-    J = torus.J
-    LJ = algebra.left_mult_matrix(J)
+    LJ = algebra.left_mult_matrix(torus.J)
     L_units = [algebra.left_mult_matrix(u) for u in x.units]
     w_x = [complex(float(a), float(b)) for a, b in x.z()]
     angles = _grid_angles(n, N)
     G = angles[0].shape[0]
     jpow = (-1j) ** n
-    total = np.zeros((G, dim))
-    min_delta = np.inf
+    nodes = []
     for combo, orient in torus.combos():
         zs = [c.center + c.radius * np.exp(1j * t)
               for c, t in zip(combo, angles)]
+        deltas = [w * w - 2.0 * z.real * w + (z.real ** 2 + z.imag ** 2)
+                  for w, z in zip(w_x, zs)]
+        nodes.append((combo, orient, zs, deltas))
+    min_delta = min(float(np.abs(d).min())
+                    for _, _, _, deltas in nodes for d in deltas)
+    if min_delta < MIN_DELTA:
+        raise QuadratureSingularity(
+            f"grid approaches a pole sphere: min |Delta| = "
+            f"{min_delta:.2e} < {MIN_DELTA}")
+    total = np.zeros((G, dim))
+    for combo, orient, zs, deltas in nodes:
         vel = np.ones(G, dtype=complex)
         for c, t in zip(combo, angles):
             vel = vel * (c.radius * 1j * np.exp(1j * t))
-        deltas = []
-        for h in range(n):
-            d = (w_x[h] * w_x[h] - 2.0 * zs[h].real * w_x[h]
-                 + (zs[h].real ** 2 + zs[h].imag ** 2))
-            deltas.append(d)
-            min_delta = min(min_delta, float(np.abs(d).min()))
-        if min_delta < MIN_DELTA:
-            raise QuadratureSingularity(
-                f"grid approaches a pole sphere: min |Delta| = "
-                f"{min_delta:.2e} < {MIN_DELTA}")
-        fvals = _stem_on_grid(stem, [z.real for z in zs],
-                              [z.imag for z in zs], LJ, dim)
+        fvals = boundary_values(torus, zs)
         inv = [1.0 / d for d in deltas]
         for kmask in range(1 << n):
             sign = (-1) ** (n - bin(kmask).count("1"))
@@ -383,40 +412,6 @@ def _reconstruct_vectorized(stem, torus, x):
             total = total + orient * v
     coeffs = np.add.reduce(total, axis=0) / float(N ** n)
     return algebra.element([float(c) for c in coeffs]), min_delta
-
-
-def _reconstruct_pointwise(f, torus, x, tol):
-    n = torus.n
-    N = torus.samples_per_circle
-    algebra = torus.algebra
-    angles_1d = [2.0 * math.pi * k / N for k in range(N)]
-    total = algebra.zero()
-    min_delta = math.inf
-    idx = [0] * n
-    while True:
-        t = tuple(angles_1d[i] for i in idx)
-        kp_deltas = []
-        for combo, _ in torus.combos():
-            zs = torus.boundary_value(combo, t)
-            for h in range(n):
-                w = complex(float(x.alphas[h]), float(x.betas[h]))
-                d = (w * w - 2.0 * zs[h].real * w
-                     + abs(zs[h]) ** 2)
-                kp_deltas.append(abs(d))
-        min_delta = min(min_delta, min(kp_deltas))
-        if min_delta < MIN_DELTA:
-            raise QuadratureSingularity(
-                f"grid approaches a pole sphere: min |Delta| = "
-                f"{min_delta:.2e} < {MIN_DELTA}")
-        total = total + cauchy_integrand(f, x, t, torus, tol)
-        for pos in range(n - 1, -1, -1):
-            idx[pos] += 1
-            if idx[pos] < N:
-                break
-            idx[pos] = 0
-        else:
-            break
-    return total * (1.0 / N ** n), min_delta
 
 
 # -- symbolic regularity of the closed-form kernel -------------------------
@@ -434,18 +429,19 @@ def kernel_stem_symbolic(algebra, ys_complex, J):
     sigma = sigma_tensor(n)
     one = algebra.one()
 
+    def lift(h, poly):
+        # a polynomial in (alpha_h, beta_h) as one in all 2n variables
+        out = {}
+        for (ea, eb), c in poly.items():
+            exp = [0] * (2 * n)
+            exp[2 * (h - 1)] = ea
+            exp[2 * (h - 1) + 1] = eb
+            out[tuple(exp)] = c
+        return out
+
     def var_stem(h, comps):
-        full = {}
-        for local_mask, poly in comps.items():
-            mask = local_mask << (h - 1)
-            lifted = {}
-            for (ea, eb), c in poly.items():
-                exp = [0] * (2 * n)
-                exp[2 * (h - 1)] = ea
-                exp[2 * (h - 1) + 1] = eb
-                lifted[tuple(exp)] = c
-            full[mask] = lifted
-        return StemPoly(n, algebra, full)
+        return StemPoly(n, algebra, {local_mask << (h - 1): lift(h, poly)
+                                     for local_mask, poly in comps.items()})
 
     numer = StemPoly.zero(n, algebra)
     denom = {(0,) * (2 * n): 1}
@@ -455,19 +451,9 @@ def kernel_stem_symbolic(algebra, ys_complex, J):
         # |delta_h|^2 as a real polynomial in (alpha_h, beta_h)
         dre = {(2, 0): 1, (0, 2): -1, (1, 0): -t, (0, 0): nq}
         dim_ = {(1, 1): 2, (0, 1): -t}
-        sq = {}
-        for p in (dre, dim_):
-            for ea, ca in p.items():
-                for eb, cb in p.items():
-                    key = (ea[0] + eb[0], ea[1] + eb[1])
-                    sq[key] = sq.get(key, 0) + ca * cb
-        lifted = {}
-        for (ea, eb), c in sq.items():
-            exp = [0] * (2 * n)
-            exp[2 * (h - 1)] = ea
-            exp[2 * (h - 1) + 1] = eb
-            lifted[tuple(exp)] = c
-        denom = _real_poly_mul(denom, lifted)
+        sq = sparse.mul(dre, dre)
+        sparse.add_into(sq, sparse.mul(dim_, dim_))
+        denom = sparse.mul(denom, lift(h, sq))
     for kmask in range(1 << n):
         sign = (-1) ** (n - bin(kmask).count("1"))
         term = None
@@ -493,15 +479,6 @@ def kernel_stem_symbolic(algebra, ys_complex, J):
     return numer, denom
 
 
-def _real_poly_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
 def rational_stem_is_regular(numer, denom):
     """CR system for numer/denom with a real scalar denominator, exactly.
 
@@ -516,8 +493,8 @@ def rational_stem_is_regular(numer, denom):
     half = Fraction(1, 2)
     for h in range(1, n + 1):
         va, vb = 2 * (h - 1), 2 * (h - 1) + 1
-        d_da = _real_poly_dx(denom, va)
-        d_db = _real_poly_dx(denom, vb)
+        d_da = sparse.dx(denom, va)
+        d_db = sparse.dx(denom, vb)
         bit = 1 << (h - 1)
         masks = set(numer.components) | {m ^ bit for m in numer.components}
         for mask in masks:
@@ -526,56 +503,15 @@ def rational_stem_is_regular(numer, denom):
             Ax = numer.components.get(mask ^ bit, {})
             # lhs: (cr-bar of the numerator stem)_mask times denom
             lhs = {}
-            _elem_poly_add(lhs, _elem_poly_mul_real(
-                _elem_poly_dx(A, va), denom), half)
-            _elem_poly_add(lhs, _elem_poly_mul_real(
-                _elem_poly_dx(Ax, vb), denom), -half * sign)
+            sparse.add_into(lhs, sparse.mul(sparse.dx(A, va), denom), half)
+            sparse.add_into(lhs, sparse.mul(sparse.dx(Ax, vb), denom),
+                            -half * sign)
             # rhs: quotient-rule correction
             rhs = {}
-            _elem_poly_add(rhs, _elem_poly_mul_real(A, d_da), half)
-            _elem_poly_add(rhs, _elem_poly_mul_real(Ax, d_db), -half * sign)
-            keys = set(lhs) | set(rhs)
-            for key in keys:
-                a = lhs.get(key)
-                b = rhs.get(key)
-                diff = (a - b) if (a is not None and b is not None) \
-                    else (a if a is not None else b)
-                if not diff.is_zero(0):
-                    return False
+            sparse.add_into(rhs, sparse.mul(A, d_da), half)
+            sparse.add_into(rhs, sparse.mul(Ax, d_db), -half * sign)
+            sparse.add_into(lhs, rhs, -1)
+            if lhs:
+                return False
     return True
 
-
-def _real_poly_dx(p, var):
-    out = {}
-    for exp, c in p.items():
-        k = exp[var]
-        if k:
-            ne = exp[:var] + (k - 1,) + exp[var + 1:]
-            out[ne] = out.get(ne, 0) + k * c
-    return out
-
-
-def _elem_poly_dx(p, var):
-    out = {}
-    for exp, c in p.items():
-        k = exp[var]
-        if k:
-            ne = exp[:var] + (k - 1,) + exp[var + 1:]
-            out[ne] = out[ne] + k * c if ne in out else k * c
-    return out
-
-
-def _elem_poly_mul_real(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            term = ca * cb
-            out[key] = out[key] + term if key in out else term
-    return out
-
-
-def _elem_poly_add(target, source, scale):
-    for exp, c in source.items():
-        term = c * scale
-        target[exp] = target[exp] + term if exp in target else term

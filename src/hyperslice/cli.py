@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .algebra import make_algebra
+from .algebra import DEFAULT_TOL, make_algebra
 from .cauchy import BoundaryTorus, cauchy_reconstruct
 from .errors import (ExpressionSyntaxError, HypersliceError, IndexOutOfRange,
                      UnsupportedKind)
@@ -26,7 +26,6 @@ from .regularity import (OrderedPolynomial, is_slice_regular, poly_eval,
 from .zeros import roots_one_var, scan_samples, zero_scan
 
 SCHEMA = "hyperslice/1"
-DEFAULT_TOL = 1e-9
 
 
 @dataclass
@@ -73,15 +72,7 @@ def _run_diff(req, algebra):
                                   "must vanish; internal inconsistency")
         dp = OrderedPolynomial.zero(p.n, algebra)
     else:
-        terms = {}
-        for ell, a in p.terms.items():
-            if ell[h - 1] == 0:
-                continue
-            key = tuple(d - 1 if k == h - 1 else d
-                        for k, d in enumerate(ell))
-            terms[key] = terms[key] + ell[h - 1] * a if key in terms \
-                else ell[h - 1] * a
-        dp = OrderedPolynomial(p.n, algebra, terms)
+        dp = p.partial(h)
     return {"derivative": format_poly(dp), "variable": h,
             "conjugate": req.conj, "n": p.n}
 
@@ -131,7 +122,7 @@ def _run_cauchy(req, algebra):
     torus = BoundaryTorus.discs(algebra, radii, centers=centers, J=J,
                                 samples_per_circle=req.samples)
     pt = parse_point(req.point, algebra, req.tol, nvars=p.n)
-    value, diag = cauchy_reconstruct(p, torus, pt, req.tol)
+    value, diag = cauchy_reconstruct(p, torus, pt)
     reference = poly_eval(p, pt)
     err = (value - reference).euclid_norm()
     return {"value": _coeffs(value), "value_str": value.format(),

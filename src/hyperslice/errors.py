@@ -66,10 +66,6 @@ class OnRealLocus(HypersliceError):
     """Operation needs beta_k > 0 for some k but the point is real there."""
 
 
-class EvaluationFailure(HypersliceError):
-    """A user-supplied black-box function raised during sampling."""
-
-
 class BlackBoxUnsupported(HypersliceError):
     """Operation requires a polynomial stem, not a black-box adapter."""
 

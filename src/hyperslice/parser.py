@@ -24,6 +24,7 @@ import json
 import re
 from fractions import Fraction
 
+from . import sparse
 from .algebra import is_imaginary_unit
 from .errors import (AlgebraMismatch, ExpressionSyntaxError, NotImaginaryUnit,
                      UnknownBasisName)
@@ -200,7 +201,7 @@ def parse_expression(src, algebra, nvars=None):
         value = coeff if coeff is not None else one
         if sign < 0:
             value = -1 * value
-        terms[key] = terms[key] + value if key in terms else value
+        sparse.add_term(terms, key, value)
     return OrderedPolynomial(n, algebra, terms)
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import sparse
 from .algebra import DEFAULT_TOL, is_imaginary_unit, splitting_basis
 from .errors import (
     AlgebraMismatch,
@@ -70,8 +71,7 @@ class OrderedPolynomial:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for ell, c in other.terms.items():
-            out[ell] = out[ell] + c if ell in out else c
+        sparse.add_into(out, other.terms)
         return OrderedPolynomial(self.n, self.algebra, out)
 
     def __sub__(self, other):
@@ -93,15 +93,8 @@ class OrderedPolynomial:
 
     def partial(self, h):
         """Slice partial derivative: l_h x^{l - e_h} a termwise."""
-        out = {}
-        for ell, c in self.terms.items():
-            k = ell[h - 1]
-            if k == 0:
-                continue
-            lowered = ell[:h - 1] + (k - 1,) + ell[h:]
-            nc = k * c
-            out[lowered] = out[lowered] + nc if lowered in out else nc
-        return OrderedPolynomial(self.n, self.algebra, out)
+        return OrderedPolynomial(self.n, self.algebra,
+                                 sparse.dx(self.terms, h - 1))
 
     def _check(self, other):
         if self.n != other.n or self.algebra != other.algebra:
@@ -142,13 +135,7 @@ def poly_to_stem(p):
 def star_product(p, q):
     """Coefficient of l is the convolution sum of a_u b_v over u + v = l."""
     p._check(q)
-    out = {}
-    for u, a in p.terms.items():
-        for v, b in q.terms.items():
-            ell = tuple(x + y for x, y in zip(u, v))
-            c = a * b
-            out[ell] = out[ell] + c if ell in out else c
-    return OrderedPolynomial(p.n, p.algebra, out)
+    return OrderedPolynomial(p.n, p.algebra, sparse.mul(p.terms, q.terms))
 
 
 def _require_stem_poly(f):
@@ -354,22 +341,6 @@ def _solve_exact(matrix, vec):
     return [m[r][size] for r in range(size)]
 
 
-def _poly_dx_num(poly, var):
-    out = {}
-    for exp, c in poly.items():
-        k = exp[var]
-        if k == 0:
-            continue
-        ne = exp[:var] + (k - 1,) + exp[var + 1:]
-        out[ne] = out.get(ne, 0) + k * c
-    return out
-
-
-def _poly_diff_residual(p, q):
-    keys = set(p) | set(q)
-    return max((abs(p.get(k, 0) - q.get(k, 0)) for k in keys), default=0)
-
-
 class SplitReport:
     def __init__(self, max_residual, failures):
         self.max_residual = max_residual
@@ -402,10 +373,7 @@ def split_holomorphy_check(f, J, samples_grid=None, tol=DEFAULT_TOL):
     powers = [F.algebra.one(), J, -1 * F.algebra.one(), -1 * J]
     restricted = {}
     for mask, poly in F.components.items():
-        jp = powers[mask.bit_count() % 4]
-        for exp, c in poly.items():
-            val = jp * c
-            restricted[exp] = restricted.get(exp, F.algebra.zero()) + val
+        sparse.add_into(restricted, poly, powers[mask.bit_count() % 4])
     # coordinates over the splitting basis, one real polynomial per axis
     mat = [[basis[col].coeffs[row] for col in range(dim)]
            for row in range(dim)]
@@ -421,10 +389,8 @@ def split_holomorphy_check(f, J, samples_grid=None, tol=DEFAULT_TOL):
         P, Q = axis_polys[2 * ell], axis_polys[2 * ell + 1]
         for h in range(1, F.n + 1):
             va, vb = 2 * (h - 1), 2 * (h - 1) + 1
-            r1 = _poly_diff_residual(_poly_dx_num(P, va), _poly_dx_num(Q, vb))
-            r2 = _poly_diff_residual(
-                _poly_dx_num(P, vb),
-                {k: -v for k, v in _poly_dx_num(Q, va).items()})
+            r1 = sparse.max_diff(sparse.dx(P, va), sparse.dx(Q, vb))
+            r2 = sparse.max_diff(sparse.dx(P, vb), sparse.dx(Q, va), -1)
             r = max(r1, r2)
             if r > 0:
                 failures.append((ell, h, float(r)))
@@ -434,22 +400,14 @@ def split_holomorphy_check(f, J, samples_grid=None, tol=DEFAULT_TOL):
         for ell, h, _ in failures:
             P, Q = axis_polys[2 * ell], axis_polys[2 * ell + 1]
             va, vb = 2 * (h - 1), 2 * (h - 1) + 1
-            d1 = _poly_dx_num(P, va)
-            d2 = _poly_dx_num(Q, vb)
+            d1 = sparse.dx(P, va)
+            d2 = sparse.dx(Q, vb)
             for z in samples_grid:
                 flat = [c for ab in z for c in ab]
-                v1 = sum(c * _mono(flat, e) for e, c in d1.items())
-                v2 = sum(c * _mono(flat, e) for e, c in d2.items())
+                v1 = sparse.value(d1, flat)
+                v2 = sparse.value(d2, flat)
                 worst = max(worst, abs(float(v1 - v2)))
     return SplitReport(float(worst), failures)
-
-
-def _mono(flat, exp):
-    out = 1
-    for v, k in zip(flat, exp):
-        if k:
-            out *= v ** k
-    return out
 
 
 # -- one-variable reduction -----------------------------------------------
@@ -500,35 +458,11 @@ def one_variable_regularity_check(f):
                 va, vb = 2 * (h - 1), 2 * (h - 1) + 1
                 G0 = F.components.get(base, {})
                 G1 = F.components.get(base | bit, {})
-                r1 = _stem_pair_residual(
-                    _poly_dx_elem(G0, va), _poly_dx_elem(G1, vb))
-                r2 = _stem_pair_residual(
-                    _poly_dx_elem(G0, vb),
-                    {k: -1 * v for k, v in _poly_dx_elem(G1, va).items()})
+                r1 = sparse.max_diff(sparse.dx(G0, va), sparse.dx(G1, vb))
+                r2 = sparse.max_diff(sparse.dx(G0, vb), sparse.dx(G1, va), -1)
                 if max(r1, r2) > 0:
                     failures.append((h, SubsetIndex(kprime), SubsetIndex(hm)))
     return OneVariableReport(not failures, failures)
-
-
-def _poly_dx_elem(poly, var):
-    out = {}
-    for exp, c in poly.items():
-        k = exp[var]
-        if k == 0:
-            continue
-        ne = exp[:var] + (k - 1,) + exp[var + 1:]
-        out[ne] = out[ne] + k * c if ne in out else k * c
-    return out
-
-
-def _stem_pair_residual(p, q):
-    worst = 0.0
-    for key in set(p) | set(q):
-        a = p.get(key)
-        b = q.get(key)
-        diff = (a - b) if (a is not None and b is not None) else (a or b)
-        worst = max(worst, diff.euclid_norm())
-    return worst
 
 
 def slice_tensor_product(f, g):

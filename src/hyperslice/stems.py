@@ -15,7 +15,8 @@ exact coefficients; identities like Leibniz hold with zero tolerance.
 import math
 from fractions import Fraction
 
-from .algebra import Element, decode_number, encode_number
+from . import sparse
+from .algebra import decode_number, encode_number
 from .errors import AlgebraMismatch, IndexOutOfRange, ParityError
 
 HALF = Fraction(1, 2)
@@ -64,61 +65,6 @@ def parity_ok(mask, exponents, n):
         if (exponents[2 * h + 1] & 1) != (mask >> h & 1):
             return False
     return True
-
-
-# -- sparse polynomial helpers on {exponents: Element} dicts -------------------
-
-def _poly_add_into(target, source, scale=1):
-    for exp, coeff in source.items():
-        c = coeff if scale == 1 else scale * coeff
-        if exp in target:
-            s = target[exp] + c
-            if s.is_zero(0):
-                del target[exp]
-            else:
-                target[exp] = s
-        elif not c.is_zero(0):
-            target[exp] = c
-
-
-def _poly_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            if exp in out:
-                s = out[exp] + c
-                if s.is_zero(0):
-                    del out[exp]
-                else:
-                    out[exp] = s
-            elif not c.is_zero(0):
-                out[exp] = c
-    return out
-
-
-def _poly_dx(p, var):
-    out = {}
-    for exp, coeff in p.items():
-        k = exp[var]
-        if k == 0:
-            continue
-        newexp = exp[:var] + (k - 1,) + exp[var + 1:]
-        _poly_add_into(out, {newexp: k * coeff})
-    return out
-
-
-def _poly_value(p, point, algebra):
-    """Evaluate at a flat (alpha1, beta1, ...) sequence of numbers."""
-    total = algebra.zero()
-    for exp, coeff in p.items():
-        scalar = 1
-        for val, k in zip(point, exp):
-            if k:
-                scalar = scalar * val ** k
-        total = total + coeff * scalar
-    return total
 
 
 class StemValue:
@@ -213,18 +159,16 @@ class StemPoly:
         flat = []
         for ab in z:
             flat.extend(ab)
-        vals = []
-        for mask in range(1 << self.n):
-            poly = self.components.get(mask)
-            vals.append(_poly_value(poly, flat, self.algebra)
-                        if poly else self.algebra.zero())
+        zero = self.algebra.zero()
+        vals = [sparse.value(self.components.get(mask, {}), flat, zero)
+                for mask in range(1 << self.n)]
         return StemValue(self.n, self.algebra, vals)
 
     def __add__(self, other):
         self._check(other)
         out = {m: dict(p) for m, p in self.components.items()}
         for m, p in other.components.items():
-            _poly_add_into(out.setdefault(m, {}), p)
+            sparse.add_into(out.setdefault(m, {}), p)
         return StemPoly(self.n, self.algebra, out, _skip_check=True)
 
     def __sub__(self, other):
@@ -246,15 +190,6 @@ class StemPoly:
 
     def is_zero(self):
         return not self.components
-
-    def max_coeff_norm(self):
-        return max((c.euclid_norm() for p in self.components.values()
-                    for c in p.values()), default=0.0)
-
-    def map_coeffs(self, fn):
-        out = {m: {e: fn(c) for e, c in p.items()}
-               for m, p in self.components.items()}
-        return StemPoly(self.n, self.algebra, out, _skip_check=True)
 
     def degree(self):
         return max((sum(e) for p in self.components.values() for e in p),
@@ -383,9 +318,8 @@ def stem_product(F, G, sigma):
     out = {}
     for HM, p in F.components.items():
         for LM, q in G.components.items():
-            prod = _poly_mul(p, q)
-            _poly_add_into(out.setdefault(HM ^ LM, {}), prod,
-                           scale=sigma(HM, LM))
+            sparse.add_into(out.setdefault(HM ^ LM, {}), sparse.mul(p, q),
+                            sigma(HM, LM))
     return StemPoly(F.n, F.algebra, out, _skip_check=True)
 
 
@@ -403,7 +337,7 @@ def apply_complex_structure(w, h):
     out = {}
     for mask, poly in w.components.items():
         sign = -1 if mask & bit else 1
-        _poly_add_into(out.setdefault(mask ^ bit, {}), poly, scale=sign)
+        sparse.add_into(out.setdefault(mask ^ bit, {}), poly, sign)
     return StemPoly(w.n, w.algebra, out, _skip_check=True)
 
 
@@ -428,12 +362,11 @@ def _cr(F, h, bar_sign):
         acc = {}
         poly = F.components.get(mask)
         if poly:
-            _poly_add_into(acc, _poly_dx(poly, va), scale=HALF)
+            sparse.add_into(acc, sparse.dx(poly, va), HALF)
         other = F.components.get(mask ^ bit)
         if other:
             sign = -1 if mask & bit else 1
-            _poly_add_into(acc, _poly_dx(other, vb),
-                           scale=HALF * sign * bar_sign)
+            sparse.add_into(acc, sparse.dx(other, vb), HALF * sign * bar_sign)
         if acc:
             out[mask] = acc
     return StemPoly(F.n, F.algebra, out, _skip_check=True)

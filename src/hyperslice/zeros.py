@@ -13,8 +13,8 @@ import random
 import numpy as np
 
 from .algebra import DEFAULT_TOL, invert, is_imaginary_unit, norm_sq, trace
-from .errors import (AlgebraMismatch, ConstantPolynomial, NotInvertible,
-                     RefinementFailed, UnsupportedKind)
+from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
+                     NotInvertible, RefinementFailed, UnsupportedKind)
 from .regularity import OrderedPolynomial, ordered_monomial_eval, star_product
 
 RESIDUAL_SCALE = 1e-8
@@ -427,6 +427,8 @@ def scan_samples(algebra, nvars, count, seed=20240817, span=2.0):
     Cycling the classes makes every taxonomy type reachable for the
     quadric examples at small sample counts.
     """
+    if count < 1:
+        raise HypersliceError(f"count must be at least 1, got {count}")
     rng = random.Random(seed)
     out = []
     for idx in range(count):

@@ -1,11 +1,18 @@
 """Shared fixtures: algebras and deterministic random element factories."""
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hyperslice.algebra import cone_decompose, make_algebra
+
+# child interpreters that tests start import hyperslice from src/ as well
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -316,6 +316,16 @@ def test_json_round_trip(H, O):
         assert back.associative == A.associative
 
 
+def test_equal_algebras_hash_equal(H, O):
+    # equality compares the tables, not the kind names, so the hash must too
+    pairs = [(H, make_algebra("clifford(0,2)"))]
+    pairs += [(A, algebra_from_json(algebra_to_json(A))) for A in (H, O)]
+    for A, B in pairs:
+        assert A == B and A.kind != B.kind
+        assert hash(A) == hash(B)
+        assert len({A, B}) == 1
+
+
 def test_trace_symmetry(H, O, CL11, rng):
     # real parts of t(xy) and t(yx) agree in any *-algebra
     for A in (H, O, CL11):

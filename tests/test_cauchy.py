@@ -1,5 +1,6 @@
 """Cauchy kernels, integrand routes, and reconstruction on disc products."""
 
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -232,6 +233,39 @@ def test_vectorized_and_pointwise_paths_agree(H):
     fast, _ = cauchy_reconstruct(f, torus, x)
     slow, _ = cauchy_reconstruct(lambda p: slice_eval(stem, p), torus, x)
     assert (fast - slow).is_zero(1e-12)
+
+
+def _integrand_grid_sum(f, torus, x):
+    """The trapezoid rule on cauchy_integrand, node by node in Elements."""
+    N = torus.samples_per_circle
+    total = torus.algebra.zero()
+    for idx in itertools.product(range(N), repeat=torus.n):
+        t = tuple(2.0 * math.pi * k / N for k in idx)
+        total = total + cauchy_integrand(f, x, t, torus)
+    return total * (1.0 / N ** torus.n)
+
+
+def test_reconstruct_equals_the_integrand_summed_over_the_grid(H, O):
+    i, j, k = H.basis_named("i"), H.basis_named("j"), H.basis_named("k")
+    e = [O.basis(idx) for idx in range(8)]
+    f_h = OrderedPolynomial(2, H, {(1, 1): H.one(), (2, 0): k, (0, 1): i})
+    f_o = OrderedPolynomial(2, O, {(2, 1): e[5], (1, 0): e[2]})
+    cases = [
+        (f_h, BoundaryTorus.discs(H, [1.3, 1.4], samples_per_circle=8),
+         SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [j, k])),
+        (f_h, BoundaryTorus(H, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],
+                                [(0.0, 1.5, 1)]], samples_per_circle=8),
+         SlicePoint(H, [0.1, 0.2], [0.8, 0.3], [i, j])),
+        (f_o, BoundaryTorus.discs(O, [1.5, 1.5], J=e[1],
+                                  samples_per_circle=8),
+         SlicePoint(O, [0.2, 0.1], [0.3, 0.4], [e[1], e[4]])),
+    ]
+    for f, torus, x in cases:
+        stem = poly_to_stem(f)
+        oracle = _integrand_grid_sum(f, torus, x)
+        for source in (f, stem, lambda p: slice_eval(stem, p)):
+            value, _ = cauchy_reconstruct(source, torus, x)
+            assert (value - oracle).is_zero(1e-12)
 
 
 def test_kernel_route_matches_expanded_route_in_quaternions(H):

@@ -135,6 +135,19 @@ def test_domain_errors_exit_2():
     assert json.loads(err)["error"]["type"] == "PointOutsideE"
 
 
+def test_sample_counts_below_one_exit_2():
+    code, out, err = invoke(subcommand="cauchy", algebra="H", poly="x1",
+                            radii="1.5", point="[[0.2,0.3,i]]", samples=0)
+    assert code == 2 and out == ""
+    check_schema(json.loads(err), "error")
+
+    for count in (0, -3):
+        code, out, err = invoke(subcommand="scan", algebra="H",
+                                poly="x1^2 + x2^2 + (1)", count=count)
+        assert code == 2 and out == "", count
+        check_schema(json.loads(err), "error")
+
+
 def test_regular_subcommand(H):
     code, out, _ = invoke(subcommand="regular", algebra="H", poly="x1^2 x2")
     payload = json.loads(out)
