@@ -302,7 +302,8 @@ class Element:
         return sum(c * c for c in self.coeffs)
 
     def euclid_norm(self):
-        return math.sqrt(float(self.euclid_norm_sq()))
+        # hypot scales, so coefficients past 1e154 do not overflow
+        return math.hypot(*map(float, self.coeffs))
 
     def coeffs_float(self):
         return np.array([float(c) for c in self.coeffs])

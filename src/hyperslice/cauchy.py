@@ -3,15 +3,19 @@
 The boundary torus is a product of real-centered circles on one slice,
 parametrized by xi_h(t) = c_h + r_h e^{Jt}.  Reconstruction integrates the
 non-associative integrand over the angle torus with the tensor trapezoid
-rule; on one slice every kernel factor lives in a commutative plane, so
-the grid evaluation reduces to complex arrays plus one left-multiplication
-matrix per unit involved.  The function only supplies its boundary values
-on the grid: a polynomial or stem is evaluated on all nodes at once, a
+rule.  On the slice every kernel factor is a complex number a + b u_h, so
+the integrand is a sum of unit words u_1^b1(...(u_n^bn(J^b0 f))) with real
+weights, and each weight is the real part of a product of one-variable
+factors.  The grid sum therefore contracts the boundary values of f one
+angle axis at a time with those factors, and the units act once per word
+in Element arithmetic.  The function only supplies its boundary values on
+the grid: a polynomial or stem is evaluated on all nodes at once, a
 callable once per node, and one array kernel serves both.  The pointwise
 integrand (cauchy_integrand) stays in exact Element arithmetic; summed
 over the same grid it is the oracle for that kernel.
 """
 
+import itertools
 import math
 from functools import partial
 from typing import NamedTuple
@@ -260,52 +264,36 @@ def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
     return total
 
 
-# -- vectorized reconstruction --------------------------------------------
-
-
-def _grid_angles(n, N):
-    ts = 2.0 * np.pi * np.arange(N) / N
-    grids = np.meshgrid(*([ts] * n), indexing="ij")
-    return [g.reshape(-1) for g in grids]
+# -- reconstruction on the grid -------------------------------------------
 
 
 def _stem_on_grid(stem, torus, zs):
-    """f(xi) over the grid: component values collapsed through powers of J."""
+    """f(xi) over the grid: the stem's monomials times their coefficients.
+
+    J^|K| is folded into the coefficient of each term of component K.
+    """
     G = zs[0].shape[0]
-    n = stem.n
-    dim = torus.algebra.dim
-    J_mat = torus.algebra.left_mult_matrix(torus.J)
-    # per-variable power tables up to the needed degree
-    max_deg = [0] * (2 * n)
-    for poly in stem.components.values():
-        for exp in poly:
-            for v in range(2 * n):
-                max_deg[v] = max(max_deg[v], exp[v])
+    one = torus.algebra.one()
+    jp = [one, torus.J, -one, -torus.J]
+    terms = [(exp, (jp[mask.bit_count() % 4] * coeff).coeffs_float())
+             for mask, poly in stem.components.items()
+             for exp, coeff in poly.items()]
+    # per-coordinate power tables up to the needed degree
+    coords = [part for z in zs for part in (z.real, z.imag)]
     pows = []
-    for h in range(n):
-        pa = [np.ones(G)]
-        for _ in range(max_deg[2 * h]):
-            pa.append(pa[-1] * zs[h].real)
-        pb = [np.ones(G)]
-        for _ in range(max_deg[2 * h + 1]):
-            pb.append(pb[-1] * zs[h].imag)
-        pows.append((pa, pb))
-    out = np.zeros((G, dim))
-    eye = np.eye(dim)
-    jp = [eye, J_mat, -eye, -J_mat]
-    for mask, poly in stem.components.items():
-        comp = np.zeros((G, dim))
-        for exp, coeff in poly.items():
-            scal = np.ones(G)
-            for h in range(n):
-                a, b = exp[2 * h], exp[2 * h + 1]
-                if a:
-                    scal = scal * pows[h][0][a]
-                if b:
-                    scal = scal * pows[h][1][b]
-            comp += scal[:, None] * np.asarray(coeff.coeffs_float())[None, :]
-        out += comp @ jp[mask.bit_count() % 4]
-    return out
+    for v, coord in enumerate(coords):
+        table = [np.ones(G)]
+        for _ in range(max((exp[v] for exp, _ in terms), default=0)):
+            table.append(table[-1] * coord)
+        pows.append(table)
+    monomials = np.ones((len(terms), G))
+    for row, (exp, _) in zip(monomials, terms):
+        for v, e in enumerate(exp):
+            if e:
+                row *= pows[v][e]
+    coeffs = np.array([c for _, c in terms]).reshape(len(terms),
+                                                     torus.algebra.dim)
+    return monomials.T @ coeffs
 
 
 def _callable_on_grid(f, torus, zs):
@@ -318,13 +306,6 @@ def _callable_on_grid(f, torus, zs):
     for g, (a, b) in enumerate(zip(alphas, betas)):
         out[g] = f(SlicePoint(algebra, a, b, units)).coeffs_float()
     return out
-
-
-def _apply_complex_factor(vec, w, L):
-    """Left-multiply the A-valued rows by w.real + w.imag * unit."""
-    out = vec * w.real[:, None]
-    imag_part = vec @ L
-    return out + imag_part * w.imag[:, None]
 
 
 def cauchy_reconstruct(f, torus, x):
@@ -362,56 +343,67 @@ def cauchy_reconstruct(f, torus, x):
 
 
 def _reconstruct(boundary_values, torus, x):
-    """The subset-expanded integrand summed over the grid in float arrays.
+    """The subset-expanded integrand summed over the grid, one word at a time.
+
+    Each left factor a + b u_h of the integrand splits into its real and
+    u_h parts, so the integrand is a sum over the 2^(n+1) unit words
+    u_1^b1(...(u_n^bn(J^b0 f))) with real weights.  Summed over the subsets
+    K, the weight of a word factors per variable: it is
+    Re((-i)^n e_b0 prod_h P_h,b_h(t_h)) with e_0 = 1, e_1 = -i and
+    P_h,b = o r i e^{it} (part_b(1/Delta_h) conj(z) - part_b(w_h/Delta_h))
+    on each circle (z = c + r e^{it}, w_h the complex coordinate of x,
+    part_0 = Re, part_1 = Im).  So the boundary values of each circle
+    choice are contracted one angle axis at a time against P, and the
+    units act once per word in Element arithmetic.
 
     boundary_values(torus, zs) returns f at the boundary nodes zs (one
-    complex array per variable) as a (G, dim) coefficient array.  It is
-    called only after the pole-sphere guard has passed for every circle
-    choice.
+    complex array per variable, the grid flattened in 'ij' order) as a
+    (G, dim) coefficient array.  It is called only after the pole-sphere
+    guard has passed on every circle.
     """
     algebra = torus.algebra
     n = torus.n
-    dim = algebra.dim
     N = torus.samples_per_circle
-    LJ = algebra.left_mult_matrix(torus.J)
-    L_units = [algebra.left_mult_matrix(u) for u in x.units]
-    w_x = [complex(float(a), float(b)) for a, b in x.z()]
-    angles = _grid_angles(n, N)
-    G = angles[0].shape[0]
-    jpow = (-1j) ** n
-    nodes = []
-    for combo, orient in torus.combos():
-        zs = [c.center + c.radius * np.exp(1j * t)
-              for c, t in zip(combo, angles)]
-        deltas = [w * w - 2.0 * z.real * w + (z.real ** 2 + z.imag ** 2)
-                  for w, z in zip(w_x, zs)]
-        nodes.append((combo, orient, zs, deltas))
-    min_delta = min(float(np.abs(d).min())
-                    for _, _, _, deltas in nodes for d in deltas)
+    e_it = np.exp(2j * np.pi * np.arange(N) / N)
+    # per variable, per circle: the nodes z and the weights P as (4, N)
+    circles = []
+    min_delta = math.inf
+    for (a, b), var_circles in zip(x.z(), torus.circles):
+        w = complex(float(a), float(b))
+        row = []
+        for c in var_circles:
+            z = c.center + c.radius * e_it
+            delta = w * w - 2.0 * z.real * w + (z.real ** 2 + z.imag ** 2)
+            min_delta = min(min_delta, float(np.abs(delta).min()))
+            inv = 1.0 / delta
+            vel = c.orientation * c.radius * 1j * e_it
+            P = np.stack([vel * (part(inv) * z.conjugate() - part(w * inv))
+                          for part in (np.real, np.imag)])
+            # real rows, so real boundary values are never cast to complex
+            row.append((z, np.concatenate([P.real, P.imag])))
+        circles.append(row)
     if min_delta < MIN_DELTA:
         raise QuadratureSingularity(
             f"grid approaches a pole sphere: min |Delta| = "
             f"{min_delta:.2e} < {MIN_DELTA}")
-    total = np.zeros((G, dim))
-    for combo, orient, zs, deltas in nodes:
-        vel = np.ones(G, dtype=complex)
-        for c, t in zip(combo, angles):
-            vel = vel * (c.radius * 1j * np.exp(1j * t))
-        fvals = boundary_values(torus, zs)
-        inv = [1.0 / d for d in deltas]
-        for kmask in range(1 << n):
-            sign = (-1) ** (n - bin(kmask).count("1"))
-            q = sign * vel * jpow
-            for h in range(n):
-                if kmask >> h & 1:
-                    q = q * zs[h].conjugate()
-            v = _apply_complex_factor(fvals, q, LJ)
-            for h in range(n - 1, -1, -1):
-                w = inv[h] if kmask >> h & 1 else inv[h] * w_x[h]
-                v = _apply_complex_factor(v, w, L_units[h])
-            total = total + orient * v
-    coeffs = np.add.reduce(total, axis=0) / float(N ** n)
-    return algebra.element([float(c) for c in coeffs]), min_delta
+    # S[b_n, ..., b_1] = sum over the grid of prod_h P_h,b_h times f
+    S = 0
+    for combo in itertools.product(*circles):
+        grid = np.meshgrid(*(z for z, _ in combo), indexing="ij")
+        fvals = boundary_values(torus, [g.reshape(-1) for g in grid])
+        s = fvals.reshape((N,) * n + (algebra.dim,))
+        for h, (_, weights) in enumerate(combo):
+            r = np.tensordot(weights, s, axes=(1, h))
+            s = r[:2] + 1j * r[2:]
+        S = S + s
+    total = algebra.zero()
+    for bits in itertools.product((0, 1), repeat=n):
+        c = S[bits[::-1]] * ((-1j) ** n / N ** n)
+        v = algebra.element(c.real.tolist()) + \
+            torus.J * algebra.element(c.imag.tolist())
+        units = [u for u, b in zip(x.units, bits) if b]
+        total = total + ordered_product(units, v)
+    return total, min_delta
 
 
 # -- symbolic regularity of the closed-form kernel -------------------------

@@ -22,7 +22,7 @@ from .errors import (ExpressionSyntaxError, HypersliceError, IndexOutOfRange,
                      UnsupportedKind)
 from .parser import (format_poly, parse_expression, parse_point, parse_unit)
 from .regularity import (OrderedPolynomial, is_slice_regular, poly_eval,
-                         slice_partial_conj, star_product)
+                         star_product)
 from .zeros import roots_one_var, scan_samples, zero_scan
 
 SCHEMA = "hyperslice/1"
@@ -65,14 +65,8 @@ def _run_diff(req, algebra):
     h = req.var
     if not 1 <= h <= p.n:
         raise IndexOutOfRange(f"variable index {h} outside 1..{p.n}")
-    if req.conj:
-        bar = slice_partial_conj(p, h)
-        if bar.components:
-            raise HypersliceError("conjugate derivative of a polynomial "
-                                  "must vanish; internal inconsistency")
-        dp = OrderedPolynomial.zero(p.n, algebra)
-    else:
-        dp = p.partial(h)
+    # polynomials are slice regular, so their conjugate derivative vanishes
+    dp = OrderedPolynomial.zero(p.n, algebra) if req.conj else p.partial(h)
     return {"derivative": format_poly(dp), "variable": h,
             "conjugate": req.conj, "n": p.n}
 
@@ -243,9 +237,14 @@ def run(request, out=None, err=None):
         payload = _HANDLERS[request.subcommand](request, algebra)
         payload = {"schema": SCHEMA, "subcommand": request.subcommand,
                    "algebra": request.algebra, **payload}
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:
+            raise HypersliceError(
+                "the result holds a value that is not a finite number"
+            ) from None
         if request.fmt == "json":
-            json.dump(payload, out, indent=2)
-            print(file=out)
+            print(text, file=out)
         elif request.fmt == "csv":
             _emit_csv(payload, request, out)
         else:

@@ -8,12 +8,13 @@ on the stem, classical holomorphy after a splitting decomposition, and
 the one-variable reduction obtained by freezing all but one variable.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from . import sparse
-from .algebra import DEFAULT_TOL, is_imaginary_unit, splitting_basis
+from .algebra import (DEFAULT_TOL, is_imaginary_unit, make_algebra,
+                      splitting_basis)
 from .errors import (
     AlgebraMismatch,
     BlackBoxUnsupported,
@@ -203,30 +204,23 @@ _B_CACHE = {}
 
 
 def norm_constant(algebra):
-    """Submultiplicativity bound: max ||xy|| over unit pairs, padded 5%.
+    """B with ||xy|| <= B ||x|| ||y|| for all x, y; proven, not sampled.
 
-    Estimated on a deterministic scrambled Sobol sample of 2^17 >= 1e5
-    unit pairs; the padding absorbs the gap to the true supremum.  Cached
-    per algebra.
+    H and O are composition algebras, so B = 1 there.  For any other
+    monomial table, coordinate k of xy is a signed sum of the c_k products
+    x_i y_j with e_i e_j = +-e_k, and every pair (i, j) feeds exactly one
+    k.  Cauchy-Schwarz per coordinate then gives
+    ||xy||^2 <= max_k c_k ||x||^2 ||y||^2, so B = sqrt(max_k c_k), which
+    is sqrt(dim) for the Clifford tables.  Cached per algebra.
     """
-    if algebra in _B_CACHE:
-        return _B_CACHE[algebra]
-    from scipy.stats import qmc
-
-    d = algebra.dim
-    sampler = qmc.Sobol(d=2 * d, scramble=True, seed=20240817)
-    pts = 2.0 * sampler.random(1 << 17) - 1.0
-    xs, ys = pts[:, :d], pts[:, d:]
-    xn = np.linalg.norm(xs, axis=1)
-    yn = np.linalg.norm(ys, axis=1)
-    keep = (xn > 1e-9) & (yn > 1e-9)
-    xs = xs[keep] / xn[keep, None]
-    ys = ys[keep] / yn[keep, None]
-    tensor = algebra.dense_tensor()
-    prods = np.einsum("ni,nj,ijk->nk", xs, ys, tensor)
-    B = 1.05 * float(np.linalg.norm(prods, axis=1).max())
-    _B_CACHE[algebra] = B
-    return B
+    if algebra not in _B_CACHE:
+        if algebra in (make_algebra("H"), make_algebra("O")):
+            B = 1.0
+        else:
+            counts = Counter(k for row in algebra.mul_index for k in row)
+            B = math.sqrt(max(counts.values()))
+        _B_CACHE[algebra] = B
+    return _B_CACHE[algebra]
 
 
 class PowerSeries:

@@ -155,14 +155,14 @@ def test_product_form_differs_off_the_plane(H):
 
 def test_reconstruct_constant_is_exact_at_tiny_sample_counts(H):
     i, k = H.basis_named("i"), H.basis_named("k")
-    a = H.one() + 2 * i - 3 * k
-    f = OrderedPolynomial.constant(a, 1)
     x0 = SlicePoint(H, [0.0], [0.0], [i])
-    for N in (2, 3, 4):
-        torus = BoundaryTorus.discs(H, [1.0], samples_per_circle=N)
-        val, diag = cauchy_reconstruct(f, torus, x0)
-        assert (val - a).is_zero(1e-14)
-        assert diag["N"] == N
+    for a in (H.one() + 2 * i - 3 * k, H.zero()):
+        f = OrderedPolynomial.constant(a, 1)
+        for N in (2, 3, 4):
+            torus = BoundaryTorus.discs(H, [1.0], samples_per_circle=N)
+            val, diag = cauchy_reconstruct(f, torus, x0)
+            assert (val - a).is_zero(1e-14)
+            assert diag["N"] == N
 
 
 def test_reconstruct_bidisc_quaternion_monomial(H):
@@ -245,12 +245,31 @@ def _integrand_grid_sum(f, torus, x):
     return total * (1.0 / N ** torus.n)
 
 
-def test_reconstruct_equals_the_integrand_summed_over_the_grid(H, O):
+def test_reconstruct_equals_the_integrand_summed_over_the_grid(H, O, CL03):
     i, j, k = H.basis_named("i"), H.basis_named("j"), H.basis_named("k")
     e = [O.basis(idx) for idx in range(8)]
+    c = [CL03.basis(idx) for idx in range(8)]
+    s2, s3 = 1 / math.sqrt(2), 1 / math.sqrt(3)
     f_h = OrderedPolynomial(2, H, {(1, 1): H.one(), (2, 0): k, (0, 1): i})
+    f_h3 = OrderedPolynomial(3, H, {(1, 1, 1): H.one(), (0, 2, 1): k,
+                                    (1, 0, 2): i + j, (0, 0, 1): j})
     f_o = OrderedPolynomial(2, O, {(2, 1): e[5], (1, 0): e[2]})
+    f_c = OrderedPolynomial(2, CL03, {(1, 1): c[7], (2, 1): c[3],
+                                      (0, 2): c[5] + c[1]})
     cases = [
+        (f_h3, BoundaryTorus.discs(H, [1.3, 1.4, 1.2], samples_per_circle=4),
+         SlicePoint(H, [0.2, 0.1, -0.1], [0.3, 0.4, 0.2], [j, k, i])),
+        (f_h, BoundaryTorus.discs(H, [1.3, 1.4], J=(i + j) * s2,
+                                  samples_per_circle=8),
+         SlicePoint(H, [0.2, 0.1], [0.3, 0.4],
+                    [(j - k) * s2, (i + j + k) * s3])),
+        (f_c, BoundaryTorus.discs(CL03, [1.3, 1.4], J=c[2],
+                                  samples_per_circle=8),
+         SlicePoint(CL03, [0.2, 0.1], [0.3, 0.4], [c[3], c[4]])),
+        (f_h, BoundaryTorus(H, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],
+                                [(0.1, 1.6, 1), (0.0, 0.4, -1)]],
+                            samples_per_circle=8),
+         SlicePoint(H, [0.1, 0.2], [0.8, 0.6], [i, j])),
         (f_h, BoundaryTorus.discs(H, [1.3, 1.4], samples_per_circle=8),
          SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [j, k])),
         (f_h, BoundaryTorus(H, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],

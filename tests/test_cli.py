@@ -148,6 +148,30 @@ def test_sample_counts_below_one_exit_2():
         check_schema(json.loads(err), "error")
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_huge_roots_residual_stays_finite():
+    code, out, _ = invoke(subcommand="roots", algebra="H",
+                          poly="x1^2 + (1e300)")
+    assert code == 0
+    payload = _strict_json(out)
+    check_schema(payload, "roots")
+    assert payload["spherical"] == [pytest.approx([0.0, 1e150])]
+    assert payload["residual_max"] <= 1e-12 * 1e300
+
+
+def test_non_finite_results_exit_2_and_write_nothing():
+    for fmt in ("json", "csv", "text"):
+        code, out, err = invoke(subcommand="eval", algebra="H", poly="x1^2",
+                                point="[[1e200,0,i]]", fmt=fmt)
+        assert code == 2 and out == "", fmt
+        check_schema(_strict_json(err), "error")
+
+
 def test_regular_subcommand(H):
     code, out, _ = invoke(subcommand="regular", algebra="H", poly="x1^2 x2")
     payload = json.loads(out)

@@ -1,10 +1,12 @@
 """Polynomials, series, star products, and three regularity routes."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hyperslice.algebra import invert
+from hyperslice.algebra import invert, make_algebra
 from hyperslice.errors import (
     BlackBoxUnsupported,
     NotImaginaryUnit,
@@ -181,13 +183,33 @@ def test_stem_injectivity_on_polynomials(H, rng):
 
 def test_norm_constant_quaternions(H):
     B = norm_constant(H)
-    assert 1.0 <= B <= 1.06
+    assert B == 1.0
     assert norm_constant(H) == B  # cached
 
 
 def test_norm_constant_octonions(O):
-    B = norm_constant(O)
-    assert 1.0 <= B <= 1.06
+    assert norm_constant(O) == 1.0
+
+
+def test_norm_constant_bounds_sampled_unit_pairs(H, O, CL03):
+    rng = np.random.default_rng(20240817)
+    for A in (H, O, CL03):
+        xs = rng.standard_normal((4000, A.dim))
+        ys = rng.standard_normal((4000, A.dim))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        prods = np.einsum("ni,nj,ijk->nk", xs, ys, A.dense_tensor())
+        assert np.linalg.norm(prods, axis=1).max() <= norm_constant(A) + 1e-12
+
+
+def test_norm_constant_bounds_a_clifford_square():
+    # x = (1 + e1234)(1 + e3456) has ||x x|| = 2 ||x||^2 in Cl(0,6)
+    A = make_algebra("clifford(0,6)")
+    one = A.one()
+    x = (one + A.basis_named("e1234")) * (one + A.basis_named("e3456"))
+    assert (x * x).euclid_norm() == 2.0 * x.euclid_norm() ** 2
+    assert (x * x).euclid_norm() <= norm_constant(A) * x.euclid_norm() ** 2
+    assert norm_constant(A) == math.sqrt(A.dim)
 
 
 def test_series_geometric(H):
