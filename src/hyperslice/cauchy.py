@@ -268,16 +268,13 @@ def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
 
 
 def _stem_on_grid(stem, torus, zs):
-    """f(xi) over the grid: the stem's monomials times their coefficients.
+    """f(xi) over the grid, where f is one polynomial: StemPoly.on_slice(J).
 
-    J^|K| is folded into the coefficient of each term of component K.
+    Its monomial values (G x T) times its T coefficients (T x dim).
     """
     G = zs[0].shape[0]
-    one = torus.algebra.one()
-    jp = [one, torus.J, -one, -torus.J]
-    terms = [(exp, (jp[mask.bit_count() % 4] * coeff).coeffs_float())
-             for mask, poly in stem.components.items()
-             for exp, coeff in poly.items()]
+    terms = [(exp, coeff.coeffs_float())
+             for exp, coeff in stem.on_slice(torus.J).items()]
     # per-coordinate power tables up to the needed degree
     coords = [part for z in zs for part in (z.real, z.imag)]
     pows = []
@@ -328,7 +325,12 @@ def cauchy_reconstruct(f, torus, x):
     stem = _as_stem(f)
     boundary_values = (partial(_callable_on_grid, f) if stem is None
                        else partial(_stem_on_grid, stem))
-    value, min_delta = _reconstruct(boundary_values, torus, x)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value, min_delta = _reconstruct(boundary_values, torus, x)
+    except FloatingPointError as exc:
+        raise HypersliceError(
+            f"quadrature arithmetic leaves the float range: {exc}") from None
     diagnostics = {
         "N": N,
         "grid_points": N ** n * len(torus.combos()),

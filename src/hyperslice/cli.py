@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import DEFAULT_TOL, make_algebra
 from .cauchy import BoundaryTorus, cauchy_reconstruct
@@ -46,7 +46,6 @@ class Request:
     span: float = 2.0
     tol: float = DEFAULT_TOL
     fmt: str = "json"
-    rows: list = field(default_factory=list, repr=False)
 
 
 def _coeffs(a):
@@ -145,11 +144,10 @@ def _run_scan(req, algebra):
     samples = scan_samples(algebra, p.n, req.count, seed=req.seed,
                            span=req.span)
     report = zero_scan(p, samples, req.tol)
-    req.rows = list(report.csv_rows())
     blob = report.to_json()
     blob["counts"] = report.counts()
     blob["nonempty"] = report.nonempty()
-    return blob
+    return blob, list(report.csv_rows())
 
 
 def _run_algebra_dump(req, algebra):
@@ -215,10 +213,10 @@ def _emit_text(payload, req, out):
             print(f"{name}: " + " ".join(row), file=out)
 
 
-def _emit_csv(payload, req, out):
+def _emit_csv(payload, rows, out):
     writer = csv.writer(out, lineterminator="\n")
-    if req.subcommand == "scan":
-        writer.writerows(req.rows)
+    if rows is not None:
+        writer.writerows(rows)
         return
     for key, value in payload.items():
         if key in ("schema", "subcommand"):
@@ -234,7 +232,9 @@ def run(request, out=None, err=None):
     err = err if err is not None else sys.stderr
     try:
         algebra = make_algebra(request.algebra)
-        payload = _HANDLERS[request.subcommand](request, algebra)
+        result = _HANDLERS[request.subcommand](request, algebra)
+        # a handler with its own csv table returns (payload, rows)
+        payload, rows = result if isinstance(result, tuple) else (result, None)
         payload = {"schema": SCHEMA, "subcommand": request.subcommand,
                    "algebra": request.algebra, **payload}
         try:
@@ -246,7 +246,7 @@ def run(request, out=None, err=None):
         if request.fmt == "json":
             print(text, file=out)
         elif request.fmt == "csv":
-            _emit_csv(payload, request, out)
+            _emit_csv(payload, rows, out)
         else:
             _emit_text(payload, request, out)
         return 0

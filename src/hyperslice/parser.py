@@ -21,6 +21,7 @@ coefficient list.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -180,6 +181,9 @@ class _Parser:
         if tok.kind != "NUMBER":
             self.fail("expected a number", tok, expected="a real number")
         self.take()
+        if math.isinf(float(tok.text)):
+            self.fail("number beyond the float range", tok,
+                      expected="a number of magnitude below 1.8e308")
         if _INT.fullmatch(tok.text):
             return sign * int(tok.text)
         return sign * float(tok.text)
@@ -243,23 +247,28 @@ def format_poly(p):
 _BARE_NAME = re.compile(r'(?<![\w."])([A-Za-z_][A-Za-z0-9_]*)')
 
 
+def _load_json(src, what):
+    """JSON with integers read as floats, so any number too large is inf."""
+    try:
+        return json.loads(src, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ExpressionSyntaxError(f"bad {what} syntax: {exc.msg}",
+                                    exc.lineno, exc.colno) from None
+
+
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def parse_unit(src, algebra, tol):
     """A slice unit: basis name or JSON coefficient list."""
     src = src.strip()
     if src.startswith("["):
-        try:
-            coeffs = json.loads(src)
-        except json.JSONDecodeError as exc:
-            raise ExpressionSyntaxError(f"bad unit syntax: {exc.msg}",
-                                        exc.lineno, exc.colno) from None
+        coeffs = _load_json(src, "unit")
         if not isinstance(coeffs, list) or not all(map(_is_number, coeffs)):
             raise ExpressionSyntaxError(
-                "a unit coefficient list holds real numbers only", 1, 1)
-        J = algebra.element([float(c) for c in coeffs])
+                "a unit coefficient list holds finite reals only", 1, 1)
+        J = algebra.element(coeffs)
     else:
         if not algebra.has_basis_name(src):
             raise UnknownBasisName(
@@ -273,11 +282,7 @@ def parse_unit(src, algebra, tol):
 def parse_point(src, algebra, tol, nvars=None):
     """Cone point from per-variable [alpha, beta, J] triples."""
     quoted = _BARE_NAME.sub(r'"\1"', src)
-    try:
-        data = json.loads(quoted)
-    except json.JSONDecodeError as exc:
-        raise ExpressionSyntaxError(f"bad point syntax: {exc.msg}",
-                                    exc.lineno, exc.colno) from None
+    data = _load_json(quoted, "point")
     if not isinstance(data, list) or not data:
         raise ExpressionSyntaxError("a point is a list of [alpha, beta, J] "
                                     "triples", 1, 1)
@@ -291,21 +296,21 @@ def parse_point(src, algebra, tol, nvars=None):
         alpha, beta, unit = triple
         if not _is_number(alpha) or not _is_number(beta):
             raise ExpressionSyntaxError(
-                "alpha and beta must be real numbers", 1, 1)
+                "alpha and beta must be finite real numbers", 1, 1)
         if isinstance(unit, str):
             if not algebra.has_basis_name(unit):
                 raise UnknownBasisName(
                     f"unknown basis name {unit!r} in {algebra.kind}", 1, 1)
             J = algebra.basis_named(unit)
         elif isinstance(unit, list) and all(map(_is_number, unit)):
-            J = algebra.element([float(c) for c in unit])
+            J = algebra.element(unit)
         else:
             raise ExpressionSyntaxError(
                 "J must be a basis name or a coefficient list", 1, 1)
         if not is_imaginary_unit(J, tol):
             raise NotImaginaryUnit(f"{J.format()} is not an imaginary unit")
-        alphas.append(float(alpha))
-        betas.append(float(beta))
+        alphas.append(alpha)
+        betas.append(beta)
         units.append(J)
     if nvars is not None and len(alphas) != nvars:
         raise AlgebraMismatch(

@@ -363,11 +363,7 @@ def split_holomorphy_check(f, J, samples_grid=None, tol=DEFAULT_TOL):
         raise NotImaginaryUnit("splitting needs a unit imaginary J")
     basis = splitting_basis(J, tol)
     dim = F.algebra.dim
-    # restriction to the slice: multiply component coefficients by J^|H|
-    powers = [F.algebra.one(), J, -1 * F.algebra.one(), -1 * J]
-    restricted = {}
-    for mask, poly in F.components.items():
-        sparse.add_into(restricted, poly, powers[mask.bit_count() % 4])
+    restricted = F.on_slice(J)
     # coordinates over the splitting basis, one real polynomial per axis
     mat = [[basis[col].coeffs[row] for col in range(dim)]
            for row in range(dim)]

@@ -5,10 +5,14 @@ with beta_h >= 0 and J_h on the unit imaginary sphere.  Evaluating a stem F
 at such a point means summing the ordered unit products [J_K, F_K(z)] over
 all subsets K.
 
-The averaging operators here reconstruct a slice function from its values
-on one fiber: the alternating sums over conjugated points recover each
-stem component, the spherical value and derivatives, and the truncated
-derivatives obtained by iterating the one-variable splitting operators.
+The averaging operators rest on one fiber transform: f is evaluated once at
+each of the 2^n conjugates of a point, and for each K the signed sum
+2^-n [J_K]^-1 sum over H of (-1)^|K meet H| f(x conjugated in H) is the
+stem component F_K(z).  The representation formula, stem recovery, the
+spherical value and derivatives and the spherical expansion are all that
+transform, so each costs 2^n evaluations of f.  The one-variable
+splitting operators, whose iteration gives the spherical derivatives one
+variable at a time, and the truncated derivatives of a stem stand apart.
 """
 
 from fractions import Fraction
@@ -29,15 +33,6 @@ from .errors import (
     SphereMismatch,
 )
 from .stems import CallableStem, SubsetIndex
-
-
-def _mask_members(mask):
-    h = 1
-    while mask:
-        if mask & 1:
-            yield h
-        mask >>= 1
-        h += 1
 
 
 class SlicePoint:
@@ -114,13 +109,23 @@ class SlicePoint:
             zip(self.alphas + self.betas, other.alphas + other.betas))
 
     def mask_units(self, mask):
-        return [self.units[h - 1] for h in _mask_members(mask)]
+        return [J for h, J in enumerate(self.units) if mask >> h & 1]
 
     def __repr__(self):
         coords = ", ".join(
             f"({a}, {b}, {J.format()})"
             for a, b, J in zip(self.alphas, self.betas, self.units))
         return f"SlicePoint[{coords}]"
+
+
+def _assemble(values, point):
+    """sum over K of [J_K, v_K], units multiplied innermost-last."""
+    total = point.algebra.zero()
+    for mask, v in enumerate(values):
+        if v.is_zero(0):
+            continue
+        total = total + ordered_product(point.mask_units(mask), v)
+    return total
 
 
 def slice_eval(stem, point, tol=DEFAULT_TOL):
@@ -130,14 +135,7 @@ def slice_eval(stem, point, tol=DEFAULT_TOL):
     if stem.n != point.n:
         raise AlgebraMismatch(
             f"stem has {stem.n} variables, point has {point.n}")
-    vals = stem.value_at(point.z())
-    total = point.algebra.zero()
-    for mask in range(1 << stem.n):
-        v = vals[mask]
-        if v.is_zero(0):
-            continue
-        total = total + ordered_product(point.mask_units(mask), v)
-    return total
+    return _assemble(stem.value_at(point.z()).components, point)
 
 
 def as_point_function(g):
@@ -145,21 +143,50 @@ def as_point_function(g):
     return lambda point: g(*point.elements())
 
 
-def _alternating_sum(f, point, kmask):
-    """sum over H of (-1)^|K meet H| f(x conjugated in H)."""
-    total = point.algebra.zero()
-    for hmask in range(1 << point.n):
-        sign = -1 if (kmask & hmask).bit_count() % 2 else 1
-        total = total + sign * f(point.conjugated(hmask))
-    return total
+def _fiber_values(f, point, tol=DEFAULT_TOL):
+    """The 2^n stem values at the point's fiber from 2^n values of f.
+
+    Component K is 2^-n [J_K]^-1 sum over H of (-1)^|K meet H| f(x
+    conjugated in H).  It is zero when K holds a variable with beta at or
+    below tol, where the signed sum vanishes on the fiber and J_K may not
+    be a unit.
+    """
+    size = 1 << point.n
+    values = [f(point.conjugated(hmask)) for hmask in range(size)]
+    on_real = sum(1 << h for h, b in enumerate(point.betas) if b <= tol)
+    weight = Fraction(1, size)
+    out = []
+    for kmask in range(size):
+        total = point.algebra.zero()
+        if not kmask & on_real:
+            for hmask, v in enumerate(values):
+                total = total + (-1) ** (kmask & hmask).bit_count() * v
+            total = ordered_inverse_product(point.mask_units(kmask),
+                                            total) * weight
+        out.append(total)
+    return out
+
+
+def _beta_product(point, kmask, tol):
+    """prod over h in K of beta_h; OnRealLocus if some beta_h <= tol."""
+    product = 1
+    for h, b in enumerate(point.betas, start=1):
+        if kmask >> (h - 1) & 1:
+            if b <= tol:
+                raise OnRealLocus(
+                    f"variable {h} has vanishing imaginary part; the "
+                    f"derivative needs the full sphere in that variable")
+            product = product * b
+    return product
 
 
 def representation_eval(f, source, target, tol=DEFAULT_TOL):
     """Value at the target from fiber values at the source.
 
     Both points must carry the same (alpha_h, beta_h); only the units may
-    differ.  Masks containing a variable with beta below tol are skipped:
-    their alternating sums vanish identically on the fiber.
+    differ.  f is called once at each of the 2^n conjugates of the source.
+    Masks containing a variable with beta below tol are skipped: their
+    alternating sums vanish identically on the fiber.
     """
     if source.algebra != target.algebra:
         raise AlgebraMismatch("source and target in different algebras")
@@ -167,41 +194,24 @@ def representation_eval(f, source, target, tol=DEFAULT_TOL):
         raise SphereMismatch(
             "source and target lie on different fibers; the formula only "
             "transports values along one fiber")
-    n = source.n
-    total = source.algebra.zero()
-    weight = Fraction(1, 1 << n)
-    for kmask in range(1 << n):
-        if any(source.betas[h - 1] <= tol for h in _mask_members(kmask)):
-            continue
-        inner = _alternating_sum(f, source, kmask)
-        w = ordered_inverse_product(source.mask_units(kmask), inner)
-        total = total + ordered_product(target.mask_units(kmask), w) * weight
-    return total
+    return _assemble(_fiber_values(f, source, tol), target)
 
 
 def stem_from_values(f, algebra, n, source_units, tol=DEFAULT_TOL):
     """Recover the stem components from one fiber of values.
 
     source_units fixes the units I_h used to build the sample points; the
-    result is a numeric stem valid wherever f is a slice function.
+    result is a numeric stem valid wherever f is a slice function.  Each
+    evaluation of it calls f 2^n times.
     """
     units = list(source_units)
     if len(units) != n:
         raise AlgebraMismatch(f"need {n} units, got {len(units)}")
-    weight = Fraction(1, 1 << n)
 
     def components(z):
         point = SlicePoint(algebra, [ab[0] for ab in z],
                            [ab[1] for ab in z], units)
-        out = []
-        for kmask in range(1 << n):
-            if any(point.betas[h - 1] <= tol for h in _mask_members(kmask)):
-                out.append(algebra.zero())
-                continue
-            inner = _alternating_sum(f, point, kmask)
-            out.append(ordered_inverse_product(point.mask_units(kmask),
-                                               inner) * weight)
-        return out
+        return _fiber_values(f, point, tol)
 
     return CallableStem(n, algebra, components)
 
@@ -243,37 +253,27 @@ def sliceness_scan(f, point, units_pool, tol=DEFAULT_TOL):
 
 def spherical_value(f, point):
     """Average of f over the 2^n conjugated points."""
-    total = _alternating_sum(f, point, 0)
-    return total * Fraction(1, 1 << point.n)
+    return _fiber_values(f, point)[0]
 
 
 def spherical_derivative(f, point, kmask, tol=DEFAULT_TOL):
     """K-th spherical derivative at the point, K given as a mask.
 
     Requires beta_k > 0 for every k in K; the imaginary parts are divided
-    out, so the value is constant on the fiber for slice functions.
+    out, so the value is constant on the fiber for slice functions.  It is
+    the K-th stem component divided by the product of the beta_k.
     """
-    members = list(_mask_members(kmask))
-    for h in members:
-        if point.betas[h - 1] <= tol:
-            raise OnRealLocus(
-                f"variable {h} has vanishing imaginary part; the "
-                f"derivative needs the full sphere in that variable")
-    inner = _alternating_sum(f, point, kmask)
-    ims = [point.imaginary_part(h) for h in members]
-    return ordered_inverse_product(ims, inner) * Fraction(1, 1 << point.n)
+    product = _beta_product(point, kmask, tol)
+    return _fiber_values(f, point, tol)[kmask] / product
 
 
 def spherical_expansion(f, point, tol=DEFAULT_TOL):
-    """Reassemble f(x) as vs f(x) + sum over K of [Im_K(x), f'_{s,K}(x)]."""
-    total = spherical_value(f, point)
-    for kmask in range(1, 1 << point.n):
-        if any(point.betas[h - 1] <= tol for h in _mask_members(kmask)):
-            continue
-        d = spherical_derivative(f, point, kmask, tol)
-        ims = [point.imaginary_part(h) for h in _mask_members(kmask)]
-        total = total + ordered_product(ims, d)
-    return total
+    """Reassemble f(x) as vs f(x) + sum over K of [Im_K(x), f'_{s,K}(x)].
+
+    Each term equals [J_K, F_K(z)], so this is the fiber transform summed
+    back at the point itself.
+    """
+    return _assemble(_fiber_values(f, point, tol), point)
 
 
 def one_variable_split(f, h, order, tol=DEFAULT_TOL):
@@ -312,30 +312,13 @@ def truncated_derivative(stem, point, eps, tol=DEFAULT_TOL):
         raise AlgebraMismatch("eps longer than the number of variables")
     if any(e not in (0, 1) for e in eps):
         raise ValueError("eps entries must be 0 or 1")
-    kmask = 0
-    for h, e in enumerate(eps, start=1):
-        if e:
-            kmask |= 1 << (h - 1)
-    for h in _mask_members(kmask):
-        if point.betas[h - 1] <= tol:
-            raise OnRealLocus(f"variable {h} has vanishing imaginary part")
+    kmask = sum(e << h for h, e in enumerate(eps))
+    product = _beta_product(point, kmask, tol)
     vals = stem.value_at(point.z())
-    total = point.algebra.zero()
-    upper_bits = [1 << (h - 1) for h in range(m + 1, stem.n + 1)]
-    for pick in range(1 << len(upper_bits)):
-        hmask = 0
-        for i, b in enumerate(upper_bits):
-            if pick >> i & 1:
-                hmask |= b
-        v = vals[hmask | kmask]
-        if v.is_zero(0):
-            continue
-        total = total + ordered_product(point.mask_units(hmask), v)
-    for h in _mask_members(kmask):
-        b = point.betas[h - 1]
-        total = total * (1 / Fraction(b) if isinstance(b, (int, Fraction))
-                         else 1.0 / b)
-    return total
+    values = [point.algebra.zero()] * (1 << stem.n)
+    for hmask in range(0, 1 << stem.n, 1 << m):
+        values[hmask] = vals[hmask | kmask]
+    return _assemble(values, point) / product
 
 
 class VariableDomain:

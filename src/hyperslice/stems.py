@@ -164,6 +164,14 @@ class StemPoly:
                 for mask in range(1 << self.n)]
         return StemValue(self.n, self.algebra, vals)
 
+    def on_slice(self, J):
+        """The stem on the slice of J as one polynomial: sum_K J^|K| F_K."""
+        powers = (self.algebra.one(), J, -1 * self.algebra.one(), -1 * J)
+        out = {}
+        for mask, poly in self.components.items():
+            sparse.add_into(out, poly, powers[mask.bit_count() % 4])
+        return out
+
     def __add__(self, other):
         self._check(other)
         out = {m: dict(p) for m, p in self.components.items()}

@@ -93,7 +93,7 @@ def _random_unit(algebra, rng):
     return algebra.default_imaginary_unit()
 
 
-def _slice_unit(coeffs, algebra, tol):
+def _slice_unit(coeffs, algebra):
     """Common slice of the coefficients, or None when they span more.
 
     Returns (unit, complex coefficient list); real coefficient sets use
@@ -202,6 +202,10 @@ def roots_one_var(p, tol=DEFAULT_TOL):
     negative-definite signature take monic paravector polynomials.  Zero
     divisors outside those families are out of scope, so a normal-polynomial
     root that fails the residual check there is dropped, not reported.
+
+    tol only decides, through `invert`, whether the Q that refines a
+    sphere of the normal polynomial to one root is invertible; the rank,
+    residual, realness and clustering tests use fixed relative thresholds.
     """
     if p.n != 1:
         raise AlgebraMismatch("roots_one_var expects a one-variable polynomial")
@@ -238,7 +242,7 @@ def roots_one_var(p, tol=DEFAULT_TOL):
         isolated.append(x)
         residuals.append(res)
 
-    unit, zs = _slice_unit(coeffs, algebra, tol)
+    unit, zs = _slice_unit(coeffs, algebra)
     if unit is not None:
         roots = np.roots([zs[k] for k in range(len(zs) - 1, -1, -1)])
         seen_spheres = []

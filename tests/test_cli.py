@@ -172,6 +172,35 @@ def test_non_finite_results_exit_2_and_write_nothing():
         check_schema(_strict_json(err), "error")
 
 
+def test_non_finite_numbers_are_syntax_errors():
+    code, out, err = invoke(subcommand="roots", algebra="H",
+                            poly="(1e400) x1 + (1)")
+    assert code == 3 and out == ""
+    blob = _strict_json(err)
+    check_schema(blob, "error")
+    assert (blob["error"]["line"], blob["error"]["col"]) == (1, 2)
+    for point in ("[[1e400,0,i]]", "[[0,1,[0,1e400,0,0]]]"):
+        code, out, err = invoke(subcommand="eval", algebra="H", poly="x1",
+                                point=point)
+        assert code == 3 and out == "", point
+        check_schema(_strict_json(err), "error")
+    code, out, err = invoke(subcommand="cauchy", algebra="H", poly="x1",
+                            radii="1.5", point="[[0.2,0.3,i]]",
+                            slice_unit="[0, -1e400, 0, 0]")
+    assert code == 3 and out == ""
+    check_schema(_strict_json(err), "error")
+
+
+def test_quadrature_overflow_is_one_json_error():
+    # a subprocess, so that a numpy warning would reach the captured stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperslice.cli", "cauchy", "--poly", "x1",
+         "--radii", "1e200", "--point", "[[0.1,0.1,i]]", "--samples", "4"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    check_schema(_strict_json(proc.stderr), "error")
+
+
 def test_regular_subcommand(H):
     code, out, _ = invoke(subcommand="regular", algebra="H", poly="x1^2 x2")
     payload = json.loads(out)

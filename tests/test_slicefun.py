@@ -323,3 +323,31 @@ def test_spherical_ops_on_octonion_fiber(O, rng):
         assert spherical_derivative(f, p, kmask) == \
             spherical_derivative(f, q, kmask)
     assert spherical_expansion(f, q) == f(q)
+
+
+def test_fiber_transform_calls_f_once_per_conjugate(H, O, rng):
+    for n in (1, 2, 3):
+        F = random_stem(n, H, rng)
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            return slice_eval(F, p)
+
+        zs = [(F12, F23), (-F13, F32), (2, F13)][:n]
+        y = _exact_point(H, ("i", "j", "k")[:n], zs)
+        x = _exact_point(H, ("j", "k", "i")[:n], zs)
+        assert representation_eval(f, y, x) == slice_eval(F, x)
+        assert len(calls) == 1 << n
+        calls.clear()
+        G = stem_from_values(f, H, n, y.units)
+        assert G.value_at(zs) == F.value_at(zs)
+        assert len(calls) == 1 << n
+    # three octonion variables: the units need not associate
+    F = random_stem(3, O, rng, deg=2, terms=2)
+    f = lambda p: slice_eval(F, p)
+    zs = [(F12, F23), (-F13, F32), (2, F13)]
+    y = _exact_point(O, ("e1", "e2", "e4"), zs)
+    x = _exact_point(O, ("e3", "e5", "e7"), zs)
+    assert representation_eval(f, y, x) == slice_eval(F, x)
+    assert spherical_expansion(f, x) == f(x)
