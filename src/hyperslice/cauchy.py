@@ -131,7 +131,7 @@ class BoundaryTorus:
 class KernelPoint:
     """Validated (x, y) pairing: every coordinate off the pole spheres."""
 
-    def __init__(self, x, ys, tol=DEFAULT_TOL):
+    def __init__(self, x, ys):
         ys = tuple(ys)
         if len(ys) != x.n:
             raise AlgebraMismatch(f"need {x.n} pole coordinates")
@@ -247,7 +247,7 @@ def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
         raise NonAssociativeAlgebra(
             "the closed-form kernel needs an associative algebra; use the "
             "subset-expanded integrand instead")
-    kp = KernelPoint(x, ys, tol)
+    kp = KernelPoint(x, ys)
     n = x.n
     xs = [x.element(h) for h in range(1, n + 1)]
     inv = [invert(d, tol) for d in kp.deltas]

@@ -128,7 +128,7 @@ def _assemble(values, point):
     return total
 
 
-def slice_eval(stem, point, tol=DEFAULT_TOL):
+def slice_eval(stem, point):
     """f(x) = sum over K of [J_K, F_K(z)], units multiplied innermost-last."""
     if stem.algebra != point.algebra:
         raise AlgebraMismatch("stem and point live in different algebras")

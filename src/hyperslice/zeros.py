@@ -1,11 +1,11 @@
 """Root finding for one-variable slice polynomials and fiber scans.
 
 Roots are either isolated points or whole spheres alpha + beta S.  The
-finder restricts to a complex slice when all coefficients share one
-(yielding a genuine complex polynomial), and otherwise factors through
-the real-coefficient normal polynomial p * p^c: each of its root spheres
-carries a zero of p, recovered in closed form from the sphere decomposition
-of the evaluation and polished by Newton on the real coordinate system.
+candidate spheres are the roots of the complex polynomial on the common
+slice of the coefficients, or else of the real normal polynomial p * p^c.
+The stem of p classifies each one as a sphere of zeros or a sphere that
+carries one zero, recovered in closed form and polished by Newton on the
+real coordinate system.
 """
 
 import random
@@ -18,7 +18,7 @@ from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
 from .regularity import OrderedPolynomial, ordered_monomial_eval, star_product
 
 RESIDUAL_SCALE = 1e-8
-PROBE_UNITS = 8
+SETTLE_STEPS = 8
 
 
 class ZeroReport:
@@ -94,10 +94,10 @@ def _random_unit(algebra, rng):
 
 
 def _slice_unit(coeffs, algebra):
-    """Common slice of the coefficients, or None when they span more.
+    """Coefficients as complex numbers on their common slice, or None.
 
-    Returns (unit, complex coefficient list); real coefficient sets use
-    the algebra's default unit.
+    None when the imaginary parts span more than one unit; real
+    coefficients lie on every slice.
     """
     rows = [np.array([float(c) for c in a.imag_part().coeffs])
             for a in coeffs]
@@ -105,10 +105,9 @@ def _slice_unit(coeffs, algebra):
     scale = max(1.0, float(np.abs(mat).max()))
     rank = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
     if rank == 0:
-        unit = algebra.default_imaginary_unit()
-        return unit, [complex(float(a.real_coeff()), 0.0) for a in coeffs]
+        return [complex(float(a.real_coeff()), 0.0) for a in coeffs]
     if rank > 1:
-        return None, None
+        return None
     # principal direction of the span
     _, _, vt = np.linalg.svd(mat)
     u_vec = vt[0]
@@ -116,16 +115,57 @@ def _slice_unit(coeffs, algebra):
     nrm = u.euclid_norm()
     u = u * (1.0 / nrm)
     if not is_imaginary_unit(u, 1e-8):
-        return None, None
+        return None
     zs = []
     uf = np.array([float(c) for c in u.coeffs])
     for a, row in zip(coeffs, rows):
         lam = float(row @ uf)
         resid = row - lam * uf
         if float(np.abs(resid).max()) > 1e-10 * scale:
-            return None, None
+            return None
         zs.append(complex(float(a.real_coeff()), lam))
-    return u, zs
+    return zs
+
+
+def _normal_coeffs(coeffs, algebra, scale):
+    """Real coefficients of p * p^c for p / scale, which has p's zeros."""
+    scaled = OrderedPolynomial(
+        1, algebra, {(k,): a / scale for k, a in enumerate(coeffs)})
+    normal = star_product(scaled, OrderedPolynomial(
+        1, algebra, {ell: a.conj() for ell, a in scaled.terms.items()}))
+    out = []
+    for c in _dense_coeffs(normal):
+        if not c.is_real(1e-9):
+            raise UnsupportedKind(
+                "normal polynomial is not real; coefficients leave the "
+                "quadratic cone")
+        out.append(float(c.real_coeff()))
+    if len(out) < 2 * len(coeffs) - 1:
+        raise RefinementFailed(
+            "the normal polynomial underflows: the coefficient norms span "
+            "more than the float range")
+    return np.array(out)
+
+
+def _settle(stem, w):
+    """w moved by Gauss-Newton on the stem, if it stays close and improves.
+
+    Real zeros and spheres of p are double roots of the normal polynomial,
+    which np.roots finds only to about 1e-8; on the stem they are simple.
+    """
+    coeffs = stem[::-1]
+    slopes = (stem[1:] * np.arange(1, len(stem))[:, None])[::-1]
+    x = w
+    with np.errstate(all="ignore"):
+        for _ in range(SETTLE_STEPS):
+            value, slope = np.polyval(coeffs, x), np.polyval(slopes, x)
+            x = x - np.vdot(slope, value) / np.vdot(slope, slope).real
+            if not abs(x - w) <= 1e-6 * (1.0 + abs(w)):
+                return w
+        if (np.linalg.norm(np.polyval(coeffs, x))
+                <= np.linalg.norm(np.polyval(coeffs, w))):
+            return x
+    return w
 
 
 def _cluster(pairs, tol=1e-6):
@@ -199,13 +239,24 @@ def roots_one_var(p, tol=DEFAULT_TOL):
     """All zeros of a one-variable polynomial with right coefficients.
 
     Quaternions and octonions take any coefficients; Clifford algebras of
-    negative-definite signature take monic paravector polynomials.  Zero
-    divisors outside those families are out of scope, so a normal-polynomial
-    root that fails the residual check there is dropped, not reported.
+    negative-definite signature take monic paravector polynomials.
 
-    tol only decides, through `invert`, whether the Q that refines a
-    sphere of the normal polynomial to one root is invertible; the rank,
-    residual, realness and clustering tests use fixed relative thresholds.
+    Candidates (alpha, beta >= 0) come from the complex polynomial on the
+    common slice of the coefficients, or else from the real normal
+    polynomial p * p^c of p / scale, and are settled on the stem
+    P(w) = sum_k w^k a_k.  p takes the value F_0 + I F_1 at alpha + beta I,
+    where F_0 + i F_1 = P(alpha + i beta).  A candidate with beta near 0
+    is a real zero.  One where |F_0| + |F_1| is within the residual bound
+    is a sphere of zeros, and that sum is its residual: multiplication by
+    a unit I preserves the norm in these algebras, so the sum bounds |p|
+    at every point of the sphere.  Any other candidate is refined to the
+    one zero alpha + beta I with I = -F_0 F_1^-1; RefinementFailed is
+    raised when that I is not a unit or the zero does not polish below
+    the bound.
+
+    tol only decides, through `invert`, whether F_1 (relative to the
+    largest coefficient norm) is invertible; the rank, residual, realness
+    and clustering tests use fixed relative thresholds.
     """
     if p.n != 1:
         raise AlgebraMismatch("roots_one_var expects a one-variable polynomial")
@@ -217,18 +268,10 @@ def roots_one_var(p, tol=DEFAULT_TOL):
         _check_clifford_form(coeffs, algebra)
     scale = _coeff_scale(coeffs)
     bound = RESIDUAL_SCALE * (1.0 + scale)
-    rng = random.Random(20240817)
-    probes = [_random_unit(algebra, rng) for _ in range(PROBE_UNITS)]
+    stem = np.array([a.coeffs_float() for a in coeffs]) / scale
     isolated = []
     spherical = []
     residuals = [0.0]
-
-    def probe_sphere(alpha, beta):
-        worst = 0.0
-        for u in probes:
-            x = algebra.from_real(alpha) + beta * u
-            worst = max(worst, _eval_coeffs(coeffs, x).euclid_norm())
-        return worst
 
     def accept_isolated(x):
         x, res = _newton_polish(coeffs, x)
@@ -242,80 +285,37 @@ def roots_one_var(p, tol=DEFAULT_TOL):
         isolated.append(x)
         residuals.append(res)
 
-    unit, zs = _slice_unit(coeffs, algebra)
-    if unit is not None:
-        roots = np.roots([zs[k] for k in range(len(zs) - 1, -1, -1)])
-        seen_spheres = []
-        for w in roots:
-            alpha, beta = float(w.real), float(w.imag)
-            if abs(beta) <= 1e-9 * (1.0 + abs(w)):
-                accept_isolated(algebra.from_real(alpha))
-                continue
-            worst = probe_sphere(alpha, abs(beta))
-            if worst <= bound:
-                seen_spheres.append((alpha, abs(beta)))
-                residuals.append(worst)
-            else:
-                accept_isolated(algebra.from_real(alpha) + beta * unit)
-        spherical.extend(_cluster(seen_spheres))
-        return ZeroReport(isolated, spherical, max(residuals))
-
-    normal = star_product(p, OrderedPolynomial(
-        1, algebra, {ell: a.conj() for ell, a in p.terms.items()}))
-    ncoeffs = _dense_coeffs(normal)
-    real_parts = []
-    for c in ncoeffs:
-        if not c.is_real(1e-9 * (1.0 + scale) ** 2):
-            raise UnsupportedKind(
-                "normal polynomial is not real; coefficients leave the "
-                "quadratic cone")
-        real_parts.append(float(c.real_coeff()))
-    roots = np.roots(real_parts[::-1])
-    candidates = _cluster([(float(w.real), abs(float(w.imag)))
-                           for w in roots])
-    seen_spheres = []
+    zs = _slice_unit(coeffs, algebra)
+    if zs is None:
+        zs = _normal_coeffs(coeffs, algebra, scale)
+    candidates = _cluster((float(w.real), abs(float(w.imag)))
+                          for w in (_settle(stem, w)
+                                    for w in np.roots(zs[::-1])))
     for alpha, beta in candidates:
+        value = np.polyval(stem[::-1], complex(alpha, beta))
+        f0, f1 = (algebra.element(part.tolist())
+                  for part in (value.real, value.imag))
+        res = scale * (f0.euclid_norm() + f1.euclid_norm())
         if beta <= 1e-9 * (1.0 + abs(alpha)):
-            x = algebra.from_real(alpha)
-            res = _eval_coeffs(coeffs, x).euclid_norm()
-            if res <= bound * 10:
-                accept_isolated(x)
+            accept_isolated(algebra.from_real(alpha))
             continue
-        w = complex(alpha, beta)
-        P = algebra.zero()
-        Q = algebra.zero()
-        wp = complex(1.0, 0.0)
-        for a in coeffs:
-            P = P + float(wp.real) * a
-            Q = Q + float(wp.imag) * a
-            wp *= w
-        if P.euclid_norm() <= bound and Q.euclid_norm() <= bound:
-            worst = probe_sphere(alpha, beta)
-            if worst <= bound:
-                seen_spheres.append((alpha, beta))
-                residuals.append(worst)
-                continue
-        if Q.euclid_norm() <= bound:
-            # no unit recovers a point here; outside the division setting
-            # the sphere was an artifact of the normal polynomial
+        if res <= bound:
+            spherical.append((alpha, beta))
+            residuals.append(res)
             continue
         try:
-            unit_c = -1 * (P * invert(Q, tol))
+            unit_c = -1 * (f0 * invert(f1, tol))
         except NotInvertible as exc:
             raise RefinementFailed(
                 f"sphere ({alpha:.4g}, {beta:.4g}) admits no unit: {exc}")
-        tr = trace(unit_c)
-        nr = norm_sq(unit_c)
+        tr, nr = trace(unit_c), norm_sq(unit_c)
         if (tr.euclid_norm() > 1e-4 * (1.0 + unit_c.euclid_norm())
                 or not nr.is_real(1e-6)
                 or abs(float(nr.real_coeff()) - 1.0) > 1e-4):
-            res = _eval_coeffs(
-                coeffs, algebra.from_real(alpha)).euclid_norm()
             raise RefinementFailed(
                 f"sphere ({alpha:.4g}, {beta:.4g}): recovered direction "
                 f"is not an imaginary unit (residual {res:.2e})")
         accept_isolated(algebra.from_real(alpha) + beta * unit_c)
-    spherical.extend(_cluster(seen_spheres))
     return ZeroReport(isolated, spherical, max(residuals))
 
 

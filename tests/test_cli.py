@@ -201,6 +201,37 @@ def test_quadrature_overflow_is_one_json_error():
     check_schema(_strict_json(proc.stderr), "error")
 
 
+def test_roots_keeps_real_zeros_and_spheres_of_mixed_polynomials():
+    # (x - 3.25)(x^2 + x i + j) and (x^2 + 1.25)(x^2 + x i + j)
+    code, out, _ = invoke(
+        subcommand="roots", algebra="H",
+        poly="x1^3 + (-3.25 i 1) x1^2 + (0 i -3.25 j 1) x1 + (0 j -3.25)")
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload, "roots")
+    assert payload["spherical"] == []
+    assert [3.25, 0, 0, 0] in [pytest.approx(x, abs=1e-12)
+                               for x in payload["isolated"]]
+    code, out, _ = invoke(
+        subcommand="roots", algebra="H",
+        poly="x1^4 + (0 i 1) x1^3 + (1.25 j 1) x1^2 + (0 i 1.25) x1 "
+             "+ (0 j 1.25)")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["spherical"] == [pytest.approx([0.0, 1.25 ** 0.5])]
+    assert len(payload["isolated"]) == 2
+
+
+def test_roots_of_huge_mixed_coefficients_is_one_json_error():
+    # a subprocess, so that a traceback or a numpy warning would show
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperslice.cli", "roots", "--poly",
+         "x1^2 + (0 i 1e200) x1 + (0 j 1e200)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    check_schema(_strict_json(proc.stderr), "error")
+
+
 def test_regular_subcommand(H):
     code, out, _ = invoke(subcommand="regular", algebra="H", poly="x1^2 x2")
     payload = json.loads(out)

@@ -281,3 +281,47 @@ def test_scan_report_serialization(H):
                        "residual_max")
     assert len(rows) == 3
     assert rows[1][1] == "spheres(1)"
+
+
+def _monic_quadratic(algebra, b, c):
+    return OrderedPolynomial(1, algebra, {(2,): algebra.one(), (1,): b,
+                                          (0,): c})
+
+
+def test_normal_polynomial_keeps_real_zeros_and_spheres(H, O):
+    # Real zeros and spheres of p are double roots of p * p^c; they must
+    # survive next to the two isolated zeros of x^2 + x e1 + e2.
+    for algebra in (H, O):
+        e1, e2 = algebra.basis(1), algebra.basis(2)
+        q = _monic_quadratic(algebra, e1, e2)
+        for r in (2.0, -1.0, 0.5, 3.25):
+            line = OrderedPolynomial(1, algebra, {(1,): algebra.one(),
+                                                  (0,): algebra.from_real(-r)})
+            for p in (star_product(line, q), star_product(q, line)):
+                report = roots_one_var(p)
+                assert report.spherical == []
+                assert len(report.isolated) == 3
+                assert sum((x - algebra.from_real(r)).euclid_norm() <= 1e-8
+                           for x in report.isolated) == 1
+        for alpha in (0.0, 0.7):
+            for rho in (0.5, 2.0):
+                s = _monic_quadratic(algebra, algebra.from_real(-2 * alpha),
+                                     algebra.from_real(alpha ** 2 + rho ** 2))
+                for p in (star_product(s, q), star_product(q, s)):
+                    report = roots_one_var(p)
+                    assert report.spherical == [pytest.approx((alpha, rho),
+                                                              abs=1e-8)]
+                    assert len(report.isolated) == 2
+
+
+def test_sphere_residual_bounds_p_on_the_whole_sphere(H, O, rng):
+    for algebra in (H, O):
+        c = algebra.one() + 3e-10 * algebra.basis(1) - 2e-10 * algebra.basis(2)
+        p = OrderedPolynomial(1, algebra, {(2,): algebra.one(), (0,): c})
+        report = roots_one_var(p)
+        [(alpha, beta)] = report.spherical
+        worst = max(
+            poly_eval(p, [algebra.from_real(alpha)
+                          + beta * random_imaginary_unit(algebra, rng)])
+            .euclid_norm() for _ in range(500))
+        assert worst <= report.residual_max * (1 + 1e-9) + 1e-15
