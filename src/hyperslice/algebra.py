@@ -9,12 +9,13 @@ Coefficients follow Python's numeric tower: ints and Fractions stay exact
 through products, conjugation and cone decompositions, which the symbolic
 stem machinery relies on; floats enter only where the caller brings them in
 (or through square roots that are not exact).
+
+numpy is imported inside the functions that compute in floats, never at
+module level, so the exact calculus runs without loading it.
 """
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from . import tables
 from .errors import (
@@ -151,6 +152,7 @@ class AlgebraDef:
     def dense_tensor(self):
         """Structure constants as float64 tensor M[i,j,k]: e_i e_j = sum_k M[i,j,k] e_k."""
         if self._dense is None:
+            import numpy as np
             M = np.zeros((self.dim, self.dim, self.dim))
             for i in range(self.dim):
                 for j in range(self.dim):
@@ -161,11 +163,13 @@ class AlgebraDef:
 
     def left_mult_matrix(self, x):
         """Matrix L with (x*v).coeffs == v.coeffs @ L for float work."""
+        import numpy as np
         coeffs = x.coeffs_float() if isinstance(x, Element) else np.asarray(x, float)
         return np.tensordot(coeffs, self.dense_tensor(), axes=(0, 0))
 
     def right_mult_matrix(self, x):
         """Matrix R with (v*x).coeffs == v.coeffs @ R for float work."""
+        import numpy as np
         coeffs = x.coeffs_float() if isinstance(x, Element) else np.asarray(x, float)
         return np.tensordot(self.dense_tensor(), coeffs, axes=(1, 0))
 
@@ -306,6 +310,7 @@ class Element:
         return math.hypot(*map(float, self.coeffs))
 
     def coeffs_float(self):
+        import numpy as np
         return np.array([float(c) for c in self.coeffs])
 
 
@@ -425,6 +430,7 @@ def invert(x, tol=DEFAULT_TOL):
         if n0 == 0 or abs(n0) <= tol * tol:
             raise NotInvertible(f"n(x) = {float(n0)} too small")
         return x.conj() / n0
+    import numpy as np
     A = x.algebra
     L = A.left_mult_matrix(x)
     e0 = np.zeros(A.dim)
@@ -472,6 +478,7 @@ class _RowReducer:
         self.pivots = []
 
     def try_add(self, vec):
+        import numpy as np
         v = np.array([float(c) for c in vec])
         norm_in = np.linalg.norm(v)
         for row, piv in zip(self.rows, self.pivots):

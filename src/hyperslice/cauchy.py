@@ -20,8 +20,6 @@ import math
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from . import sparse
 from .algebra import DEFAULT_TOL, invert, norm_sq, ordered_product, trace
 from .errors import (
@@ -272,6 +270,7 @@ def _stem_on_grid(stem, torus, zs):
 
     Its monomial values (G x T) times its T coefficients (T x dim).
     """
+    import numpy as np
     G = zs[0].shape[0]
     terms = [(exp, coeff.coeffs_float())
              for exp, coeff in stem.on_slice(torus.J).items()]
@@ -295,6 +294,7 @@ def _stem_on_grid(stem, torus, zs):
 
 def _callable_on_grid(f, torus, zs):
     """f(xi) over the grid, one call per node."""
+    import numpy as np
     algebra = torus.algebra
     units = [torus.J] * torus.n
     alphas = np.stack([z.real for z in zs], axis=1).tolist()
@@ -315,6 +315,7 @@ def cauchy_reconstruct(f, torus, x):
     sample count, the worst kernel conditioning, and, for polynomial and
     stem inputs, the disagreement against direct evaluation.
     """
+    import numpy as np
     n = torus.n
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
@@ -363,6 +364,7 @@ def _reconstruct(boundary_values, torus, x):
     (G, dim) coefficient array.  It is called only after the pole-sphere
     guard has passed on every circle.
     """
+    import numpy as np
     algebra = torus.algebra
     n = torus.n
     N = torus.samples_per_circle

@@ -4,14 +4,21 @@ Eight subcommands drive the library: eval, diff, regular, product,
 cauchy, roots, scan, and algebra-dump.  Output is JSON by default
 (schema "hyperslice/1", one document per run, schemas under docs/),
 with csv and text renderings for tables and humans.  Exit codes: 0 on
-success, 2 on domain errors, 3 on expression or point syntax errors.
-Errors are emitted as JSON objects on stderr.  The HYPERSLICE_TOL
-environment variable overrides the default tolerance of 1e-9.
+success, 2 on domain errors, 3 on expression or point syntax errors,
+and 141 (128 + SIGPIPE, as a shell reports it) when stdout is closed
+before the output is written, as in `hyperslice ... | head`; that case
+prints nothing more.  Errors are emitted as JSON objects on stderr.  The
+HYPERSLICE_TOL environment variable overrides the default tolerance of
+1e-9; it must be a finite number >= 0, or the run exits 2.
+
+eval, diff, regular, product and algebra-dump are exact and never load
+numpy; only cauchy, roots and scan do.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,13 +26,14 @@ from dataclasses import dataclass
 from .algebra import DEFAULT_TOL, make_algebra
 from .cauchy import BoundaryTorus, cauchy_reconstruct
 from .errors import (ExpressionSyntaxError, HypersliceError, IndexOutOfRange,
-                     UnsupportedKind)
+                     InvalidTolerance, UnsupportedKind)
 from .parser import (format_poly, parse_expression, parse_point, parse_unit)
 from .regularity import (OrderedPolynomial, is_slice_regular, poly_eval,
                          star_product)
 from .zeros import roots_one_var, scan_samples, zero_scan
 
 SCHEMA = "hyperslice/1"
+EXIT_CLOSED_PIPE = 141
 
 
 @dataclass
@@ -251,15 +259,20 @@ def run(request, out=None, err=None):
             _emit_text(payload, request, out)
         return 0
     except HypersliceError as exc:
-        blob = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ExpressionSyntaxError):
-            blob["line"] = exc.line
-            blob["col"] = exc.col
-            if exc.expected:
-                blob["expected"] = exc.expected
-        json.dump({"schema": SCHEMA, "error": blob}, err)
-        print(file=err)
-        return 3 if isinstance(exc, ExpressionSyntaxError) else 2
+        return _report_error(exc, err)
+
+
+def _report_error(exc, err):
+    """Write exc as one JSON error object; returns the exit code."""
+    blob = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ExpressionSyntaxError):
+        blob["line"] = exc.line
+        blob["col"] = exc.col
+        if exc.expected:
+            blob["expected"] = exc.expected
+    json.dump({"schema": SCHEMA, "error": blob}, err)
+    print(file=err)
+    return 3 if isinstance(exc, ExpressionSyntaxError) else 2
 
 
 def build_parser():
@@ -323,13 +336,40 @@ def build_parser():
     return ap
 
 
+def _env_tol():
+    """HYPERSLICE_TOL as a finite float >= 0; DEFAULT_TOL when unset."""
+    text = os.environ.get("HYPERSLICE_TOL")
+    if text is None:
+        return DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise InvalidTolerance(
+            f"HYPERSLICE_TOL must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    tol = float(os.environ.get("HYPERSLICE_TOL", DEFAULT_TOL))
+    try:
+        tol = _env_tol()
+    except HypersliceError as exc:
+        return _report_error(exc, sys.stderr)
     fields = {f for f in Request.__dataclass_fields__}
     picked = {k: v for k, v in vars(args).items() if k in fields and
               v is not None}
-    return run(Request(tol=tol, **picked))
+    try:
+        code = run(Request(tol=tol, **picked))
+        # a closed pipe must surface here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`): point stdout at devnull so the
+        # flush at interpreter exit cannot fail again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 if __name__ == "__main__":

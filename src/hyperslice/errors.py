@@ -46,6 +46,10 @@ class SplittingFailed(HypersliceError):
     """Greedy completion of {1, J} to a module basis became singular."""
 
 
+class InvalidTolerance(HypersliceError):
+    """A tolerance is not a finite number >= 0."""
+
+
 class IndexOutOfRange(HypersliceError):
     """Variable index h outside 1..n."""
 

@@ -10,8 +10,6 @@ real coordinate system.
 
 import random
 
-import numpy as np
-
 from .algebra import DEFAULT_TOL, invert, is_imaginary_unit, norm_sq, trace
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
                      NotInvertible, RefinementFailed, UnsupportedKind)
@@ -99,6 +97,7 @@ def _slice_unit(coeffs, algebra):
     None when the imaginary parts span more than one unit; real
     coefficients lie on every slice.
     """
+    import numpy as np
     rows = [np.array([float(c) for c in a.imag_part().coeffs])
             for a in coeffs]
     mat = np.stack(rows)
@@ -129,6 +128,7 @@ def _slice_unit(coeffs, algebra):
 
 def _normal_coeffs(coeffs, algebra, scale):
     """Real coefficients of p * p^c for p / scale, which has p's zeros."""
+    import numpy as np
     scaled = OrderedPolynomial(
         1, algebra, {(k,): a / scale for k, a in enumerate(coeffs)})
     normal = star_product(scaled, OrderedPolynomial(
@@ -153,6 +153,7 @@ def _settle(stem, w):
     Real zeros and spheres of p are double roots of the normal polynomial,
     which np.roots finds only to about 1e-8; on the stem they are simple.
     """
+    import numpy as np
     coeffs = stem[::-1]
     slopes = (stem[1:] * np.arange(1, len(stem))[:, None])[::-1]
     x = w
@@ -181,6 +182,7 @@ def _cluster(pairs, tol=1e-6):
 
 
 def _newton_polish(coeffs, x, steps=40):
+    import numpy as np
     algebra = x.algebra
     deg = len(coeffs) - 1
     right_mats = {k: algebra.right_mult_matrix(a)
@@ -258,6 +260,7 @@ def roots_one_var(p, tol=DEFAULT_TOL):
     largest coefficient norm) is invertible; the rank, residual, realness
     and clustering tests use fixed relative thresholds.
     """
+    import numpy as np
     if p.n != 1:
         raise AlgebraMismatch("roots_one_var expects a one-variable polynomial")
     algebra = p.algebra

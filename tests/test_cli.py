@@ -352,3 +352,82 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value_str"] == "i"
+
+
+def test_env_tolerance_must_be_finite_and_nonnegative(monkeypatch, capsys):
+    cases = {"abc": ["diff", "--poly", "x1^2"],
+             "-1": ["eval", "--poly", "x1", "--point", '[[0,1,"i"]]'],
+             "nan": ["eval", "--poly", "x1", "--point", '[[0,1,"i"]]']}
+    for value, argv in cases.items():
+        monkeypatch.setenv("HYPERSLICE_TOL", value)
+        assert main(argv) == 2, value
+        out, err = capsys.readouterr()
+        assert out == "", value
+        blob = _strict_json(err)
+        check_schema(blob, "error")
+        assert blob["error"]["type"] == "InvalidTolerance", value
+
+
+# a child that runs one CLI command and reports whether numpy got loaded
+_NUMPY_PROBE = """\
+import sys
+from hyperslice.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+_UNITS = {"H": ("i", "j"), "O": ("e1", "e2")}
+
+
+def _exact_commands():
+    for alg, (u, v) in _UNITS.items():
+        yield ["eval", "--algebra", alg, "--poly", f"x1 x2 + (1 {u} 2)",
+               "--point", f"[[0.5,1,{u}],[0,1.5,{v}]]"]
+        yield ["diff", "--algebra", alg, "--poly", f"(0 {v} 3) x1^2 x2",
+               "--var", "2"]
+        yield ["regular", "--algebra", alg, "--poly", f"x1^2 x2 + (0 {u} 1)"]
+        yield ["product", "--algebra", alg, "--poly", f"x1 + (0 {u} 1)",
+               "--times", f"x2 + (0 {v} 1)"]
+    for alg in ("H", "O", "clifford(0,6)"):
+        yield ["algebra-dump", "--algebra", alg]
+
+
+@pytest.mark.parametrize("argv", list(_exact_commands()),
+                         ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_exact_subcommands_run_without_numpy(argv):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+    json.loads(proc.stdout)
+
+
+def test_bare_import_loads_every_submodule_but_not_numpy():
+    # profilers wrap hyperslice.cauchy and hyperslice.zeros straight after
+    # `import hyperslice`, so the package imports its submodules eagerly
+    probe = ("import sys, hyperslice\n"
+             "print('numpy' in sys.modules,\n"
+             "      'hyperslice.cauchy' in sys.modules,\n"
+             "      'hyperslice.zeros' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True True\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # about 215 kB of output: more than a pipe holds, so the child is
+    # still writing when the reader closes its end
+    p = " + ".join(f"(1 i 2 j 3 k 4) x1^{a}" for a in range(80))
+    q = " + ".join(f"(4 i 3 j 2 k 1) x2^{b}" for b in range(80))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperslice.cli", "product", "--poly", p,
+         "--times", q],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141  # 128 + SIGPIPE, documented in cli
+    assert err == ""
