@@ -563,48 +563,70 @@ def make_algebra(kind, params=None):
 
 
 def algebra_to_json(A):
-    """Table dump: {dim, names, mul, conj_signs} with full coefficient vectors."""
-    mul = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            vec = [0] * A.dim
-            vec[A.mul_index[i][j]] = A.mul_sign[i][j]
-            row.append(vec)
-        mul.append(row)
-    return {
-        "dim": A.dim,
-        "names": list(A.basis_names),
-        "mul": mul,
-        "conj_signs": list(A.conj_signs),
-    }
+    """The table document, as `hyperslice algebra-dump` prints it.
+
+    Keys in order: kind, dim, basis, associative, conjugation_signs, table
+    (e_i e_j as a basis name with an optional leading '-') and
+    default_imaginary_unit (None when the unit sphere is empty).
+    """
+    names = A.basis_names
+    try:
+        unit = A.default_imaginary_unit().format()
+    except EmptyUnitSphere:
+        unit = None
+    return {"kind": A.kind, "dim": A.dim, "basis": list(names),
+            "associative": A.associative,
+            "conjugation_signs": list(A.conj_signs),
+            "table": [[("-" if s < 0 else "") + names[k]
+                       for k, s in zip(ri, rs)]
+                      for ri, rs in zip(A.mul_index, A.mul_sign)],
+            "default_imaginary_unit": unit}
+
+
+def _list_of(value, kind, n):
+    return (isinstance(value, list) and len(value) == n
+            and all(type(v) is kind for v in value))
 
 
 def algebra_from_json(obj, kind="custom"):
-    """Rebuild an AlgebraDef from a table dump.
+    """Rebuild an AlgebraDef from the document algebra_to_json writes.
 
-    Only monomial tables (each product a signed basis element) are accepted;
-    all tables this package writes are monomial.  Associativity is recomputed
-    from the table.
+    Reads dim, basis, conjugation_signs and table and ignores any other
+    key, so the stdout of `hyperslice algebra-dump` parses straight back.
+    Associativity is recomputed from the table, because the document is
+    outside input.  A malformed document raises UnsupportedKind, and one
+    past 64 basis elements DimensionTooLarge.
     """
-    dim = obj["dim"]
+    try:
+        dim, names, conjs, table = (
+            obj[key] for key in ("dim", "basis", "conjugation_signs", "table"))
+    except (KeyError, TypeError):
+        raise UnsupportedKind("a table document needs the keys dim, basis, "
+                              "conjugation_signs and table") from None
+    if type(dim) is not int or dim < 1:
+        raise UnsupportedKind(f"dim must be a positive int, got {dim!r}")
     if dim > 64:
         raise DimensionTooLarge(f"dim {dim} exceeds supported 64")
-    mul_index = [[0] * dim for _ in range(dim)]
-    mul_sign = [[1] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            vec = [decode_number(c) for c in obj["mul"][i][j]]
-            nonzero = [(k, c) for k, c in enumerate(vec) if c != 0]
-            if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
-                raise UnsupportedKind(
-                    "only monomial multiplication tables are supported")
-            mul_index[i][j], mul_sign[i][j] = nonzero[0]
+    if not _list_of(names, str, dim) or len(set(names)) != dim:
+        raise UnsupportedKind("basis must hold dim distinct names")
+    if not _list_of(conjs, int, dim) or any(s not in (1, -1) for s in conjs):
+        raise UnsupportedKind("conjugation_signs must hold dim signs +1/-1")
+    if not _list_of(table, list, dim) or any(len(r) != dim for r in table):
+        raise UnsupportedKind("table must hold dim rows of dim entries")
+    signed = {"-" + n: (k, -1) for k, n in enumerate(names)}
+    signed.update((n, (k, 1)) for k, n in enumerate(names))
+    try:
+        entries = [[signed[e] for e in row] for row in table]
+    except (KeyError, TypeError):
+        raise UnsupportedKind("each table entry must be a basis name with "
+                              "an optional leading '-'") from None
+    mul_index = [[k for k, _ in row] for row in entries]
+    mul_sign = [[s for _, s in row] for row in entries]
     associative = all(
         mul_index[mul_index[i][j]][k] == mul_index[i][mul_index[j][k]]
         and mul_sign[i][j] * mul_sign[mul_index[i][j]][k]
         == mul_sign[j][k] * mul_sign[i][mul_index[j][k]]
         for i in range(dim) for j in range(dim) for k in range(dim)
     )
-    return AlgebraDef(kind, dim, obj["names"], mul_index, mul_sign,
-                      [int(s) for s in obj["conj_signs"]], associative)
+    return AlgebraDef(kind, dim, names, mul_index, mul_sign, conjs,
+                      associative)

@@ -74,8 +74,11 @@ class BoundaryTorus:
             row = []
             for c in var_circles:
                 c = Circle(*c) if not isinstance(c, Circle) else c
-                if c.radius <= 0:
-                    raise AlgebraMismatch("circle radius must be positive")
+                if not 0 < c.radius < math.inf:
+                    raise AlgebraMismatch(
+                        "circle radius must be finite and positive")
+                if not math.isfinite(c.center):
+                    raise AlgebraMismatch("circle center must be finite")
                 if c.orientation not in (1, -1):
                     raise AlgebraMismatch("orientation must be +1 or -1")
                 row.append(c)

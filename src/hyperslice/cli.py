@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .algebra import DEFAULT_TOL, make_algebra
+from .algebra import DEFAULT_TOL, algebra_to_json, make_algebra
 from .cauchy import BoundaryTorus, cauchy_reconstruct
 from .errors import (ExpressionSyntaxError, HypersliceError, IndexOutOfRange,
                      InvalidTolerance, UnsupportedKind)
@@ -153,28 +153,12 @@ def _run_scan(req, algebra):
                            span=req.span)
     report = zero_scan(p, samples, req.tol)
     blob = report.to_json()
-    blob["counts"] = report.counts()
     blob["nonempty"] = report.nonempty()
     return blob, list(report.csv_rows())
 
 
 def _run_algebra_dump(req, algebra):
-    table = []
-    for i in range(algebra.dim):
-        row = []
-        for j in range(algebra.dim):
-            sign = "-" if algebra.mul_sign[i][j] < 0 else ""
-            row.append(sign + algebra.basis_names[algebra.mul_index[i][j]])
-        table.append(row)
-    try:
-        unit = algebra.default_imaginary_unit().format()
-    except HypersliceError:
-        unit = None
-    return {"kind": algebra.kind, "dim": algebra.dim,
-            "basis": list(algebra.basis_names),
-            "associative": algebra.associative,
-            "conjugation_signs": list(algebra.conj_signs),
-            "table": table, "default_imaginary_unit": unit}
+    return algebra_to_json(algebra)
 
 
 _HANDLERS = {
@@ -284,10 +268,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, poly=True):
-        sp.add_argument("--algebra", default="H",
-                        help="H, O, or clifford(p,q)")
-        sp.add_argument("--format", dest="fmt", default="json",
-                        choices=("json", "csv", "text"))
+        sp.add_argument("--algebra", help="H, O, or clifford(p,q)")
+        sp.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
         if poly:
             sp.add_argument("--poly", required=True,
                             help="expression, e.g. '(0 i 1) x1^2 x2 + (1)'")
@@ -299,7 +281,7 @@ def build_parser():
 
     sp = sub.add_parser("diff", help="slice partial derivative")
     common(sp)
-    sp.add_argument("--var", type=int, default=1, help="1-based index")
+    sp.add_argument("--var", type=int, help="1-based index")
     sp.add_argument("--conj", action="store_true",
                     help="conjugate derivative instead")
 
@@ -315,11 +297,9 @@ def build_parser():
     sp.add_argument("--point", required=True)
     sp.add_argument("--radii", required=True,
                     help="comma-separated, one per variable")
-    sp.add_argument("--centers", default="",
-                    help="real centers, default all 0")
-    sp.add_argument("--samples", type=int, default=128,
-                    help="quadrature nodes per circle")
-    sp.add_argument("--slice-unit", dest="slice_unit", default="",
+    sp.add_argument("--centers", help="real centers, default all 0")
+    sp.add_argument("--samples", type=int, help="quadrature nodes per circle")
+    sp.add_argument("--slice-unit", dest="slice_unit",
                     help="basis name or coefficient list")
 
     sp = sub.add_parser("roots", help="one-variable zero report")
@@ -327,9 +307,9 @@ def build_parser():
 
     sp = sub.add_parser("scan", help="fiber statistics over random samples")
     common(sp)
-    sp.add_argument("--count", type=int, default=25)
-    sp.add_argument("--seed", type=int, default=20240817)
-    sp.add_argument("--span", type=float, default=2.0)
+    sp.add_argument("--count", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--span", type=float)
 
     sp = sub.add_parser("algebra-dump", help="basis and multiplication table")
     common(sp, poly=False)

@@ -260,23 +260,28 @@ def _is_number(value):
     return isinstance(value, float) and math.isfinite(value)
 
 
-def parse_unit(src, algebra, tol):
-    """A slice unit: basis name or JSON coefficient list."""
-    src = src.strip()
-    if src.startswith("["):
-        coeffs = _load_json(src, "unit")
-        if not isinstance(coeffs, list) or not all(map(_is_number, coeffs)):
-            raise ExpressionSyntaxError(
-                "a unit coefficient list holds finite reals only", 1, 1)
-        J = algebra.element(coeffs)
-    else:
-        if not algebra.has_basis_name(src):
+def _read_unit(value, algebra, tol):
+    """J from a basis name or a list of finite reals; must be a unit."""
+    if isinstance(value, str):
+        if not algebra.has_basis_name(value):
             raise UnknownBasisName(
-                f"unknown basis name {src!r} in {algebra.kind}", 1, 1)
-        J = algebra.basis_named(src)
+                f"unknown basis name {value!r} in {algebra.kind}", 1, 1)
+        J = algebra.basis_named(value)
+    elif isinstance(value, list) and all(map(_is_number, value)):
+        J = algebra.element(value)
+    else:
+        raise ExpressionSyntaxError(
+            "J must be a basis name or a list of finite reals", 1, 1)
     if not is_imaginary_unit(J, tol):
         raise NotImaginaryUnit(f"{J.format()} is not an imaginary unit")
     return J
+
+
+def parse_unit(src, algebra, tol):
+    """A slice unit: basis name or JSON coefficient list."""
+    src = src.strip()
+    value = _load_json(src, "unit") if src.startswith("[") else src
+    return _read_unit(value, algebra, tol)
 
 
 def parse_point(src, algebra, tol, nvars=None):
@@ -297,21 +302,9 @@ def parse_point(src, algebra, tol, nvars=None):
         if not _is_number(alpha) or not _is_number(beta):
             raise ExpressionSyntaxError(
                 "alpha and beta must be finite real numbers", 1, 1)
-        if isinstance(unit, str):
-            if not algebra.has_basis_name(unit):
-                raise UnknownBasisName(
-                    f"unknown basis name {unit!r} in {algebra.kind}", 1, 1)
-            J = algebra.basis_named(unit)
-        elif isinstance(unit, list) and all(map(_is_number, unit)):
-            J = algebra.element(unit)
-        else:
-            raise ExpressionSyntaxError(
-                "J must be a basis name or a coefficient list", 1, 1)
-        if not is_imaginary_unit(J, tol):
-            raise NotImaginaryUnit(f"{J.format()} is not an imaginary unit")
         alphas.append(alpha)
         betas.append(beta)
-        units.append(J)
+        units.append(_read_unit(unit, algebra, tol))
     if nvars is not None and len(alphas) != nvars:
         raise AlgebraMismatch(
             f"need {nvars} coordinate triples, got {len(alphas)}")

@@ -20,6 +20,11 @@ Clifford convention
 Cl(p,q) has generators e_1..e_{p+q} with e_i^2 = +1 for i <= p and -1 for
 i > p.  Basis blades are indexed by subset bitmask (bit i-1 set means the
 blade contains e_i), so the basis order is 1, e1, e2, e12, e3, e13, ...
+The product of blades a and b is the blade a XOR b up to sign.  The sign
+is the reordering sign of the concatenated generator word, counted from
+bit pairs as in geometric-algebra software (Dorst, Fontijne & Mann,
+"Geometric Algebra for Computer Science", 2007), times the square sign
+of every generator the two blades share.
 Conjugation is Clifford conjugation: sign (-1)^(g(g+1)/2) on grade g.
 """
 
@@ -60,38 +65,20 @@ def octonion_table():
     return idx, sgn, conj
 
 
-def _blade_product(mask_a, mask_b, square_signs):
+def _blade_product(a, b, square_signs):
     """Multiply blades given as bitmasks; returns (mask, sign).
 
-    Concatenates the two sorted generator lists, counts the transpositions of
-    a bubble sort (each swap of distinct generators contributes -1), then
-    cancels equal adjacent pairs using each generator's square sign.
+    Each pair of a generator in a above a generator in b takes one swap to
+    reorder, so the reordering sign is (-1)^swaps with
+    swaps = sum_{k>=1} popcount((a >> k) & b); each generator in a & b then
+    meets itself and contributes its square sign.
     """
-    gens = [i for i in range(len(square_signs)) if mask_a >> i & 1]
-    gens += [i for i in range(len(square_signs)) if mask_b >> i & 1]
-    sign = 1
-    # bubble sort with swap counting; lists are tiny (<= 12 entries)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(gens) - 1):
-            if gens[t] > gens[t + 1]:
-                gens[t], gens[t + 1] = gens[t + 1], gens[t]
-                sign = -sign
-                changed = True
-    out = []
-    t = 0
-    while t < len(gens):
-        if t + 1 < len(gens) and gens[t] == gens[t + 1]:
-            sign *= square_signs[gens[t]]
-            t += 2
-        else:
-            out.append(gens[t])
-            t += 1
-    mask = 0
-    for g in out:
-        mask |= 1 << g
-    return mask, sign
+    swaps = sum(((a >> k) & b).bit_count() for k in range(1, len(square_signs)))
+    sign = -1 if swaps % 2 else 1
+    for i, square in enumerate(square_signs):
+        if (a & b) >> i & 1:
+            sign *= square
+    return a ^ b, sign
 
 
 def clifford_table(p, q):

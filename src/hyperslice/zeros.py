@@ -8,6 +8,7 @@ carries one zero, recovered in closed form and polished by Newton on the
 real coordinate system.
 """
 
+import math
 import random
 
 from .algebra import DEFAULT_TOL, invert, is_imaginary_unit, norm_sq, trace
@@ -57,10 +58,6 @@ def _dense_coeffs(p):
     while len(out) > 1 and out[-1].is_zero(0):
         out.pop()
     return out
-
-
-def _coeff_scale(coeffs):
-    return max((c.euclid_norm() for c in coeffs), default=0.0)
 
 
 def _eval_coeffs(coeffs, x):
@@ -254,7 +251,8 @@ def roots_one_var(p, tol=DEFAULT_TOL):
     at every point of the sphere.  Any other candidate is refined to the
     one zero alpha + beta I with I = -F_0 F_1^-1; RefinementFailed is
     raised when that I is not a unit or the zero does not polish below
-    the bound.
+    the bound.  Coefficients that are not finite, or whose norms overflow,
+    raise HypersliceError.
 
     tol only decides, through `invert`, whether F_1 (relative to the
     largest coefficient norm) is invertible; the rank, residual, realness
@@ -269,7 +267,11 @@ def roots_one_var(p, tol=DEFAULT_TOL):
         raise ConstantPolynomial("polynomial has no nonconstant term")
     if algebra.kind.startswith("clifford"):
         _check_clifford_form(coeffs, algebra)
-    scale = _coeff_scale(coeffs)
+    norms = [a.euclid_norm() for a in coeffs]
+    if not all(map(math.isfinite, norms)):
+        raise HypersliceError("the coefficients must be finite numbers "
+                              "whose norms stay in the float range")
+    scale = max(norms)
     bound = RESIDUAL_SCALE * (1.0 + scale)
     stem = np.array([a.coeffs_float() for a in coeffs]) / scale
     isolated = []
@@ -436,6 +438,8 @@ def scan_samples(algebra, nvars, count, seed=20240817, span=2.0):
     """
     if count < 1:
         raise HypersliceError(f"count must be at least 1, got {count}")
+    if not math.isfinite(span):
+        raise HypersliceError(f"span must be a finite number, got {span}")
     rng = random.Random(seed)
     out = []
     for idx in range(count):

@@ -71,6 +71,37 @@ def test_clifford_signs(CL11):
     assert e1 * e2 == -(e2 * e1)
 
 
+CLIFFORD_SIGNATURES = [(p, m - p) for m in range(7) for p in range(m + 1)]
+
+
+@pytest.mark.parametrize("p,q", CLIFFORD_SIGNATURES)
+def test_clifford_tables_satisfy_the_defining_relations(p, q):
+    np = pytest.importorskip("numpy")
+    A = make_algebra("clifford", (p, q))
+    m = p + q
+    gens = [A.basis(1 << i) for i in range(m)]
+    for i, e in enumerate(gens):
+        assert e * e == (A.one() if i < p else -A.one())
+        for f in gens[:i]:
+            assert e * f == -(f * e)
+    for mask in range(A.dim):
+        product = A.one()
+        for i in range(m):
+            if mask >> i & 1:
+                product = product * gens[i]
+        assert product == A.basis(mask)
+        g = mask.bit_count()
+        assert A.conj_signs[mask] == (-1) ** (g * (g + 1) // 2)
+    # (e_a e_b) e_c == e_a (e_b e_c) on every triple of blades
+    idx = np.array(A.mul_index)
+    sgn = np.array(A.mul_sign)
+    a, b, c = np.ix_(*[np.arange(A.dim)] * 3)
+    ab, bc = idx[a, b], idx[b, c]
+    assert (idx[ab, c] == idx[a, bc]).all()
+    assert (sgn[a, b] * sgn[ab, c] == sgn[b, c] * sgn[a, bc]).all()
+    assert A.associative
+
+
 def test_quaternions_match_clifford02(H):
     C = make_algebra("clifford", (0, 2))
     assert C.mul_index == H.mul_index

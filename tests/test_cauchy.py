@@ -74,6 +74,14 @@ def test_boundary_torus_shape_and_winding(H):
         BoundaryTorus(H, [[]])
 
 
+def test_boundary_torus_refuses_non_finite_circles(H):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(AlgebraMismatch, match="radius"):
+            BoundaryTorus.discs(H, [bad])
+        with pytest.raises(AlgebraMismatch, match="center"):
+            BoundaryTorus.discs(H, [1.0], centers=[bad])
+
+
 def test_integrand_of_one_is_one_on_the_unit_circle(H):
     i = H.basis_named("i")
     torus = BoundaryTorus.discs(H, [1.0], samples_per_circle=8)

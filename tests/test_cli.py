@@ -9,8 +9,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hyperslice.algebra import algebra_from_json, make_algebra
 from hyperslice.cli import Request, main, run
-from hyperslice.errors import ExpressionSyntaxError, UnknownBasisName
+from hyperslice.errors import (DimensionTooLarge, ExpressionSyntaxError,
+                               UnknownBasisName, UnsupportedKind)
 from hyperslice.parser import format_poly, parse_expression
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -232,6 +234,28 @@ def test_roots_of_huge_mixed_coefficients_is_one_json_error():
     check_schema(_strict_json(proc.stderr), "error")
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["scan", "--span", "nan"], "HypersliceError"),
+    (["scan", "--span", "inf"], "HypersliceError"),
+    # x2^2 overflows, so the restricted polynomial is not finite
+    (["scan", "--span", "1e200"], "HypersliceError"),
+    (["cauchy", "--radii", "nan"], "AlgebraMismatch"),
+    (["cauchy", "--radii", "1", "--centers", "inf"], "AlgebraMismatch"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_options_are_one_json_error(argv, error):
+    # a subprocess, so that a traceback or a numpy warning would show
+    extra = {"scan": ["--poly", "x1^2 + x2^2 + (1)", "--count", "2"],
+             "cauchy": ["--poly", "x1", "--point", "[[0.1,0.1,i]]"]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperslice.cli", *argv, *extra[argv[0]]],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    blob = _strict_json(proc.stderr)
+    check_schema(blob, "error")
+    assert blob["error"]["type"] == error
+    assert "finite" in blob["error"]["message"]
+
+
 def test_regular_subcommand(H):
     code, out, _ = invoke(subcommand="regular", algebra="H", poly="x1^2 x2")
     payload = json.loads(out)
@@ -323,6 +347,47 @@ def test_algebra_dump_table(H):
 
     _, out, _ = invoke(subcommand="algebra-dump", algebra="O")
     assert json.loads(out)["dim"] == 8
+
+
+@pytest.mark.parametrize("kind", ["H", "O", "clifford(0,6)"])
+def test_algebra_dump_reads_back(kind):
+    code, out, _ = invoke(subcommand="algebra-dump", algebra=kind)
+    assert code == 0
+    back = algebra_from_json(json.loads(out))
+    A = make_algebra(kind)
+    assert back == A and back.kind == "custom"
+    assert back.basis_names == A.basis_names
+    assert back.associative == A.associative
+
+
+def test_malformed_algebra_dump_is_a_typed_error():
+    _, out, _ = invoke(subcommand="algebra-dump", algebra="H")
+    dump = json.loads(out)
+
+    def edited(**changes):
+        return {**dump, **changes}
+
+    bad = [None, [], "H", {key: v for key, v in dump.items() if key != "dim"}]
+    bad += [{key: v for key, v in dump.items() if key != missing}
+            for missing in ("basis", "conjugation_signs", "table")]
+    bad += [edited(dim=d) for d in ("4", 4.0, None, True, 0, -4, 5)]
+    table = dump["table"]
+    bad += [edited(table=t) for t in (
+        table[:3], [row[:3] for row in table], table + [table[0]], "k",
+        {"i": "j"}, [None] * 4, [table[0], table[1], table[2], "1ijk"])]
+    bad += [edited(table=[table[0], table[1], table[2], [e, "-j", "i", "-1"]])
+            for e in ("x", "--k", "+k", "", "-", 3, None, ["k"])]
+    bad += [edited(basis=b) for b in (["1", "i", "j"], ["1", "i", "i", "k"],
+                                      "1ijk", [1, 2, 3, 4])]
+    bad += [edited(conjugation_signs=c) for c in ([1, -1, -1], [1, 0, -1, -1],
+                                                  ["1", -1, -1, -1], None)]
+    # the table parses but e_0 is not the unity
+    bad.append(edited(basis=["i", "1", "j", "k"]))
+    for obj in bad:
+        with pytest.raises(UnsupportedKind):
+            algebra_from_json(obj)
+    with pytest.raises(DimensionTooLarge):
+        algebra_from_json(edited(dim=128))
 
 
 def test_text_format_lines():

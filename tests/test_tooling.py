@@ -1,9 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import io
+import json
+import shlex
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hyperslice"
+from hyperslice import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hyperslice"
 
 
 def test_every_tol_parameter_is_read():
@@ -24,3 +31,39 @@ def test_every_tol_parameter_is_read():
             if not reads:
                 unread.append(f"{path.name}:{node.lineno} {node.name}")
     assert unread == []
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ hyperslice ...` in README.md."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    examples = []
+    t = 0
+    while t < len(lines):
+        if not lines[t].startswith("$ hyperslice "):
+            t += 1
+            continue
+        command = lines[t][2:]
+        while command.endswith("\\"):
+            t += 1
+            command = command[:-1] + lines[t]
+        t += 1
+        output = []
+        while t < len(lines) and lines[t] and not lines[t].startswith(
+                ("$ ", "```")):
+            output.append(lines[t])
+            t += 1
+        examples.append((shlex.split(command)[1:], "\n".join(output) + "\n"))
+    return examples
+
+
+def test_readme_cli_examples_run_as_shown():
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    for argv, expected in examples:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0, argv
+        if expected.startswith("{"):
+            assert json.loads(out.getvalue()) == json.loads(expected), argv
+        else:
+            assert out.getvalue() == expected, argv

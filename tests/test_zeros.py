@@ -267,6 +267,22 @@ def test_scan_samples_are_deterministic_and_varied(H):
     assert any(not x.is_real(1e-12) for (x,) in a)
 
 
+def test_non_finite_coefficients_and_spans_are_refused(H):
+    i = H.basis_named("i")
+    for bad in (math.inf, -math.inf, math.nan):
+        p = OrderedPolynomial(1, H, {(2,): H.one(), (1,): bad * i,
+                                     (0,): H.one()})
+        with pytest.raises(HypersliceError, match="finite"):
+            roots_one_var(p)
+        with pytest.raises(HypersliceError, match="finite"):
+            scan_samples(H, 2, 4, span=bad)
+    # finite coefficients whose norm overflows
+    p = OrderedPolynomial(1, H, {(1,): H.one(),
+                                 (0,): H.element([1.5e308, 1.5e308, 0, 0])})
+    with pytest.raises(HypersliceError, match="finite"):
+        roots_one_var(p)
+
+
 def test_scan_report_serialization(H):
     i = H.basis_named("i")
     f = OrderedPolynomial(2, H, {(2, 0): H.one(), (0, 2): H.one(),
