@@ -7,12 +7,14 @@ rule.  On the slice every kernel factor is a complex number a + b u_h, so
 the integrand is a sum of unit words u_1^b1(...(u_n^bn(J^b0 f))) with real
 weights, and each weight is the real part of a product of one-variable
 factors.  The grid sum therefore contracts the boundary values of f one
-angle axis at a time with those factors, and the units act once per word
-in Element arithmetic.  The function only supplies its boundary values on
-the grid: a polynomial or stem is evaluated on all nodes at once, a
-callable once per node, and one array kernel serves both.  The pointwise
-integrand (cauchy_integrand) stays in exact Element arithmetic; summed
-over the same grid it is the oracle for that kernel.
+angle axis at a time with those factors, and the units act once per
+variable.  The function supplies its boundary values in product form, a
+core and one basis per circle: a polynomial or stem as its coefficients
+and the per-variable monomials on each circle, so no N^n grid is formed,
+and a callable as its values on every node, one call per node.  One array
+kernel serves both.  The pointwise integrand (cauchy_integrand) stays in
+exact Element arithmetic; summed over the same grid it is the oracle for
+that kernel.
 """
 
 import itertools
@@ -269,54 +271,49 @@ def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
 
 
 def _stem_on_grid(stem, torus, zs):
-    """f(xi) over the grid, where f is one polynomial: StemPoly.on_slice(J).
+    """f(xi) in product form, where f is one polynomial: StemPoly.on_slice(J).
 
-    Its monomial values (G x T) times its T coefficients (T x dim).
+    f(xi) = sum_k core[k_1..k_n] prod_h V_h[t_h, k_h]: V_h holds the distinct
+    monomials alpha_h^a beta_h^b of variable h on the N nodes of its circle,
+    and the (A_1, ..., A_n, dim) core the coefficients of their products.
     """
     import numpy as np
-    G = zs[0].shape[0]
-    terms = [(exp, coeff.coeffs_float())
-             for exp, coeff in stem.on_slice(torus.J).items()]
-    # per-coordinate power tables up to the needed degree
-    coords = [part for z in zs for part in (z.real, z.imag)]
-    pows = []
-    for v, coord in enumerate(coords):
-        table = [np.ones(G)]
-        for _ in range(max((exp[v] for exp, _ in terms), default=0)):
-            table.append(table[-1] * coord)
-        pows.append(table)
-    monomials = np.ones((len(terms), G))
-    for row, (exp, _) in zip(monomials, terms):
-        for v, e in enumerate(exp):
-            if e:
-                row *= pows[v][e]
-    coeffs = np.array([c for _, c in terms]).reshape(len(terms),
-                                                     torus.algebra.dim)
-    return monomials.T @ coeffs
+    terms = stem.on_slice(torus.J)
+    pairs = [sorted({exp[2 * h:2 * h + 2] for exp in terms})
+             for h in range(torus.n)]
+    index = [{ab: k for k, ab in enumerate(row)} for row in pairs]
+    core = np.zeros(tuple(map(len, pairs)) + (torus.algebra.dim,))
+    for exp, coeff in terms.items():
+        k = tuple(ix[exp[2 * h:2 * h + 2]] for h, ix in enumerate(index))
+        core[k] = coeff.coeffs_float()
+    deg = 1 + max((d for row in pairs for ab in row for d in ab), default=0)
+    bases = [np.vander(z.real, deg, increasing=True)[:, [a for a, _ in row]]
+             * np.vander(z.imag, deg, increasing=True)[:, [b for _, b in row]]
+             for z, row in zip(zs, pairs)]
+    return core, bases
 
 
 def _callable_on_grid(f, torus, zs):
-    """f(xi) over the grid, one call per node."""
+    """f(xi) on every grid node, one call per node; no bases (identity)."""
     import numpy as np
-    algebra = torus.algebra
     units = [torus.J] * torus.n
-    alphas = np.stack([z.real for z in zs], axis=1).tolist()
-    betas = np.stack([z.imag for z in zs], axis=1).tolist()
-    out = np.empty((len(alphas), algebra.dim))
-    for g, (a, b) in enumerate(zip(alphas, betas)):
-        out[g] = f(SlicePoint(algebra, a, b, units)).coeffs_float()
-    return out
+    values = [f(SlicePoint(torus.algebra, [w.real for w in node],
+                           [w.imag for w in node], units)).coeffs_float()
+              for node in itertools.product(*(z.tolist() for z in zs))]
+    shape = tuple(len(z) for z in zs) + (torus.algebra.dim,)
+    return np.reshape(values, shape), [None] * torus.n
 
 
 def cauchy_reconstruct(f, torus, x):
     """Average the integrand over the angle torus; value plus diagnostics.
 
     f is an OrderedPolynomial, a StemPoly, or a callable taking a
-    SlicePoint to an Element.  The input only supplies boundary values: a
-    stem is evaluated on the whole grid at once, a callable once per grid
-    node, and one array kernel does the rest.  Diagnostics report the
-    sample count, the worst kernel conditioning, and, for polynomial and
-    stem inputs, the disagreement against direct evaluation.
+    SlicePoint to an Element.  The input only supplies boundary values in
+    product form (_reconstruct): a stem as a small core and its monomials
+    per circle, a callable as its value at every node.  Diagnostics report
+    the sample count, the worst kernel conditioning, error_estimate =
+    |Q_N - Q_{N/2}| (None for odd N), and, for polynomial and stem inputs,
+    the disagreement against direct evaluation.
     """
     import numpy as np
     n = torus.n
@@ -331,7 +328,7 @@ def cauchy_reconstruct(f, torus, x):
                        else partial(_stem_on_grid, stem))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            value, min_delta = _reconstruct(boundary_values, torus, x)
+            (value, *half), min_delta = _reconstruct(boundary_values, torus, x)
     except FloatingPointError as exc:
         raise HypersliceError(
             f"quadrature arithmetic leaves the float range: {exc}") from None
@@ -340,6 +337,8 @@ def cauchy_reconstruct(f, torus, x):
         "grid_points": N ** n * len(torus.combos()),
         "min_abs_delta": float(min_delta),
         "max_inv_delta": float(1.0 / min_delta),
+        "error_estimate": (float((value - half[0]).euclid_norm()) if half
+                           else None),
     }
     if stem is not None:
         reference = slice_eval(stem, x)
@@ -349,7 +348,7 @@ def cauchy_reconstruct(f, torus, x):
 
 
 def _reconstruct(boundary_values, torus, x):
-    """The subset-expanded integrand summed over the grid, one word at a time.
+    """The subset-expanded integrand summed over the grid, one axis at a time.
 
     Each left factor a + b u_h of the integrand splits into its real and
     u_h parts, so the integrand is a sum over the 2^(n+1) unit words
@@ -358,21 +357,22 @@ def _reconstruct(boundary_values, torus, x):
     Re((-i)^n e_b0 prod_h P_h,b_h(t_h)) with e_0 = 1, e_1 = -i and
     P_h,b = o r i e^{it} (part_b(1/Delta_h) conj(z) - part_b(w_h/Delta_h))
     on each circle (z = c + r e^{it}, w_h the complex coordinate of x,
-    part_0 = Re, part_1 = Im).  So the boundary values of each circle
-    choice are contracted one angle axis at a time against P, and the
-    units act once per word in Element arithmetic.
+    part_0 = Re, part_1 = Im).
 
-    boundary_values(torus, zs) returns f at the boundary nodes zs (one
-    complex array per variable, the grid flattened in 'ij' order) as a
-    (G, dim) coefficient array.  It is called only after the pole-sphere
-    guard has passed on every circle.
+    boundary_values(torus, zs) gets the N nodes of each circle, only after
+    the pole-sphere guard has passed, and returns (core, bases) with
+    f(t) = sum_k core[k_1..k_n] prod_h V_h[t_h, k_h]; a basis None is the
+    identity.  Axis h is contracted against P V_h, so no product is larger
+    than 4 x N.  For even N the N/2 subgrid rule (odd nodes zeroed, even
+    doubled) rides along: returns ([Q_N] or [Q_N, Q_{N/2}], min |Delta|).
     """
     import numpy as np
     algebra = torus.algebra
     n = torus.n
     N = torus.samples_per_circle
     e_it = np.exp(2j * np.pi * np.arange(N) / N)
-    # per variable, per circle: the nodes z and the weights P as (4, N)
+    half = np.where(np.arange(N) % 2, 0.0, 2.0) if N % 2 == 0 else None
+    # per variable, per circle: the nodes z and the weights P as (R, 4, N)
     circles = []
     min_delta = math.inf
     for (a, b), var_circles in zip(x.z(), torus.circles):
@@ -387,30 +387,33 @@ def _reconstruct(boundary_values, torus, x):
             P = np.stack([vel * (part(inv) * z.conjugate() - part(w * inv))
                           for part in (np.real, np.imag)])
             # real rows, so real boundary values are never cast to complex
-            row.append((z, np.concatenate([P.real, P.imag])))
+            P = np.concatenate([P.real, P.imag])
+            row.append((z, np.stack([P] if half is None else [P, P * half])))
         circles.append(row)
     if min_delta < MIN_DELTA:
         raise QuadratureSingularity(
             f"grid approaches a pole sphere: min |Delta| = "
             f"{min_delta:.2e} < {MIN_DELTA}")
-    # S[b_n, ..., b_1] = sum over the grid of prod_h P_h,b_h times f
+    # S[rule, dim, b_1, ..., b_n] = sum over the grid of prod_h P_h,b_h f
     S = 0
     for combo in itertools.product(*circles):
-        grid = np.meshgrid(*(z for z, _ in combo), indexing="ij")
-        fvals = boundary_values(torus, [g.reshape(-1) for g in grid])
-        s = fvals.reshape((N,) * n + (algebra.dim,))
-        for h, (_, weights) in enumerate(combo):
-            r = np.tensordot(weights, s, axes=(1, h))
-            s = r[:2] + 1j * r[2:]
+        core, bases = boundary_values(torus, [z for z, _ in combo])
+        s = core[None]
+        for (_, weights), V in zip(combo, bases):
+            if V is not None:
+                weights = weights @ V
+            r = weights @ s.reshape(*s.shape[:2], math.prod(s.shape[2:]))
+            r = r.reshape(r.shape[:2] + s.shape[2:])
+            s = np.moveaxis(r[:, :2] + 1j * r[:, 2:], 1, -1)
         S = S + s
-    total = algebra.zero()
-    for bits in itertools.product((0, 1), repeat=n):
-        c = S[bits[::-1]] * ((-1j) ** n / N ** n)
-        v = algebra.element(c.real.tolist()) + \
-            torus.J * algebra.element(c.imag.tolist())
-        units = [u for u, b in zip(x.units, bits) if b]
-        total = total + ordered_product(units, v)
-    return total, min_delta
+    # v = Re + J Im, then u_1(...(u_n v)) summed over the bits, innermost
+    # variable first, through the left-multiplication matrices
+    L = algebra.left_mult_matrix
+    T = np.moveaxis(S, 1, -1) * ((-1j) ** n / N ** n)
+    T = T.real + T.imag @ L(torus.J)
+    for u in reversed(x.units):
+        T = T[..., 0, :] + T[..., 1, :] @ L(u)
+    return [algebra.element(t.tolist()) for t in T], min_delta
 
 
 # -- symbolic regularity of the closed-form kernel -------------------------

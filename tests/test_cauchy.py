@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -18,6 +19,10 @@ from hyperslice.errors import (AlgebraMismatch, NonAssociativeAlgebra,
                                PointOutsideE, QuadratureSingularity)
 from hyperslice.regularity import OrderedPolynomial, poly_to_stem
 from hyperslice.slicefun import SlicePoint, representation_eval, slice_eval
+from hyperslice.stems import StemPoly
+
+from conftest import (random_element, random_imaginary_unit, random_poly,
+                      random_stem)
 
 
 def test_char_poly_vanishes_exactly_on_the_sphere(H):
@@ -241,6 +246,75 @@ def test_vectorized_and_pointwise_paths_agree(H):
     fast, _ = cauchy_reconstruct(f, torus, x)
     slow, _ = cauchy_reconstruct(lambda p: slice_eval(stem, p), torus, x)
     assert (fast - slow).is_zero(1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["H", "O", "CL03"])
+def test_stem_and_callable_boundary_values_reconstruct_alike(
+        name, n, request, rng):
+    # the stem supplies its boundary values in product form, the callable
+    # node by node; both feed the same sum, so they agree to rounding
+    A = request.getfixturevalue(name)
+    N = {1: 16, 2: 8, 3: 4}[n]
+    x = SlicePoint(A, [rng.uniform(-0.3, 0.3) for _ in range(n)],
+                   [rng.uniform(0.7, 1.0) for _ in range(n)],
+                   [random_imaginary_unit(A, rng) for _ in range(n)])
+    annulus = [[(0.0, 1.4, 1)] for _ in range(n)]
+    annulus[n - 1] = [(0.1, 1.4, 1), (0.0, 0.5, -1)]
+    tori = [BoundaryTorus.discs(A, [1.3 + 0.1 * h for h in range(n)],
+                                samples_per_circle=N),
+            BoundaryTorus(A, annulus, J=random_imaginary_unit(A, rng),
+                          samples_per_circle=N)]
+    assert tori[1].J != A.default_imaginary_unit()
+    poly = random_poly(n, A, rng, deg=3, exact=False)
+    stem = random_stem(n, A, rng, deg=2, exact=False)
+    zero = StemPoly.zero(n, A)
+    for torus in tori:
+        for source, as_stem in ((poly, poly_to_stem(poly)), (stem, stem),
+                                (zero, zero)):
+            fast, _ = cauchy_reconstruct(source, torus, x)
+            slow, _ = cauchy_reconstruct(lambda p: slice_eval(as_stem, p),
+                                         torus, x)
+            assert ((fast - slow).euclid_norm()
+                    <= 1e-12 * slow.euclid_norm())
+        assert cauchy_reconstruct(zero, torus, x)[0].is_zero(0)
+
+
+def test_error_estimate_tracks_the_trapezoid_error(H):
+    # Q_N - Q_{N/2} from the subgrid rule; near the circles it shrinks
+    # with N and, the error being geometric, bounds the error of Q_N
+    i, j, k = H.basis_named("i"), H.basis_named("j"), H.basis_named("k")
+    f = OrderedPolynomial(2, H, {(2, 1): H.one() + 2 * k, (1, 0): j - i})
+    x = SlicePoint(H, [0.3, -0.2], [1.25, 1.1], [i, j])
+    ref = slice_eval(poly_to_stem(f), x)
+    estimates = []
+    for N in (8, 16, 32, 64, 128):
+        torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=N)
+        val, diag = cauchy_reconstruct(f, torus, x)
+        assert (val - ref).euclid_norm() <= diag["error_estimate"]
+        estimates.append(diag["error_estimate"])
+    assert all(b < 0.5 * a for a, b in zip(estimates, estimates[1:]))
+    assert estimates[-1] < 1e-3
+    for N in (1, 7):
+        torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=N)
+        assert cauchy_reconstruct(f, torus, x)[1]["error_estimate"] is None
+
+
+def test_stem_reconstruction_builds_no_grid(O, rng):
+    # O, n = 2, N = 256: the grid values alone would be 4 MiB
+    f = OrderedPolynomial(2, O, {(2, 1): random_element(O, rng),
+                                 (1, 0): random_element(O, rng)})
+    e = [O.basis(idx) for idx in range(8)]
+    x = SlicePoint(O, [0.2, 0.1], [0.3, 0.4], [e[1], e[4]])
+    torus = BoundaryTorus.discs(O, [1.5, 1.5], samples_per_circle=256)
+    cauchy_reconstruct(f, torus, x)
+    tracemalloc.start()
+    try:
+        cauchy_reconstruct(f, torus, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _integrand_grid_sum(f, torus, x):

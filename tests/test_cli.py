@@ -306,6 +306,22 @@ def test_cauchy_subcommand_reports_small_error():
     assert payload["diagnostics"]["min_abs_delta"] >= 1e-3
 
 
+def test_cauchy_reports_the_trapezoid_error_estimate():
+    args = dict(subcommand="cauchy", algebra="H", poly="x1^3", radii="1.5",
+                point="[[0.2,0.9,i]]")
+    code, out, _ = invoke(**args, samples=16)
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload, "cauchy")
+    assert payload["abs_error"] <= payload["diagnostics"]["error_estimate"]
+    # an odd sample count has no N/2 subgrid; the exit code stays 0
+    code, out, _ = invoke(**args, samples=1)
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload, "cauchy")
+    assert payload["diagnostics"]["error_estimate"] is None
+
+
 def test_roots_subcommand():
     code, out, _ = invoke(subcommand="roots", algebra="H",
                           poly="x1^2 + (1.25)")
