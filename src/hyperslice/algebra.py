@@ -16,6 +16,7 @@ module level, so the exact calculus runs without loading it.
 
 import math
 from fractions import Fraction
+from operator import add
 
 from . import tables
 from .errors import (
@@ -453,6 +454,17 @@ def ordered_product(units, v):
     for u in reversed(tuple(units)):
         result = u * result
     return result
+
+
+def element_sum(algebra, terms):
+    """Sum of Elements of algebra, added left to right on coefficient tuples."""
+    total = (0,) * algebra.dim
+    for t in terms:
+        if t.algebra != algebra:
+            raise AlgebraMismatch(
+                f"summand from {t.algebra.kind}, sum in {algebra.kind}")
+        total = tuple(map(add, total, t.coeffs))
+    return Element(algebra, total)
 
 
 def ordered_inverse_product(units, w, tol=DEFAULT_TOL):

@@ -13,8 +13,8 @@ from collections import Counter
 from fractions import Fraction
 
 from . import sparse
-from .algebra import (DEFAULT_TOL, is_imaginary_unit, make_algebra,
-                      splitting_basis)
+from .algebra import (DEFAULT_TOL, element_sum, is_imaginary_unit,
+                      make_algebra, splitting_basis)
 from .errors import (
     AlgebraMismatch,
     BlackBoxUnsupported,
@@ -115,10 +115,8 @@ def poly_eval(p, x):
     xs = x.elements() if isinstance(x, SlicePoint) else tuple(x)
     if len(xs) != p.n:
         raise AlgebraMismatch(f"need {p.n} coordinates, got {len(xs)}")
-    total = p.algebra.zero()
-    for ell, a in p.terms.items():
-        total = total + ordered_monomial_eval(ell, a, xs)
-    return total
+    return element_sum(p.algebra, (ordered_monomial_eval(ell, a, xs)
+                                   for ell, a in p.terms.items()))
 
 
 def poly_to_stem(p):

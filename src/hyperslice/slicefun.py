@@ -3,7 +3,8 @@
 A point of the cone power is held per variable as (alpha_h, beta_h, J_h)
 with beta_h >= 0 and J_h on the unit imaginary sphere.  Evaluating a stem F
 at such a point means summing the ordered unit products [J_K, F_K(z)] over
-all subsets K.
+all subsets K.  Each F_K(z) and the final sum add up on coefficient tuples,
+so the only Element products are the n 2^(n-1) unit actions.
 
 The averaging operators rest on one fiber transform: f is evaluated once at
 each of the 2^n conjugates of a point, and for each K the signed sum
@@ -20,6 +21,7 @@ from fractions import Fraction
 from .algebra import (
     DEFAULT_TOL,
     cone_decompose,
+    element_sum,
     invert,
     is_imaginary_unit,
     ordered_inverse_product,
@@ -120,12 +122,9 @@ class SlicePoint:
 
 def _assemble(values, point):
     """sum over K of [J_K, v_K], units multiplied innermost-last."""
-    total = point.algebra.zero()
-    for mask, v in enumerate(values):
-        if v.is_zero(0):
-            continue
-        total = total + ordered_product(point.mask_units(mask), v)
-    return total
+    return element_sum(point.algebra, (
+        ordered_product(point.mask_units(mask), v)
+        for mask, v in enumerate(values) if any(v.coeffs)))
 
 
 def slice_eval(stem, point):

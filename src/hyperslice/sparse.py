@@ -58,15 +58,22 @@ def dx(p, var):
 
 
 def value(p, point, zero=0):
-    """p at a point given as one number per exponent slot, added to zero."""
-    total = zero
+    """p at a point given as one number per exponent slot, added to zero.
+
+    Element terms add up on coefficient tuples; one Element wraps the sum.
+    """
+    wrap = isinstance(zero, Element)
+    total = zero.coeffs if wrap else zero
     for exp, coeff in p.items():
         scalar = 1
         for v, k in zip(point, exp):
             if k:
                 scalar = scalar * v ** k
-        total = total + coeff * scalar
-    return total
+        if wrap:
+            total = [a + c * scalar for a, c in zip(total, coeff.coeffs)]
+        else:
+            total = total + coeff * scalar
+    return Element(zero.algebra, tuple(total)) if wrap else total
 
 
 def max_diff(p, q, scale=1):

@@ -130,6 +130,9 @@ class StemPoly:
                 if len(exp) != 2 * n:
                     raise ParityError(
                         f"exponent tuple {exp} has length {len(exp)}, need {2 * n}")
+                if coeff.algebra != algebra:
+                    raise AlgebraMismatch(f"{coeff.algebra.kind} coefficient "
+                                          f"in a stem over {algebra.kind}")
                 if not coeff.is_zero(0):
                     clean[exp] = coeff
             if clean:

@@ -484,6 +484,30 @@ def test_exact_subcommands_run_without_numpy(argv):
     json.loads(proc.stdout)
 
 
+def test_exact_evaluation_runs_without_numpy():
+    probe = (
+        "import sys\n"
+        "from fractions import Fraction as Q\n"
+        "import hyperslice as hs\n"
+        "for kind, u, v in (('quaternions', 1, 2), ('octonions', 1, 4)):\n"
+        "    A = hs.make_algebra(kind)\n"
+        "    p = hs.OrderedPolynomial(2, A, {(2, 1): A.basis(3),\n"
+        "                                    (1, 0): A.one()})\n"
+        "    x = hs.SlicePoint(A, [Q(1, 2), Q(-1, 3)], [Q(3, 2), 2],\n"
+        "                      [A.basis(u), A.basis(v)])\n"
+        "    stem = hs.poly_to_stem(p)\n"
+        "    source = x.with_units([A.basis(v), A.basis(u)])\n"
+        "    assert hs.slice_eval(stem, x) == hs.poly_eval(p, x)\n"
+        "    assert hs.representation_eval(\n"
+        "        lambda pt: hs.slice_eval(stem, pt), source, x\n"
+        "    ) == hs.poly_eval(p, x)\n"
+        "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_bare_import_loads_every_submodule_but_not_numpy():
     # profilers wrap hyperslice.cauchy and hyperslice.zeros straight after
     # `import hyperslice`, so the package imports its submodules eagerly
