@@ -370,7 +370,12 @@ def _reconstruct(boundary_values, torus, x):
     algebra = torus.algebra
     n = torus.n
     N = torus.samples_per_circle
-    e_it = np.exp(2j * np.pi * np.arange(N) / N)
+    try:
+        e_it = np.exp(2j * np.pi * np.arange(N) / N)
+    except (ValueError, MemoryError):
+        # numpy refuses an array this large, or cannot allocate it
+        raise HypersliceError(
+            f"{N} samples per circle do not fit in memory") from None
     half = np.where(np.arange(N) % 2, 0.0, 2.0) if N % 2 == 0 else None
     # per variable, per circle: the nodes z and the weights P as (R, 4, N)
     circles = []

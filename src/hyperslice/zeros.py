@@ -1,20 +1,20 @@
 """Root finding for one-variable slice polynomials and fiber scans.
 
-Roots are either isolated points or whole spheres alpha + beta S.  The
-candidate spheres are the roots of the complex polynomial on the common
-slice of the coefficients, or else of the real normal polynomial p * p^c.
-The stem of p classifies each one as a sphere of zeros or a sphere that
-carries one zero, recovered in closed form and polished by Newton on the
-real coordinate system.
+The zeros of a one-variable polynomial are spheres alpha + beta S (its
+real factors x - r and x^2 - 2 alpha x + alpha^2 + beta^2) and isolated
+points.  The real factors are divided out one at a time, so a repeated
+one is found with its own multiplicity; every zero of the quotient is
+isolated and lies on a sphere of its normal polynomial q * q^c.
 """
 
 import math
 import random
+from functools import partial
 
 from .algebra import DEFAULT_TOL, invert, is_imaginary_unit, norm_sq, trace
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
                      NotInvertible, RefinementFailed, UnsupportedKind)
-from .regularity import OrderedPolynomial, ordered_monomial_eval, star_product
+from .regularity import OrderedPolynomial, ordered_monomial_eval
 
 RESIDUAL_SCALE = 1e-8
 SETTLE_STEPS = 8
@@ -88,68 +88,23 @@ def _random_unit(algebra, rng):
     return algebra.default_imaginary_unit()
 
 
-def _slice_unit(coeffs, algebra):
-    """Coefficients as complex numbers on their common slice, or None.
-
-    None when the imaginary parts span more than one unit; real
-    coefficients lie on every slice.
-    """
+def _stem_residual(stem, w):
+    """|F_0| + |F_1|, where F_0 + i F_1 = P(w) = sum_k w^k stem[k]."""
     import numpy as np
-    rows = [np.array([float(c) for c in a.imag_part().coeffs])
-            for a in coeffs]
-    mat = np.stack(rows)
-    scale = max(1.0, float(np.abs(mat).max()))
-    rank = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
-    if rank == 0:
-        return [complex(float(a.real_coeff()), 0.0) for a in coeffs]
-    if rank > 1:
-        return None
-    # principal direction of the span
-    _, _, vt = np.linalg.svd(mat)
-    u_vec = vt[0]
-    u = algebra.element([float(c) for c in u_vec])
-    nrm = u.euclid_norm()
-    u = u * (1.0 / nrm)
-    if not is_imaginary_unit(u, 1e-8):
-        return None
-    zs = []
-    uf = np.array([float(c) for c in u.coeffs])
-    for a, row in zip(coeffs, rows):
-        lam = float(row @ uf)
-        resid = row - lam * uf
-        if float(np.abs(resid).max()) > 1e-10 * scale:
-            return None
-        zs.append(complex(float(a.real_coeff()), lam))
-    return zs
+    value = np.polyval(stem[::-1], w)
+    return float(np.linalg.norm(value.real) + np.linalg.norm(value.imag))
 
 
-def _normal_coeffs(coeffs, algebra, scale):
-    """Real coefficients of p * p^c for p / scale, which has p's zeros."""
+def _excess(stem, w):
+    """The stem residual above the rounding error of Horner's rule."""
     import numpy as np
-    scaled = OrderedPolynomial(
-        1, algebra, {(k,): a / scale for k, a in enumerate(coeffs)})
-    normal = star_product(scaled, OrderedPolynomial(
-        1, algebra, {ell: a.conj() for ell, a in scaled.terms.items()}))
-    out = []
-    for c in _dense_coeffs(normal):
-        if not c.is_real(1e-9):
-            raise UnsupportedKind(
-                "normal polynomial is not real; coefficients leave the "
-                "quadratic cone")
-        out.append(float(c.real_coeff()))
-    if len(out) < 2 * len(coeffs) - 1:
-        raise RefinementFailed(
-            "the normal polynomial underflows: the coefficient norms span "
-            "more than the float range")
-    return np.array(out)
+    floor = (4 * len(stem) * np.finfo(float).eps
+             * np.polyval(np.linalg.norm(stem, axis=1)[::-1], abs(w)))
+    return max(0.0, _stem_residual(stem, w) - float(floor))
 
 
 def _settle(stem, w):
-    """w moved by Gauss-Newton on the stem, if it stays close and improves.
-
-    Real zeros and spheres of p are double roots of the normal polynomial,
-    which np.roots finds only to about 1e-8; on the stem they are simple.
-    """
+    """w moved by Gauss-Newton on the stem, if it stays close and improves."""
     import numpy as np
     coeffs = stem[::-1]
     slopes = (stem[1:] * np.arange(1, len(stem))[:, None])[::-1]
@@ -166,16 +121,40 @@ def _settle(stem, w):
     return w
 
 
-def _cluster(pairs, tol=1e-6):
-    """Merge (alpha, beta) candidates closer than tol."""
-    out = []
-    for a, b in pairs:
-        for idx, (ca, cb) in enumerate(out):
-            if abs(a - ca) <= tol and abs(b - cb) <= tol:
+def _near(w, v, rel=1e-6):
+    return abs(w - v) <= rel * (1.0 + abs(w))
+
+
+def _merge(estimates, excess):
+    """Estimates of one factor replaced by their mean.
+
+    An estimate joins a group within 1e-6 (1 + |w|) of the group's mean,
+    or within 1e-3 (1 + |w|) when the joint mean has no larger excess
+    residual than either; the cap keeps distinct zeros apart.
+    """
+    groups = []
+    for w in estimates:
+        for group in groups:
+            centre = sum(group) / len(group)
+            mean = (sum(group) + w) / (len(group) + 1)
+            if _near(w, centre) or (_near(w, centre, 1e-3) and excess(mean)
+                                    <= min(excess(w), excess(centre))):
+                group.append(w)
                 break
         else:
-            out.append((a, b))
-    return out
+            groups.append([w])
+    return [sum(group) / len(group) for group in groups]
+
+
+def _deflate(stem, factor):
+    """Quotient of stem by a monic real factor (both low to high)."""
+    import numpy as np
+    rem, m = stem.copy(), len(factor) - 1
+    quot = np.empty((len(stem) - m, stem.shape[1]))
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + m]
+        rem[k:k + m + 1] -= np.outer(factor, quot[k])
+    return quot
 
 
 def _newton_polish(coeffs, x, steps=40):
@@ -240,23 +219,27 @@ def roots_one_var(p, tol=DEFAULT_TOL):
     Quaternions and octonions take any coefficients; Clifford algebras of
     negative-definite signature take monic paravector polynomials.
 
-    Candidates (alpha, beta >= 0) come from the complex polynomial on the
-    common slice of the coefficients, or else from the real normal
-    polynomial p * p^c of p / scale, and are settled on the stem
-    P(w) = sum_k w^k a_k.  p takes the value F_0 + I F_1 at alpha + beta I,
-    where F_0 + i F_1 = P(alpha + i beta).  A candidate with beta near 0
-    is a real zero.  One where |F_0| + |F_1| is within the residual bound
-    is a sphere of zeros, and that sum is its residual: multiplication by
-    a unit I preserves the norm in these algebras, so the sum bounds |p|
-    at every point of the sphere.  Any other candidate is refined to the
-    one zero alpha + beta I with I = -F_0 F_1^-1; RefinementFailed is
-    raised when that I is not a unit or the zero does not polish below
+    p takes the value F_0 + I F_1 at alpha + beta I, where F_0 + i F_1 =
+    P(alpha + i beta) on the stem P(w) = sum_k w^k a_k of p / scale; a
+    unit I preserves norms here, so |F_0| + |F_1| bounds |p| on the whole
+    sphere alpha + beta S, and it is a sphere's residual.
+
+    Stage one: each real factor divides every real component of p, so
+    R(x) = sum_k x^k <a_k, a_d / |a_d|>, with its own multiplicity.  A
+    root w of R, settled on the stem, with |F_0| + |F_1| within the bound
+    is a real zero when p(Re w) is as small above rounding as p(w), and a
+    sphere of zeros otherwise.  Estimates of one factor are merged into
+    their mean, the factor is divided out, and the search repeats on the
+    quotient q.  Stage two: each zero of q is isolated, alpha + beta I
+    with I = -F_0 F_1^-1 on the sphere of a root alpha + i beta of the
+    normal polynomial q q^c, polished by Newton on p.  RefinementFailed
+    is raised when that I is not a unit or the zero does not polish below
     the bound.  Coefficients that are not finite, or whose norms overflow,
     raise HypersliceError.
 
     tol only decides, through `invert`, whether F_1 (relative to the
-    largest coefficient norm) is invertible; the rank, residual, realness
-    and clustering tests use fixed relative thresholds.
+    largest coefficient norm) is invertible; the residual, realness and
+    merging tests use fixed relative thresholds.
     """
     import numpy as np
     if p.n != 1:
@@ -274,6 +257,8 @@ def roots_one_var(p, tol=DEFAULT_TOL):
     scale = max(norms)
     bound = RESIDUAL_SCALE * (1.0 + scale)
     stem = np.array([a.coeffs_float() for a in coeffs]) / scale
+    # unscaled, so that a tiny leading row does not underflow its norm
+    lead = coeffs[-1].coeffs_float() / norms[-1]
     isolated = []
     spherical = []
     residuals = [0.0]
@@ -290,24 +275,37 @@ def roots_one_var(p, tol=DEFAULT_TOL):
         isolated.append(x)
         residuals.append(res)
 
-    zs = _slice_unit(coeffs, algebra)
-    if zs is None:
-        zs = _normal_coeffs(coeffs, algebra, scale)
-    candidates = _cluster((float(w.real), abs(float(w.imag)))
-                          for w in (_settle(stem, w)
-                                    for w in np.roots(zs[::-1])))
-    for alpha, beta in candidates:
-        value = np.polyval(stem[::-1], complex(alpha, beta))
+    q = stem
+    while len(q) > 1:
+        found = [_settle(q, w) for w in (complex(w.real, abs(w.imag))
+                                         for w in np.roots((q @ lead)[::-1]))
+                 if scale * max(_stem_residual(q, w),
+                                _stem_residual(stem, w)) <= bound]
+        if not found:
+            break
+        excess = partial(_excess, q)
+        for w in _merge(found, excess):
+            alpha, beta = w.real + 0.0, w.imag
+            if _near(w, alpha) or excess(alpha) <= excess(w):
+                accept_isolated(algebra.from_real(alpha))
+                q = _deflate(q, [-alpha, 1.0])
+                continue
+            if not any(_near(w, complex(a, b)) for a, b in spherical):
+                spherical.append((alpha, beta))
+                residuals.append(scale * _stem_residual(stem, w))
+            q = _deflate(q, [alpha ** 2 + beta ** 2, -2.0 * alpha, 1.0])
+    normal = sum(np.convolve(column, column) for column in q.T)
+    if len(q) > 1 and not normal[-1] > 0:
+        raise RefinementFailed(
+            "the normal polynomial underflows: the coefficient norms span "
+            "more than the float range")
+    for w in np.roots(normal[::-1]):
+        alpha, beta = w.real + 0.0, w.imag
+        if beta < 0:
+            continue
+        value = np.polyval(q[::-1], w)
         f0, f1 = (algebra.element(part.tolist())
                   for part in (value.real, value.imag))
-        res = scale * (f0.euclid_norm() + f1.euclid_norm())
-        if beta <= 1e-9 * (1.0 + abs(alpha)):
-            accept_isolated(algebra.from_real(alpha))
-            continue
-        if res <= bound:
-            spherical.append((alpha, beta))
-            residuals.append(res)
-            continue
         try:
             unit_c = -1 * (f0 * invert(f1, tol))
         except NotInvertible as exc:
@@ -319,7 +317,7 @@ def roots_one_var(p, tol=DEFAULT_TOL):
                 or abs(float(nr.real_coeff()) - 1.0) > 1e-4):
             raise RefinementFailed(
                 f"sphere ({alpha:.4g}, {beta:.4g}): recovered direction "
-                f"is not an imaginary unit (residual {res:.2e})")
+                "is not an imaginary unit")
         accept_isolated(algebra.from_real(alpha) + beta * unit_c)
     return ZeroReport(isolated, spherical, max(residuals))
 

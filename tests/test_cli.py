@@ -1,5 +1,6 @@
 """Expression grammar, subcommand dispatch, exit codes, and schemas."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperslice.algebra import algebra_from_json, make_algebra
 from hyperslice.cli import Request, main, run
@@ -232,6 +235,74 @@ def test_roots_of_huge_mixed_coefficients_is_one_json_error():
         capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     check_schema(_strict_json(proc.stderr), "error")
+
+
+def test_roots_keeps_a_repeated_real_zero_next_to_a_mixed_factor():
+    # (x - 2)^2 (x^2 + (0.5i + k) x + (-1 + j)): the real zero 2 is double
+    code, out, _ = invoke(
+        subcommand="roots", algebra="H",
+        poly="x1^4 + (-4 i 0.5 k 1) x1^3 + (3 i -2 j 1 k -4) x1^2 "
+             "+ (4 i 2 j -4 k 4) x1 + (-4 j 4)")
+    assert code == 0
+    payload = _strict_json(out)
+    check_schema(payload, "roots")
+    assert payload["spherical"] == []
+    assert [2.0, 0, 0, 0] in [pytest.approx(x, abs=1e-9)
+                              for x in payload["isolated"]]
+    assert len(payload["isolated"]) == 3
+
+
+def test_cauchy_sample_count_past_the_array_limit_is_one_json_error():
+    # 2^62 nodes: numpy refuses the node array before allocating anything
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperslice.cli", "cauchy", "--poly", "x1",
+         "--radii", "1.5", "--point", "[[0.2,0.3,i]]",
+         "--samples", str(2 ** 62)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    check_schema(_strict_json(proc.stderr), "error")
+
+
+_FUZZ_UNITS = {"H": ["i", "j", "k"],
+               "O": [f"e{k}" for k in range(1, 8)],
+               "clifford(0,3)": ["e1", "e2", "e3"]}
+_SMALL = st.one_of(st.integers(-3, 3),
+                   st.floats(-3, 3).map(lambda v: round(v, 3)))
+
+
+@st.composite
+def _fuzz_roots_argv(draw):
+    """roots argv for a polynomial of degree <= 4 with small coefficients;
+    Clifford ones are monic paravector polynomials."""
+    algebra = draw(st.sampled_from(sorted(_FUZZ_UNITS)))
+    units = _FUZZ_UNITS[algebra]
+    deg = draw(st.integers(1, 4))
+    terms = []
+    for k in range(deg + 1):
+        if k == deg and algebra.startswith("clifford"):
+            coeff = "(1)"
+        else:
+            parts = [str(draw(_SMALL))]
+            for unit in draw(st.lists(st.sampled_from(units), max_size=3,
+                                      unique=True)):
+                parts += [unit, str(draw(_SMALL))]
+            coeff = "(" + " ".join(parts) + ")"
+        terms.append(coeff + (f" x1^{k}" if k else ""))
+    return ["roots", "--algebra", algebra, "--poly", " + ".join(terms)]
+
+
+@settings(deadline=None, max_examples=40, database=None)
+@given(_fuzz_roots_argv())
+def test_roots_fuzz_exits_cleanly_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        check_schema(_strict_json(out.getvalue()), "roots")
+    else:
+        assert out.getvalue() == ""
+        check_schema(_strict_json(err.getvalue()), "error")
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -341,3 +342,153 @@ def test_sphere_residual_bounds_p_on_the_whole_sphere(H, O, rng):
                           + beta * random_imaginary_unit(algebra, rng)])
             .euclid_norm() for _ in range(500))
         assert worst <= report.residual_max * (1 + 1e-9) + 1e-15
+
+
+def _real_factor(algebra, *coeffs):
+    """The real polynomial sum_k coeffs[k] x^k."""
+    return OrderedPolynomial(1, algebra, {(k,): algebra.from_real(c)
+                                          for k, c in enumerate(coeffs)})
+
+
+def _line(algebra, r):
+    return _real_factor(algebra, -r, 1.0)
+
+
+def _sphere(algebra, alpha, rho):
+    return _real_factor(algebra, alpha ** 2 + rho ** 2, -2.0 * alpha, 1.0)
+
+
+def _probe_quadratics(algebra):
+    """Four monic quadratics whose coefficients span more than one slice."""
+    e1, e2, e3, one = (algebra.basis(1), algebra.basis(2), algebra.basis(3),
+                       algebra.one())
+    return [_monic_quadratic(algebra, e1, e2),
+            _monic_quadratic(algebra, 0.5 * e1 + e3, e2 - one),
+            _monic_quadratic(algebra, e1 + 0.5 * e3, one + 2 * e2),
+            _monic_quadratic(algebra, one + 2 * e2, 0.3 * one + 1.5 * e3)]
+
+
+def _isolated_zeros(q):
+    """The two zeros of a quadratic with no real factor, checked on q."""
+    zeros = roots_one_var(q).isolated
+    assert len(zeros) == 2
+    for x in zeros:
+        assert poly_eval(q, [x]).euclid_norm() <= 1e-10
+    return zeros
+
+
+def _report_mismatch(p, reals, spheres, points):
+    """Why roots_one_var(p) differs from these zeros (to 1e-6), or None.
+
+    reals are real zeros, spheres (alpha, beta) pairs of spheres of zeros
+    and points the other zeros, each listed once.
+    """
+    algebra = p.algebra
+    try:
+        report = roots_one_var(p)
+    except HypersliceError as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    want = [algebra.from_real(r) for r in reals] + list(points)
+    got = report.isolated
+    if len(got) != len(want) or len(report.spherical) != len(spheres):
+        return f"wrong counts: {report!r}"
+    for xs, ys in ((want, got), (got, want)):
+        for x in xs:
+            if not any((x - y).euclid_norm() <= 1e-6 for y in ys):
+                return f"{x.format()} unmatched in {report!r}"
+    for xs, ys in ((spheres, report.spherical), (report.spherical, spheres)):
+        for a, b in xs:
+            if not any(abs(a - c) <= 1e-6 and abs(b - d) <= 1e-6
+                       for c, d in ys):
+                return f"sphere ({a}, {b}) unmatched in {report!r}"
+    return None
+
+
+def _product_probe(algebra):
+    """(p, reals, spheres, points): real factors times the probe quadratics."""
+    cases = []
+    for q in _probe_quadratics(algebra):
+        points = _isolated_zeros(q)
+        for r in (2.0, -1.0, 0.5, 3.25, 0.0, 1.0, -2.5):
+            s = _line(algebra, r)
+            cases += [(p, [r], [], points)
+                      for p in (star_product(s, q), star_product(q, s))]
+        for alpha in (0.0, 0.7, -1.3):
+            for rho in (0.01, 0.5, 2.0):
+                s = _sphere(algebra, alpha, rho)
+                cases += [(p, [], [(alpha, rho)], points)
+                          for p in (star_product(s, q), star_product(q, s))]
+        for r in (2.0, -0.5):
+            s = _line(algebra, r)
+            cases.append((star_product(star_product(s, s), q), [r], [],
+                          points))
+        s = _sphere(algebra, 0.0, math.sqrt(1.25))
+        cases.append((star_product(star_product(s, s), q), [],
+                      [(0.0, math.sqrt(1.25))], points))
+    q0 = _probe_quadratics(algebra)[0]
+    for delta in (1e-4, 2e-3):
+        s = star_product(_line(algebra, 1.0), _line(algebra, 1.0 + delta))
+        cases.append((s, [1.0, 1.0 + delta], [], []))
+        cases.append((star_product(s, q0), [1.0, 1.0 + delta], [],
+                      _isolated_zeros(q0)))
+    return cases
+
+
+def test_product_probe_finds_every_real_factor_and_isolated_zero(H, O):
+    # real zeros, spheres (radius down to 0.01, doubled ones too) and
+    # close real zeros next to the two isolated zeros of a quadratic
+    # whose coefficients span several slices
+    failures = []
+    count = 0
+    for algebra in (H, O):
+        for p, reals, spheres, points in _product_probe(algebra):
+            count += 1
+            why = _report_mismatch(p, reals, spheres, points)
+            if why is not None:
+                failures.append(why)
+    assert count == 288
+    assert failures == []
+
+
+def _separated(centres, gap=0.1):
+    return all(abs(u - v) >= gap
+               for k, u in enumerate(centres) for v in centres[:k])
+
+
+def test_seeded_random_products_are_solved(H, O):
+    # well posed: multiplicity at most 2, spheres of radius at least
+    # 0.05, and every real zero, sphere and isolated zero's sphere at
+    # least 0.1 apart in the (alpha, beta) plane
+    rng = random.Random(20261018)
+    failures = []
+    for trial in range(100):
+        algebra = (H, O)[trial % 2]
+        q = _monic_quadratic(algebra, random_element(algebra, rng, span=1.5),
+                             random_element(algebra, rng, span=1.5))
+        points = _isolated_zeros(q)
+        while True:
+            reals, spheres, factors = [], [], []
+            for _ in range(rng.randint(1, 2)):
+                if rng.random() < 0.5:
+                    r = rng.uniform(-2.5, 2.5)
+                    reals.append(r)
+                    s = _line(algebra, r)
+                else:
+                    alpha = rng.uniform(-2.0, 2.0)
+                    rho = rng.uniform(0.05, 2.0)
+                    spheres.append((alpha, rho))
+                    s = _sphere(algebra, alpha, rho)
+                factors += [s] * rng.choice((1, 1, 2))
+            centres = ([complex(r, 0.0) for r in reals]
+                       + [complex(a, b) for a, b in spheres]
+                       + [complex(x.real_coeff(), x.imag_part().euclid_norm())
+                          for x in points])
+            if _separated(centres):
+                break
+        p = q
+        for s in factors:
+            p = star_product(s, p) if rng.random() < 0.5 else star_product(p, s)
+        why = _report_mismatch(p, reals, spheres, points)
+        if why is not None:
+            failures.append(f"trial {trial}: {why}")
+    assert failures == []
