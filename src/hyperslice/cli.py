@@ -12,7 +12,10 @@ HYPERSLICE_TOL environment variable overrides the default tolerance of
 1e-9; it must be a finite number >= 0, or the run exits 2.
 
 eval, diff, regular, product and algebra-dump are exact and never load
-numpy; only cauchy, roots and scan do.
+numpy; only cauchy, roots and scan do.  `main` starts numpy's BLAS on one
+thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
+set: no product here is large enough to use a thread pool, and starting
+one costs each process CPU time.
 """
 
 import argparse
@@ -34,6 +37,8 @@ from .zeros import roots_one_var, scan_samples, zero_scan
 
 SCHEMA = "hyperslice/1"
 EXIT_CLOSED_PIPE = 141
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -332,6 +337,10 @@ def _env_tol():
 
 
 def main(argv=None):
+    if "numpy" not in sys.modules and not any(
+            name in os.environ for name in _BLAS_THREADS):
+        # products are at most (4, N) @ (N, A) or 64 x 64: one thread wins
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
     args = build_parser().parse_args(argv)
     try:
         tol = _env_tol()

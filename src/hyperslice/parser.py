@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from . import sparse
 from .algebra import is_imaginary_unit
-from .errors import (AlgebraMismatch, ExpressionSyntaxError, NotImaginaryUnit,
-                     UnknownBasisName)
+from .errors import (AlgebraMismatch, ExpressionSyntaxError, HypersliceError,
+                     NotImaginaryUnit, UnknownBasisName)
 from .regularity import OrderedPolynomial
 from .slicefun import SlicePoint
 
@@ -154,12 +154,14 @@ class _Parser:
 
     def coeff(self):
         self.take()
-        value = self.algebra.from_real(self.signed_number())
+        # summed per component: adding Elements would add float zeros to an
+        # integer one and round it past 2^53
+        coeffs = [self.signed_number()] + [0] * (self.algebra.dim - 1)
         while True:
             tok = self.peek()
             if tok.kind == "RPAREN":
                 self.take()
-                return value
+                return self.algebra.element(coeffs)
             if tok.kind != "NAME":
                 self.fail("expected a basis name or ')'", tok,
                           expected="a basis name or ')'")
@@ -170,8 +172,8 @@ class _Parser:
                 raise UnknownBasisName(
                     f"unknown basis name {tok.text!r} in {self.algebra.kind}",
                     tok.line, tok.col, expected=f"one of {known}")
-            value = value + self.signed_number() * \
-                self.algebra.basis_named(tok.text)
+            coeffs[self.algebra.basis_index(tok.text)] += \
+                self.signed_number()
 
     def signed_number(self):
         sign = 1
@@ -210,6 +212,9 @@ def parse_expression(src, algebra, nvars=None):
 
 
 def format_real(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        # the grammar has no spelling for it, so no text could read back
+        raise HypersliceError(f"coefficient {v!r} is not a finite number")
     if isinstance(v, Fraction):
         v = int(v) if v.denominator == 1 else float(v)
     if isinstance(v, float) and v.is_integer():

@@ -18,6 +18,7 @@ from .algebra import (DEFAULT_TOL, element_sum, is_imaginary_unit,
 from .errors import (
     AlgebraMismatch,
     BlackBoxUnsupported,
+    HypersliceError,
     NotImaginaryUnit,
     OutsideConvergenceBall,
 )
@@ -176,7 +177,12 @@ class RegularityReport:
 
 
 def is_slice_regular(f):
-    """Exact CR test on the stem; polynomial inputs only."""
+    """Exact CR test on the stem; polynomial inputs only.
+
+    A residual that is not a finite number raises HypersliceError: float
+    coefficients overflowed in the stem or its derivatives, where
+    inf - inf reads nan, so the test cannot tell.
+    """
     F = _require_stem_poly(f)
     violations = []
     worst = 0.0
@@ -187,8 +193,12 @@ def is_slice_regular(f):
             which = "beta" if mask & bit else "alpha"
             K = SubsetIndex(mask & ~bit)
             violations.append((h, K, which))
-            worst = max(worst,
-                        max(c.euclid_norm() for c in poly.values()))
+            norms = [c.euclid_norm() for c in poly.values()]
+            if not all(map(math.isfinite, norms)):
+                raise HypersliceError(
+                    "a CR residual is not a finite number: the "
+                    "coefficients overflow the float range")
+            worst = max(worst, *norms)
     return RegularityReport(violations, worst)
 
 

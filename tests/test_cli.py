@@ -3,13 +3,15 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperslice.algebra import algebra_from_json, make_algebra
@@ -17,6 +19,7 @@ from hyperslice.cli import Request, main, run
 from hyperslice.errors import (DimensionTooLarge, ExpressionSyntaxError,
                                UnknownBasisName, UnsupportedKind)
 from hyperslice.parser import format_poly, parse_expression
+from hyperslice.regularity import OrderedPolynomial
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -72,6 +75,42 @@ def test_round_trip_is_identity_on_the_corpus(H, O):
             p = parse_expression(src, algebra)
             q = parse_expression(format_poly(p), algebra)
             assert q.terms == p.terms and q.n == p.n, src
+
+
+# the grammar reads decimals as floats, so a Fraction reads back equal
+# when a float holds it exactly: a dyadic one
+_ROUND_TRIP_REALS = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.sampled_from([1, 2, 8, 1024])),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _round_trip_polys(draw):
+    """Over H, O or Cl(0,3): n <= 3, total degree <= 3, mixed reals."""
+    A = make_algebra(draw(st.sampled_from(["H", "O", "clifford(0,3)"])))
+    n = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key, budget = [], 3
+        for _ in range(n):
+            key.append(draw(st.integers(0, budget)))
+            budget -= key[-1]
+        coeffs = draw(st.lists(st.one_of(st.just(0), _ROUND_TRIP_REALS),
+                               min_size=A.dim, max_size=A.dim))
+        if any(coeffs):
+            terms[tuple(key)] = A.element(coeffs)
+    return OrderedPolynomial(n, A, terms)
+
+
+@settings(deadline=None, max_examples=100, database=None)
+@given(_round_trip_polys())
+# an integer past 2^53 next to a float component stays exact
+@example(OrderedPolynomial(1, make_algebra("O"), {(1,): make_algebra("O")
+                           .element([0] * 6 + [2 ** 53 + 1, 0.5])}))
+def test_parse_inverts_format_poly(p):
+    assert parse_expression(format_poly(p), p.algebra, nvars=p.n) == p
 
 
 def test_eval_subcommand_multiplies_in_order():
@@ -170,11 +209,18 @@ def test_huge_roots_residual_stays_finite():
 
 
 def test_non_finite_results_exit_2_and_write_nothing():
-    for fmt in ("json", "csv", "text"):
-        code, out, err = invoke(subcommand="eval", algebra="H", poly="x1^2",
-                                point="[[1e200,0,i]]", fmt=fmt)
-        assert code == 2 and out == "", fmt
-        check_schema(_strict_json(err), "error")
+    cases = [dict(subcommand="eval", poly="x1^2", point="[[1e200,0,i]]"),
+             dict(subcommand="diff", poly="(1e308) x1^2"),
+             dict(subcommand="product", poly="(1e200) x1",
+                  times="(1e200) x1"),
+             # 2 * 1e308 overflows in the stem, 6 * 5e307 in its derivative
+             dict(subcommand="regular", poly="(1e308) x1^2"),
+             dict(subcommand="regular", poly="(5e307) x1^3")]
+    for case in cases:
+        for fmt in ("json", "csv", "text"):
+            code, out, err = invoke(algebra="H", fmt=fmt, **case)
+            assert code == 2 and out == "", (case, fmt)
+            check_schema(_strict_json(err), "error")
 
 
 def test_non_finite_numbers_are_syntax_errors():
@@ -228,13 +274,16 @@ def test_roots_keeps_real_zeros_and_spheres_of_mixed_polynomials():
 
 
 def test_roots_of_huge_mixed_coefficients_is_one_json_error():
-    # a subprocess, so that a traceback or a numpy warning would show
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperslice.cli", "roots", "--poly",
-         "x1^2 + (0 i 1e200) x1 + (0 j 1e200)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2 and proc.stdout == ""
-    check_schema(_strict_json(proc.stderr), "error")
+    # a subprocess, so that a traceback or a numpy warning would show;
+    # the root near -1e300 of the second has a stem value whose square
+    # overflows
+    for poly in ("x1^2 + (0 i 1e200) x1 + (0 j 1e200)",
+                 "(1e-300) x1^2 + x1 + (1)"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperslice.cli", "roots", "--poly", poly],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == "", poly
+        check_schema(_strict_json(proc.stderr), "error")
 
 
 def test_roots_keeps_a_repeated_real_zero_next_to_a_mixed_factor():
@@ -552,6 +601,36 @@ def test_exact_subcommands_run_without_numpy(argv):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "False\n"
+    json.loads(proc.stdout)
+
+
+# a child that runs `roots` through the CLI, numpy loaded first or not,
+# and reports the OpenBLAS thread count it leaves in the environment
+_BLAS_PROBE = """\
+import os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from hyperslice.cli import main
+code = main(["roots", "--poly", "x1^2 + (1)"])
+print(os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("order,preset,reported", [
+    ("cli-first", {}, "1"),
+    ("cli-first", {"OMP_NUM_THREADS": "3"}, "None"),
+    ("numpy-first", {}, "None"),
+], ids=["defaults", "user-set-omp", "numpy-loaded-first"])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(order, preset,
+                                                           reported):
+    env = {k: v for k, v in os.environ.items() if k not in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, order],
+                          capture_output=True, text=True,
+                          env={**env, **preset})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{reported}\n"
     json.loads(proc.stdout)
 
 
