@@ -88,21 +88,12 @@ def _random_unit(algebra, rng):
     return algebra.default_imaginary_unit()
 
 
-def _norm(v):
-    """|v| of a real vector, scaled by a power of two: no square overflows."""
-    import numpy as np
-    top = float(np.max(np.abs(v)))
-    if not 0 < top < math.inf:
-        return top
-    scale = math.ldexp(1.0, -math.frexp(top)[1])
-    return float(np.linalg.norm(v * scale)) / scale
-
-
 def _stem_residual(stem, w):
     """|F_0| + |F_1|, where F_0 + i F_1 = P(w) = sum_k w^k stem[k]."""
     import numpy as np
     value = np.polyval(stem[::-1], w)
-    return _norm(value.real) + _norm(value.imag)
+    # hypot scales, so no square overflows and no numpy warning is written
+    return math.hypot(*value.real) + math.hypot(*value.imag)
 
 
 def _excess(stem, w):

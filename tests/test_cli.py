@@ -123,6 +123,17 @@ def test_eval_subcommand_multiplies_in_order():
     assert payload["value"] == [0.0, 0.0, 0.0, 1.0]
 
 
+def test_eval_prints_coefficient_components_as_written():
+    # each component keeps its own type: the integer 2 is not made a float
+    # by the 0.5 next to it
+    code, out, _ = invoke(subcommand="eval", algebra="H", poly="(2 i 0.5)",
+                          point="[[1,0,i]]")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value_str"] == "2 + 0.5i"
+    assert payload["value"] == [2.0, 0.5, 0.0, 0.0]
+
+
 def test_eval_accepts_coefficient_list_units():
     code, out, _ = invoke(subcommand="eval", algebra="H", poly="x1^2",
                           point="[1, 2, [0, 0.6, 0.8, 0]]")
@@ -284,6 +295,16 @@ def test_roots_of_huge_mixed_coefficients_is_one_json_error():
             capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == "", poly
         check_schema(_strict_json(proc.stderr), "error")
+
+
+def test_roots_of_subnormal_coefficients_is_json_on_stdout():
+    # stem values whose largest component is subnormal
+    for poly in ("x1 + (0 i 1e-310)", "x1^2 + (-1 i 1e-310)"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperslice.cli", "roots", "--poly", poly],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", poly
+        check_schema(_strict_json(proc.stdout), "roots")
 
 
 def test_roots_keeps_a_repeated_real_zero_next_to_a_mixed_factor():
