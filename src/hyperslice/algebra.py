@@ -16,7 +16,6 @@ module level, so the exact calculus runs without loading it.
 
 import math
 from fractions import Fraction
-from operator import add
 
 from . import tables
 from .errors import (
@@ -81,6 +80,9 @@ class AlgebraDef:
         self.associative = associative
         self.norm_kind = norm_kind
         self._name_to_index = {n: i for i, n in enumerate(self.basis_names)}
+        # row i holds (k, sign == 1) per j, where e_i e_j = sign * e_k
+        self._rows = tuple(tuple(zip(ri, (s == 1 for s in rs)))
+                           for ri, rs in zip(self.mul_index, self.mul_sign))
         # exactly the fields __eq__ compares
         self._hash = hash((dim, self.mul_index, self.mul_sign,
                            self.conj_signs))
@@ -147,6 +149,23 @@ class AlgebraDef:
         for name, val in mapping.items():
             coeffs[self.basis_index(name)] = val
         return Element(self, tuple(coeffs))
+
+    def product(self, a, b):
+        """Coefficient tuple of ab: the package's one product loop.
+
+        out[k] adds up the nonzero a_i b_j with e_i e_j = +-e_k from an int
+        0, in order of i then j, so float rounding is fixed.
+        """
+        out = [0] * self.dim
+        for x, row in zip(a, self._rows):
+            if x:
+                for (k, positive), y in zip(row, b):
+                    if y:
+                        if positive:
+                            out[k] += x * y
+                        else:
+                            out[k] -= x * y
+        return tuple(out)
 
     # -- numeric support ------------------------------------------------------
 
@@ -226,22 +245,8 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            idx = self.algebra.mul_index
-            sgn = self.algebra.mul_sign
-            out = [0] * self.algebra.dim
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                row_i = idx[i]
-                row_s = sgn[i]
-                for j, b in enumerate(other.coeffs):
-                    if b == 0:
-                        continue
-                    if row_s[j] == 1:
-                        out[row_i[j]] += a * b
-                    else:
-                        out[row_i[j]] -= a * b
-            return Element(self.algebra, tuple(out))
+            return Element(self.algebra,
+                           self.algebra.product(self.coeffs, other.coeffs))
         if isinstance(other, (int, float, Fraction)):
             return Element(self.algebra, tuple(a * other for a in self.coeffs))
         return NotImplemented
@@ -454,17 +459,6 @@ def ordered_product(units, v):
     for u in reversed(tuple(units)):
         result = u * result
     return result
-
-
-def element_sum(algebra, terms):
-    """Sum of Elements of algebra, added left to right on coefficient tuples."""
-    total = (0,) * algebra.dim
-    for t in terms:
-        if t.algebra != algebra:
-            raise AlgebraMismatch(
-                f"summand from {t.algebra.kind}, sum in {algebra.kind}")
-        total = tuple(map(add, total, t.coeffs))
-    return Element(algebra, total)
 
 
 def ordered_inverse_product(units, w, tol=DEFAULT_TOL):

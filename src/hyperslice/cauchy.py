@@ -298,10 +298,10 @@ def _callable_on_grid(f, torus, zs):
     import numpy as np
     units = [torus.J] * torus.n
     values = [f(SlicePoint(torus.algebra, [w.real for w in node],
-                           [w.imag for w in node], units)).coeffs_float()
+                           [w.imag for w in node], units)).coeffs
               for node in itertools.product(*(z.tolist() for z in zs))]
     shape = tuple(len(z) for z in zs) + (torus.algebra.dim,)
-    return np.reshape(values, shape), [None] * torus.n
+    return np.array(values, dtype=float).reshape(shape), [None] * torus.n
 
 
 def cauchy_reconstruct(f, torus, x):

@@ -23,6 +23,7 @@ coefficient list.
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from . import sparse
@@ -216,6 +217,10 @@ def format_real(v):
         # the grammar has no spelling for it, so no text could read back
         raise HypersliceError(f"coefficient {v!r} is not a finite number")
     if isinstance(v, Fraction):
+        # the grammar spells numbers as floats, so 1/3 cannot read back
+        if v.denominator != 1 and not (abs(v) <= sys.float_info.max
+                                       and float(v) == v):
+            raise HypersliceError(f"no float holds the coefficient {v}")
         v = int(v) if v.denominator == 1 else float(v)
     if isinstance(v, float) and v.is_integer():
         v = int(v)
@@ -232,7 +237,7 @@ def format_element(a):
 
 
 def format_poly(p):
-    """Render in the shared grammar; parse(format_poly(p)) == p."""
+    """Grammar text for p: parse(format_poly(p)) == p, or HypersliceError."""
     parts = []
     one = p.algebra.one()
     for key, a in sorted(p.terms.items(),

@@ -11,9 +11,10 @@ the one-variable reduction obtained by freezing all but one variable.
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 from . import sparse
-from .algebra import (DEFAULT_TOL, element_sum, is_imaginary_unit,
+from .algebra import (DEFAULT_TOL, Element, is_imaginary_unit,
                       make_algebra, splitting_basis)
 from .errors import (
     AlgebraMismatch,
@@ -116,8 +117,11 @@ def poly_eval(p, x):
     xs = x.elements() if isinstance(x, SlicePoint) else tuple(x)
     if len(xs) != p.n:
         raise AlgebraMismatch(f"need {p.n} coordinates, got {len(xs)}")
-    return element_sum(p.algebra, (ordered_monomial_eval(ell, a, xs)
-                                   for ell, a in p.terms.items()))
+    total = (0,) * p.algebra.dim
+    for ell, a in p.terms.items():
+        v = ordered_monomial_eval(ell, a, xs)
+        total = tuple(map(add, total, v.coeffs))
+    return Element(p.algebra, total)
 
 
 def poly_to_stem(p):

@@ -3,8 +3,9 @@
 A point of the cone power is held per variable as (alpha_h, beta_h, J_h)
 with beta_h >= 0 and J_h on the unit imaginary sphere.  Evaluating a stem F
 at such a point means summing the ordered unit products [J_K, F_K(z)] over
-all subsets K.  Each F_K(z) and the final sum add up on coefficient tuples,
-so the only Element products are the n 2^(n-1) unit actions.
+all subsets K.  A StemPoly reads each F_K(z) off its term table as a
+coefficient tuple; the n 2^(n-1) unit actions apply AlgebraDef.product to
+tuples and the sum adds tuples, so the result is the only Element formed.
 
 The averaging operators rest on one fiber transform: f is evaluated once at
 each of the 2^n conjugates of a point, and for each K the signed sum
@@ -17,15 +18,15 @@ variable at a time, and the truncated derivatives of a stem stand apart.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .algebra import (
     DEFAULT_TOL,
+    Element,
     cone_decompose,
-    element_sum,
     invert,
     is_imaginary_unit,
     ordered_inverse_product,
-    ordered_product,
 )
 from .errors import (
     AlgebraMismatch,
@@ -121,20 +122,43 @@ class SlicePoint:
 
 
 def _assemble(values, point):
-    """sum over K of [J_K, v_K], units multiplied innermost-last."""
-    return element_sum(point.algebra, (
-        ordered_product(point.mask_units(mask), v)
-        for mask, v in enumerate(values) if any(v.coeffs)))
+    """sum over K of [J_K, v_K] on tuples, units multiplied innermost-last.
+
+    values are coefficient tuples or Elements of the point's algebra.
+    """
+    algebra = point.algebra
+    members = list(enumerate(point.units))[::-1]
+    total = (0,) * algebra.dim
+    for mask, v in enumerate(values):
+        if isinstance(v, Element):
+            if v.algebra != algebra:
+                raise AlgebraMismatch(
+                    f"value from {v.algebra.kind}, point in {algebra.kind}")
+            v = v.coeffs
+        if not any(v):
+            continue
+        for h, unit in members:
+            if mask >> h & 1:
+                v = algebra.product(unit.coeffs, v)
+        total = tuple(map(add, total, v))
+    return Element(algebra, total)
 
 
-def slice_eval(stem, point):
-    """f(x) = sum over K of [J_K, F_K(z)], units multiplied innermost-last."""
+def _stem_values(stem, point):
+    """The 2^n stem values at the point's fiber; tuples for a StemPoly."""
     if stem.algebra != point.algebra:
         raise AlgebraMismatch("stem and point live in different algebras")
     if stem.n != point.n:
         raise AlgebraMismatch(
             f"stem has {stem.n} variables, point has {point.n}")
-    return _assemble(stem.value_at(point.z()).components, point)
+    if stem.is_polynomial:
+        return stem.coeffs_at(point.z())
+    return stem.value_at(point.z()).components
+
+
+def slice_eval(stem, point):
+    """f(x) = sum over K of [J_K, F_K(z)], units multiplied innermost-last."""
+    return _assemble(_stem_values(stem, point), point)
 
 
 def as_point_function(g):
@@ -313,8 +337,8 @@ def truncated_derivative(stem, point, eps, tol=DEFAULT_TOL):
         raise ValueError("eps entries must be 0 or 1")
     kmask = sum(e << h for h, e in enumerate(eps))
     product = _beta_product(point, kmask, tol)
-    vals = stem.value_at(point.z())
-    values = [point.algebra.zero()] * (1 << stem.n)
+    vals = _stem_values(stem, point)
+    values = [(0,) * stem.algebra.dim] * (1 << stem.n)
     for hmask in range(0, 1 << stem.n, 1 << m):
         values[hmask] = vals[hmask | kmask]
     return _assemble(values, point) / product

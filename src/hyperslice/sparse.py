@@ -57,23 +57,16 @@ def dx(p, var):
     return out
 
 
-def value(p, point, zero=0):
-    """p at a point given as one number per exponent slot, added to zero.
-
-    Element terms add up on coefficient tuples; one Element wraps the sum.
-    """
-    wrap = isinstance(zero, Element)
-    total = zero.coeffs if wrap else zero
+def value(p, point):
+    """p at a point, one number per exponent slot; real coefficients only."""
+    total = 0
     for exp, coeff in p.items():
         scalar = 1
         for v, k in zip(point, exp):
             if k:
                 scalar = scalar * v ** k
-        if wrap:
-            total = [a + c * scalar for a, c in zip(total, coeff.coeffs)]
-        else:
-            total = total + coeff * scalar
-    return Element(zero.algebra, tuple(total)) if wrap else total
+        total = total + coeff * scalar
+    return total
 
 
 def max_diff(p, q, scale=1):

@@ -14,9 +14,11 @@ exact coefficients; identities like Leibniz hold with zero tolerance.
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from . import sparse
-from .algebra import decode_number, encode_number
+from .algebra import Element, decode_number, encode_number
 from .errors import AlgebraMismatch, IndexOutOfRange, ParityError
 
 HALF = Fraction(1, 2)
@@ -89,11 +91,6 @@ class StemValue:
                          [a + b for a, b in zip(self.components,
                                                 other.components)])
 
-    def __sub__(self, other):
-        return StemValue(self.n, self.algebra,
-                         [a - b for a, b in zip(self.components,
-                                                other.components)])
-
     def __mul__(self, scalar):
         return StemValue(self.n, self.algebra,
                          [c * scalar for c in self.components])
@@ -103,10 +100,6 @@ class StemValue:
     def __eq__(self, other):
         return (isinstance(other, StemValue) and self.n == other.n
                 and self.components == other.components)
-
-    def approx_eq(self, other, tol):
-        return all((a - b).is_zero(tol)
-                   for a, b in zip(self.components, other.components))
 
     def __repr__(self):
         body = ", ".join(f"{SubsetIndex(m)!r}: {c.format()}"
@@ -145,6 +138,7 @@ class StemPoly:
                     f"component {SubsetIndex(mask)!r} monomial {exp} violates "
                     f"the beta-parity law ({len(bad)} violations total)")
         self.components = comps
+        self._terms = None
 
     @classmethod
     def zero(cls, n, algebra):
@@ -158,14 +152,39 @@ class StemPoly:
         return dict(self.components.get(SubsetIndex(mask), {}))
 
     def value_at(self, z):
-        """Evaluate every component at z = ((alpha_h, beta_h))_h."""
-        flat = []
-        for ab in z:
-            flat.extend(ab)
-        zero = self.algebra.zero()
-        vals = [sparse.value(self.components.get(mask, {}), flat, zero)
-                for mask in range(1 << self.n)]
-        return StemValue(self.n, self.algebra, vals)
+        """Every component at z = ((alpha_h, beta_h))_h, as Elements.
+
+        The values come from the term table (coeffs_at); slice_eval reads
+        those tuples itself and applies the units to them.
+        """
+        return StemValue(self.n, self.algebra,
+                         [Element(self.algebra, c) for c in self.coeffs_at(z)])
+
+    def coeffs_at(self, z):
+        """The 2^n component values at z as coefficient tuples.
+
+        The term table, built on the first call, holds per nonzero
+        component each term's nonzero (slot, exponent) pairs and its
+        coefficient tuple; terms add up one at a time from an int 0.
+        """
+        if self._terms is None:
+            self._terms = [
+                (mask, [([(slot, k) for slot, k in enumerate(exp) if k],
+                         coeff.coeffs) for exp, coeff in poly.items()])
+                for mask, poly in self.components.items()]
+        flat = [v for ab in z for v in ab]
+        zero = (0,) * self.algebra.dim
+        out = [zero] * (1 << self.n)
+        for mask, terms in self._terms:
+            total = zero
+            for pairs, coeffs in terms:
+                scalar = 1
+                for slot, k in pairs:
+                    scalar = scalar * flat[slot] ** k
+                total = tuple(map(add, total, map(mul, coeffs,
+                                                  repeat(scalar))))
+            out[mask] = total
+        return out
 
     def on_slice(self, J):
         """The stem on the slice of J as one polynomial: sum_K J^|K| F_K."""

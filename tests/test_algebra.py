@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperslice.algebra import (
     algebra_from_json,
@@ -290,6 +292,42 @@ def test_ordered_product(H, O, rng):
     v = e[2] + 2 * e[6]
     w = ordered_product(u, v)
     assert ordered_inverse_product(u, w) == v
+
+
+@pytest.mark.parametrize("exact", (False, True), ids=("int", "fraction"))
+def test_quaternion_products_match_sympy(H, rng, exact):
+    # an oracle outside the package: sympy's Hamilton product, i j = k
+    sympy = pytest.importorskip("sympy")
+    from sympy.algebras.quaternion import Quaternion
+    assert H.basis_names == ("1", "i", "j", "k")
+
+    def draw():
+        if exact:
+            return random_element(H, rng, exact=True)
+        return H.element([rng.randint(-9, 9) for _ in range(4)])
+
+    def quaternion(x):
+        return Quaternion(*(sympy.Rational(c.numerator, c.denominator)
+                            for c in x.coeffs))
+
+    for _ in range(100):
+        x, y = draw(), draw()
+        got = (x * y).coeffs
+        want = quaternion(x) * quaternion(y)
+        assert got == tuple(Fraction(int(c.p), int(c.q)) for c in
+                            (want.a, want.b, want.c, want.d))
+        if not exact:
+            assert all(type(c) is int for c in got)
+
+
+@settings(deadline=None, max_examples=100, database=None)
+@given(st.sampled_from(("H", "O")), st.data())
+def test_norm_is_multiplicative_on_fractions(kind, data):
+    A = make_algebra(kind)
+    coeffs = st.lists(st.fractions(-4, 4, max_denominator=12),
+                      min_size=A.dim, max_size=A.dim)
+    x, y = (A.element(data.draw(coeffs)) for _ in range(2))
+    assert norm_sq(x * y) == norm_sq(x) * norm_sq(y)
 
 
 def test_ordered_round_trip_random(O, rng):

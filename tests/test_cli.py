@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from hyperslice.algebra import algebra_from_json, make_algebra
 from hyperslice.cli import Request, main, run
 from hyperslice.errors import (DimensionTooLarge, ExpressionSyntaxError,
-                               UnknownBasisName, UnsupportedKind)
+                               HypersliceError, UnknownBasisName,
+                               UnsupportedKind)
 from hyperslice.parser import format_poly, parse_expression
 from hyperslice.regularity import OrderedPolynomial
 
@@ -111,6 +112,18 @@ def _round_trip_polys(draw):
                            .element([0] * 6 + [2 ** 53 + 1, 0.5])}))
 def test_parse_inverts_format_poly(p):
     assert parse_expression(format_poly(p), p.algebra, nvars=p.n) == p
+
+
+def test_format_poly_refuses_a_fraction_no_float_holds(H):
+    # a decimal reads back as a float, so 1/3 has no spelling that parses
+    # back equal; a Fraction past the float range has none either
+    for c in (Fraction(1, 3), Fraction(3 ** 700, 2)):
+        p = OrderedPolynomial(1, H, {(1,): H.from_real(c)})
+        with pytest.raises(HypersliceError, match="no float holds"):
+            format_poly(p)
+    q = OrderedPolynomial(1, H, {(1,): H.element([Fraction(-5, 4), 0, 3, 0])})
+    assert format_poly(q) == "(-1.25 j 3) x1"
+    assert parse_expression(format_poly(q), H, nvars=1) == q
 
 
 def test_eval_subcommand_multiplies_in_order():
