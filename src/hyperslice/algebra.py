@@ -183,15 +183,18 @@ class AlgebraDef:
 
     def left_mult_matrix(self, x):
         """Matrix L with (x*v).coeffs == v.coeffs @ L for float work."""
-        import numpy as np
-        coeffs = x.coeffs_float() if isinstance(x, Element) else np.asarray(x, float)
-        return np.tensordot(coeffs, self.dense_tensor(), axes=(0, 0))
+        return self._mult_matrix(x, self.dense_tensor())
 
     def right_mult_matrix(self, x):
         """Matrix R with (v*x).coeffs == v.coeffs @ R for float work."""
+        return self._mult_matrix(x, self.dense_tensor().swapaxes(0, 1))
+
+    def _mult_matrix(self, x, tensor):
+        # sum_i x_i tensor[i] as one matmul; multiplying by a basis element
+        # permutes the basis up to sign, so each entry has one nonzero term
         import numpy as np
         coeffs = x.coeffs_float() if isinstance(x, Element) else np.asarray(x, float)
-        return np.tensordot(self.dense_tensor(), coeffs, axes=(1, 0))
+        return (coeffs @ tensor.reshape(self.dim, -1)).reshape(tensor.shape[1:])
 
     def default_imaginary_unit(self):
         """First basis element lying in the unit sphere; the canonical J.

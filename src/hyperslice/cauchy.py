@@ -9,12 +9,13 @@ weights, and each weight is the real part of a product of one-variable
 factors.  The grid sum therefore contracts the boundary values of f one
 angle axis at a time with those factors, and the units act once per
 variable.  The function supplies its boundary values in product form, a
-core and one basis per circle: a polynomial or stem as its coefficients
-and the per-variable monomials on each circle, so no N^n grid is formed,
-and a callable as its values on every node, one call per node.  One array
-kernel serves both.  The pointwise integrand (cauchy_integrand) stays in
-exact Element arithmetic; summed over the same grid it is the oracle for
-that kernel.
+core and one basis per circle: a polynomial or stem as its coefficients on
+the slice (a polynomial expanded there binomially, without its stem) and
+the per-variable monomials on each circle, so no N^n grid is formed, and a
+callable as its values on every node, one call per node.  One array kernel
+serves both; poly_eval or slice_eval gives the direct reference.  The
+pointwise integrand (cauchy_integrand) stays in exact Element arithmetic;
+summed over the same grid it is the oracle for that kernel.
 """
 
 import itertools
@@ -23,17 +24,19 @@ from functools import partial
 from typing import NamedTuple
 
 from . import sparse
-from .algebra import DEFAULT_TOL, invert, norm_sq, ordered_product, trace
+from .algebra import (DEFAULT_TOL, Element, invert, is_imaginary_unit,
+                      norm_sq, ordered_product, trace)
 from .errors import (
     AlgebraMismatch,
     HypersliceError,
     NonAssociativeAlgebra,
+    NotImaginaryUnit,
     NotInQuadraticCone,
     OnSingularSphere,
     PointOutsideE,
     QuadratureSingularity,
 )
-from .regularity import OrderedPolynomial, poly_to_stem
+from .regularity import OrderedPolynomial, poly_eval
 from .slicefun import SlicePoint, slice_eval
 from .stems import StemPoly, stem_product, sigma_tensor
 
@@ -88,7 +91,12 @@ class BoundaryTorus:
                 raise AlgebraMismatch("each variable needs at least one circle")
             norm_circles.append(tuple(row))
         self.circles = tuple(norm_circles)
-        self.J = J if J is not None else algebra.default_imaginary_unit()
+        self.J = J = J if J is not None else algebra.default_imaginary_unit()
+        if isinstance(J, Element) and J.algebra != algebra:
+            raise AlgebraMismatch(
+                f"slice unit from {J.algebra.kind}, torus in {algebra.kind}")
+        if not (isinstance(J, Element) and is_imaginary_unit(J)):
+            raise NotImaginaryUnit(f"{J!r} is not an imaginary unit")
         if samples_per_circle < 1:
             raise HypersliceError(
                 f"samples_per_circle must be at least 1, "
@@ -153,19 +161,13 @@ def _complex_on_slice(algebra, w, J):
     return algebra.from_real(w.real) + w.imag * J
 
 
-def _as_stem(f):
+def _direct_eval(f):
+    """SlicePoint -> f(point) without quadrature; None for a callable f."""
     if isinstance(f, OrderedPolynomial):
-        return poly_to_stem(f)
+        return partial(poly_eval, f)
     if isinstance(f, StemPoly):
-        return f
+        return partial(slice_eval, f)
     return None
-
-
-def _boundary_function(f):
-    stem = _as_stem(f)
-    if stem is not None:
-        return lambda point: slice_eval(stem, point)
-    return f
 
 
 def cauchy_integrand(f, x, t, torus, tol=DEFAULT_TOL):
@@ -182,7 +184,7 @@ def cauchy_integrand(f, x, t, torus, tol=DEFAULT_TOL):
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
     J = torus.J
-    fn = _boundary_function(f)
+    fn = _direct_eval(f) or f
     total = algebra.zero()
     for combo, orient in torus.combos():
         zs = torus.boundary_value(combo, t)
@@ -220,7 +222,7 @@ def cauchy_integrand_product_form(f, x, t, torus, tol=DEFAULT_TOL):
     algebra = torus.algebra
     n = torus.n
     J = torus.J
-    fn = _boundary_function(f)
+    fn = _direct_eval(f) or f
     total = algebra.zero()
     for combo, orient in torus.combos():
         zs = torus.boundary_value(combo, t)
@@ -270,38 +272,45 @@ def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
 # -- reconstruction on the grid -------------------------------------------
 
 
-def _stem_on_grid(stem, torus, zs):
-    """f(xi) in product form, where f is one polynomial: StemPoly.on_slice(J).
+def _stem_on_grid(f, torus, zs):
+    """f(xi) in product form from f.on_slice(J), f a polynomial or a stem.
 
     f(xi) = sum_k core[k_1..k_n] prod_h V_h[t_h, k_h]: V_h holds the distinct
     monomials alpha_h^a beta_h^b of variable h on the N nodes of its circle,
     and the (A_1, ..., A_n, dim) core the coefficients of their products.
     """
     import numpy as np
-    terms = stem.on_slice(torus.J)
+    terms = f.on_slice(torus.J)
     pairs = [sorted({exp[2 * h:2 * h + 2] for exp in terms})
              for h in range(torus.n)]
     index = [{ab: k for k, ab in enumerate(row)} for row in pairs]
     core = np.zeros(tuple(map(len, pairs)) + (torus.algebra.dim,))
     for exp, coeff in terms.items():
         k = tuple(ix[exp[2 * h:2 * h + 2]] for h, ix in enumerate(index))
-        core[k] = coeff.coeffs_float()
+        core[k] = coeff.coeffs
     deg = 1 + max((d for row in pairs for ab in row for d in ab), default=0)
-    bases = [np.vander(z.real, deg, increasing=True)[:, [a for a, _ in row]]
-             * np.vander(z.imag, deg, increasing=True)[:, [b for _, b in row]]
-             for z, row in zip(zs, pairs)]
+    V = np.vander(np.stack([(z.real, z.imag) for z in zs]).ravel(), deg,
+                  increasing=True).reshape(len(zs), 2, -1, deg)
+    bases = [re[:, [a for a, _ in row]] * im[:, [b for _, b in row]]
+             for (re, im), row in zip(V, pairs)]
     return core, bases
 
 
 def _callable_on_grid(f, torus, zs):
     """f(xi) on every grid node, one call per node; no bases (identity)."""
     import numpy as np
+    algebra = torus.algebra
     units = [torus.J] * torus.n
-    values = [f(SlicePoint(torus.algebra, [w.real for w in node],
-                           [w.imag for w in node], units)).coeffs
-              for node in itertools.product(*(z.tolist() for z in zs))]
-    shape = tuple(len(z) for z in zs) + (torus.algebra.dim,)
-    return np.array(values, dtype=float).reshape(shape), [None] * torus.n
+    values = np.empty(tuple(len(z) for z in zs) + (algebra.dim,))
+    for row, node in zip(values.reshape(-1, algebra.dim),
+                         itertools.product(*(z.tolist() for z in zs))):
+        v = f(SlicePoint(algebra, [w.real for w in node],
+                         [w.imag for w in node], units))
+        if not (isinstance(v, Element) and v.algebra == algebra):
+            raise AlgebraMismatch(
+                f"the callable must return Elements of {algebra.kind}: {v!r}")
+        row[:] = v.coeffs
+    return values, [None] * torus.n
 
 
 def cauchy_reconstruct(f, torus, x):
@@ -309,11 +318,13 @@ def cauchy_reconstruct(f, torus, x):
 
     f is an OrderedPolynomial, a StemPoly, or a callable taking a
     SlicePoint to an Element.  The input only supplies boundary values in
-    product form (_reconstruct): a stem as a small core and its monomials
-    per circle, a callable as its value at every node.  Diagnostics report
-    the sample count, the worst kernel conditioning, error_estimate =
-    |Q_N - Q_{N/2}| (None for odd N), and, for polynomial and stem inputs,
-    the disagreement against direct evaluation.
+    product form (_reconstruct): a polynomial or stem as a small core and
+    its monomials per circle, expanded on the slice (a polynomial without
+    forming its stem), a callable as its value at every node.  Diagnostics
+    report the sample count, the worst kernel conditioning, error_estimate
+    = |Q_N - Q_{N/2}| (None for odd N), and, for polynomial and stem
+    inputs, the disagreement against direct evaluation: poly_eval for a
+    polynomial, slice_eval for a stem.
     """
     import numpy as np
     n = torus.n
@@ -323,9 +334,9 @@ def cauchy_reconstruct(f, torus, x):
         raise PointOutsideE(
             "reconstruction point must lie inside the circularized domain")
     N = torus.samples_per_circle
-    stem = _as_stem(f)
-    boundary_values = (partial(_callable_on_grid, f) if stem is None
-                       else partial(_stem_on_grid, stem))
+    reference = _direct_eval(f)
+    boundary_values = partial(
+        _callable_on_grid if reference is None else _stem_on_grid, f)
     try:
         with np.errstate(over="raise", invalid="raise"):
             (value, *half), min_delta = _reconstruct(boundary_values, torus, x)
@@ -340,10 +351,9 @@ def cauchy_reconstruct(f, torus, x):
         "error_estimate": (float((value - half[0]).euclid_norm()) if half
                            else None),
     }
-    if stem is not None:
-        reference = slice_eval(stem, x)
+    if reference is not None:
         diagnostics["disagreement"] = float(
-            (value - reference).euclid_norm())
+            (value - reference(x)).euclid_norm())
     return value, diagnostics
 
 
@@ -376,48 +386,47 @@ def _reconstruct(boundary_values, torus, x):
         # numpy refuses an array this large, or cannot allocate it
         raise HypersliceError(
             f"{N} samples per circle do not fit in memory") from None
-    half = np.where(np.arange(N) % 2, 0.0, 2.0) if N % 2 == 0 else None
-    # per variable, per circle: the nodes z and the weights P as (R, 4, N)
-    circles = []
-    min_delta = math.inf
-    for (a, b), var_circles in zip(x.z(), torus.circles):
-        w = complex(float(a), float(b))
-        row = []
-        for c in var_circles:
-            z = c.center + c.radius * e_it
-            delta = w * w - 2.0 * z.real * w + (z.real ** 2 + z.imag ** 2)
-            min_delta = min(min_delta, float(np.abs(delta).min()))
-            inv = 1.0 / delta
-            vel = c.orientation * c.radius * 1j * e_it
-            P = np.stack([vel * (part(inv) * z.conjugate() - part(w * inv))
-                          for part in (np.real, np.imag)])
-            # real rows, so real boundary values are never cast to complex
-            P = np.concatenate([P.real, P.imag])
-            row.append((z, np.stack([P] if half is None else [P, P * half])))
-        circles.append(row)
+    # every circle of every variable in one pass: nodes z (C, N) and
+    # weights P as (C, rules, 4, N); rows[h] are the circles of variable h
+    circles = [c for var_circles in torus.circles for c in var_circles]
+    ends = list(itertools.accumulate(map(len, torus.circles)))
+    rows = [range(end - len(v), end) for end, v in zip(ends, torus.circles)]
+    center, radius, orientation = np.array(circles, float).T[..., None]
+    w = np.array([complex(float(a), float(b)) for a, b in x.z()])
+    w = w[[h for h, row in enumerate(rows) for _ in row], None]
+    z = center + radius * e_it
+    delta = w * w - 2.0 * z.real * w + (z.real ** 2 + z.imag ** 2)
+    min_delta = float(np.abs(delta).min())
     if min_delta < MIN_DELTA:
         raise QuadratureSingularity(
             f"grid approaches a pole sphere: min |Delta| = "
             f"{min_delta:.2e} < {MIN_DELTA}")
+    inv = 1.0 / delta
+    w_inv, zc = w * inv, z.conjugate()
+    vel = orientation * radius * 1j * e_it
+    parts = [vel * (part(inv) * zc - part(w_inv))
+             for part in (np.real, np.imag)]
+    # real rows, so real boundary values are never cast to complex
+    P = np.stack([p.real for p in parts] + [p.imag for p in parts], axis=1)
+    W = P[:, None] if N % 2 else np.stack(
+        [P, P * np.where(np.arange(N) % 2, 0.0, 2.0)], axis=1)
     # S[rule, dim, b_1, ..., b_n] = sum over the grid of prod_h P_h,b_h f
     S = 0
-    for combo in itertools.product(*circles):
-        core, bases = boundary_values(torus, [z for z, _ in combo])
+    for combo in itertools.product(*rows):
+        core, bases = boundary_values(torus, [z[c] for c in combo])
         s = core[None]
-        for (_, weights), V in zip(combo, bases):
-            if V is not None:
-                weights = weights @ V
+        for c, V in zip(combo, bases):
+            weights = W[c] if V is None else W[c] @ V
             r = weights @ s.reshape(*s.shape[:2], math.prod(s.shape[2:]))
             r = r.reshape(r.shape[:2] + s.shape[2:])
             s = np.moveaxis(r[:, :2] + 1j * r[:, 2:], 1, -1)
         S = S + s
     # v = Re + J Im, then u_1(...(u_n v)) summed over the bits, innermost
     # variable first, through the left-multiplication matrices
-    L = algebra.left_mult_matrix
     T = np.moveaxis(S, 1, -1) * ((-1j) ** n / N ** n)
-    T = T.real + T.imag @ L(torus.J)
+    T = T.real + T.imag @ algebra.left_mult_matrix(torus.J)
     for u in reversed(x.units):
-        T = T[..., 0, :] + T[..., 1, :] @ L(u)
+        T = T[..., 0, :] + T[..., 1, :] @ algebra.left_mult_matrix(u)
     return [algebra.element(t.tolist()) for t in T], min_delta
 
 

@@ -90,6 +90,24 @@ class OrderedPolynomial:
                 and self.algebra == other.algebra
                 and self.terms == other.terms)
 
+    def on_slice(self, J):
+        """The polynomial on the slice of J, keyed like StemPoly.on_slice.
+
+        There the variables commute, so x^l a = prod_h (alpha_h +
+        beta_h J)^l_h a expands binomially, J^b a being a, Ja, -a or -Ja.
+        """
+        out = {}
+        for ell, a in self.terms.items():
+            ja = J * a
+            units = (a, ja, -a, -ja)
+            expansion = [((), 1, 0)]
+            for e in ell:
+                expansion = [(exp + (e - b, b), c * math.comb(e, b), k + b)
+                             for exp, c, k in expansion for b in range(e + 1)]
+            for exp, c, k in expansion:
+                sparse.add_term(out, exp, c * units[k % 4])
+        return out
+
     def partial(self, h):
         """Slice partial derivative: l_h x^{l - e_h} a termwise."""
         return OrderedPolynomial(self.n, self.algebra,

@@ -404,3 +404,18 @@ def test_trace_symmetry(H, O, CL11, rng):
             a = trace(x * y).real_coeff()
             b = trace(y * x).real_coeff()
             assert abs(a - b) < 1e-9
+
+
+def test_multiplication_matrices_are_exact(H, O, CL03, CL11, rng):
+    import numpy as np
+    for A in (H, O, CL03, CL11):
+        M = A.dense_tensor()
+        for _ in range(10):
+            x, v = random_element(A, rng), random_element(A, rng)
+            c = x.coeffs_float()
+            L, R = A.left_mult_matrix(x), A.right_mult_matrix(x)
+            # one nonzero term per entry, so any summation order agrees
+            assert np.array_equal(L, np.tensordot(c, M, axes=(0, 0)))
+            assert np.array_equal(R, np.tensordot(M, c, axes=(1, 0)))
+            assert np.allclose(v.coeffs_float() @ L, (x * v).coeffs_float())
+            assert np.allclose(v.coeffs_float() @ R, (v * x).coeffs_float())

@@ -15,7 +15,8 @@ from hyperslice.cauchy import (BoundaryTorus, Circle, KernelPoint,
                                char_poly, kernel_stem_symbolic,
                                rational_stem_is_regular, slice_cauchy_kernel)
 from hyperslice.errors import (AlgebraMismatch, NonAssociativeAlgebra,
-                               NotInQuadraticCone, OnSingularSphere,
+                               NotImaginaryUnit, NotInQuadraticCone,
+                               OnSingularSphere,
                                PointOutsideE, QuadratureSingularity)
 from hyperslice.regularity import OrderedPolynomial, poly_to_stem
 from hyperslice.slicefun import SlicePoint, representation_eval, slice_eval
@@ -467,3 +468,107 @@ def test_kernel_stem_is_slice_regular_symbolically(H):
         direct = slice_cauchy_kernel(x, ys)
         via_stem = slice_eval(numer, x) * (1.0 / float(denom_at(x.z())))
         assert (direct - via_stem).is_zero(1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["H", "O", "CL03"])
+def test_polynomial_on_the_slice_is_its_stem_on_the_slice(name, n, request,
+                                                          rng):
+    # the binomial expansion of x^l a on C_J, term for term against the
+    # stem collapsed onto the slice, in exact arithmetic
+    A = request.getfixturevalue(name)
+    units = [A.default_imaginary_unit(), A.basis(2)]
+    assert units[1] != units[0]
+    for _ in range(15):
+        p = random_poly(n, A, rng, deg=3, exact=True)
+        for J in units:
+            assert p.on_slice(J) == poly_to_stem(p).on_slice(J)
+    assert OrderedPolynomial.zero(n, A).on_slice(units[0]) == {}
+
+
+def test_polynomial_reconstruction_never_forms_the_stem(H, monkeypatch):
+    import sys
+
+    def forbidden(*args):
+        raise AssertionError("the polynomial went through its stem")
+
+    for mod in [m for k, m in sys.modules.items()
+                if k.startswith("hyperslice")]:
+        for name in ("poly_to_stem", "monomial_stem"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    i, j = H.basis_named("i"), H.basis_named("j")
+    f = OrderedPolynomial(2, H, {(2, 1): H.one() + j, (1, 0): i})
+    torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=16)
+    x = SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [i, j])
+    value, diag = cauchy_reconstruct(f, torus, x)
+    assert diag["disagreement"] < 1e-6
+
+
+@pytest.mark.parametrize("name", ["H", "O", "CL03"])
+def test_polynomial_stem_and_callable_agree_on_an_annulus(name, request,
+                                                          rng):
+    A = request.getfixturevalue(name)
+    J = random_imaginary_unit(A, rng)
+    assert J != A.default_imaginary_unit()
+    torus = BoundaryTorus(A, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],
+                              [(0.1, 1.4, 1)]], J=J, samples_per_circle=64)
+    x = SlicePoint(A, [0.1, 0.2], [0.8, 0.3],
+                   [random_imaginary_unit(A, rng) for _ in range(2)])
+    p = random_poly(2, A, rng, deg=3, exact=False)
+    stem = poly_to_stem(p)
+    ref, diag = cauchy_reconstruct(p, torus, x)
+    assert ref.euclid_norm() > 0.1
+    for source in (stem, lambda q: slice_eval(stem, q)):
+        value, _ = cauchy_reconstruct(source, torus, x)
+        assert (value - ref).euclid_norm() <= 1e-12 * ref.euclid_norm()
+    # (0.5 / |x_1|)^64 is below rounding: the direct reference agrees too
+    assert diag["disagreement"] <= 1e-10 * ref.euclid_norm()
+
+
+def test_boundary_torus_refuses_a_bad_slice_unit(H, O):
+    i, j = H.basis_named("i"), H.basis_named("j")
+    for J in (2 * i, 1.0, i + j, H.one(), H.zero()):
+        with pytest.raises(NotImaginaryUnit):
+            BoundaryTorus.discs(H, [1.5], J=J)
+    with pytest.raises(AlgebraMismatch):
+        BoundaryTorus.discs(H, [1.5], J=O.basis(1))
+    # a unit given in floats, as the CLI parses it, passes
+    s2 = 1 / math.sqrt(2)
+    assert BoundaryTorus.discs(H, [1.5], J=(i + j) * s2).J == (i + j) * s2
+
+
+def test_callable_values_of_the_wrong_type_raise_a_typed_error(H, O, CL11):
+    i = H.basis_named("i")
+    torus = BoundaryTorus.discs(H, [1.5], samples_per_circle=32)
+    x = SlicePoint(H, [0.2], [0.3], [i])
+    # Cl(1,1) has H's dimension but another table; O another dimension
+    for value in (CL11.basis(1), O.basis(1), 1.0):
+        with pytest.raises(AlgebraMismatch):
+            cauchy_reconstruct(lambda p, v=value: v, torus, x)
+    # Cl(0,2) has H's table, so its values are quaternions
+    C02 = make_algebra("clifford", (0, 2))
+    value, _ = cauchy_reconstruct(lambda p: C02.basis(3), torus, x)
+    assert (value - H.basis_named("k")).is_zero(1e-12)
+
+
+def test_callable_reconstruction_keeps_one_float_per_value(O, rng):
+    # O, n = 2, N = 32: 1024 nodes of 8 floats are 64 KiB as an array
+    f = OrderedPolynomial(2, O, {(2, 1): random_element(O, rng),
+                                 (1, 0): random_element(O, rng)})
+    stem = poly_to_stem(f)
+    e = [O.basis(idx) for idx in range(8)]
+    x = SlicePoint(O, [0.2, 0.1], [0.3, 0.4], [e[1], e[4]])
+    torus = BoundaryTorus.discs(O, [1.5, 1.5], samples_per_circle=32)
+
+    def g(p):
+        return slice_eval(stem, p)
+
+    cauchy_reconstruct(g, torus, x)
+    tracemalloc.start()
+    try:
+        cauchy_reconstruct(g, torus, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 10
