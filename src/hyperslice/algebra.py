@@ -22,6 +22,7 @@ from .errors import (
     AlgebraMismatch,
     DimensionTooLarge,
     EmptyUnitSphere,
+    HypersliceError,
     NotImaginaryUnit,
     NotInQuadraticCone,
     NotInvertible,
@@ -48,15 +49,20 @@ def encode_number(x):
 
 
 def decode_number(v):
-    """Inverse of encode_number."""
+    """Inverse of encode_number; anything it would not write is refused.
+
+    Text other than an int or 'p/q' with q nonzero, a bool, a float that
+    is not finite, or another type raises HypersliceError.
+    """
     if isinstance(v, str):
         num, _, den = v.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    if isinstance(v, bool):
-        raise TypeError("bool is not a coefficient")
-    if isinstance(v, (int, float)):
+        try:
+            return Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif type(v) is int or (type(v) is float and math.isfinite(v)):
         return v
-    raise TypeError(f"cannot parse coefficient {v!r}")
+    raise HypersliceError(f"cannot parse coefficient {v!r}")
 
 
 class AlgebraDef:

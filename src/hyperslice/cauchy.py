@@ -1,21 +1,24 @@
 """Cauchy kernels and reconstruction on products of discs and annuli.
 
 The boundary torus is a product of real-centered circles on one slice,
-parametrized by xi_h(t) = c_h + r_h e^{Jt}.  Reconstruction integrates the
-non-associative integrand over the angle torus with the tensor trapezoid
-rule.  On the slice every kernel factor is a complex number a + b u_h, so
-the integrand is a sum of unit words u_1^b1(...(u_n^bn(J^b0 f))) with real
-weights, and each weight is the real part of a product of one-variable
-factors.  The grid sum therefore contracts the boundary values of f one
-angle axis at a time with those factors, and the units act once per
-variable.  The function supplies its boundary values in product form, a
-core and one basis per circle: a polynomial or stem as its coefficients on
-the slice (a polynomial expanded there binomially, without its stem) and
-the per-variable monomials on each circle, so no N^n grid is formed, and a
-callable as its values on every node, one call per node.  One array kernel
-serves both; poly_eval or slice_eval gives the direct reference.  The
-pointwise integrand (cauchy_integrand) stays in exact Element arithmetic;
-summed over the same grid it is the oracle for that kernel.
+parametrized by xi_h(t) = c_h + r_h e^{Jt}.  cauchy_reconstruct, the one
+Cauchy engine, integrates the non-associative subset-expanded integrand
+over the angle torus with the tensor trapezoid rule.  On the slice every
+kernel factor is a complex number a + b u_h, so the integrand is a sum of
+unit words u_1^b1(...(u_n^bn(J^b0 f))) with real weights, and each weight
+is the real part of a product of one-variable factors.  The grid sum
+therefore contracts the boundary values of f one angle axis at a time with
+those factors, and the units act once per variable.  The function supplies
+its boundary values in product form, a core and one basis per circle: a
+polynomial or stem as its coefficients on the slice (a polynomial expanded
+there binomially, without its stem) and the per-variable monomials on each
+circle, so no N^n grid is formed, and a callable as its values on every
+node, one call per node.  poly_eval or slice_eval gives the direct
+reference.  slice_cauchy_kernel is the closed-form kernel of associative
+algebras at one point.  The pointwise integrand in exact Element
+arithmetic, the oracle the engine is tested against, and the symbolic
+proof that the closed-form kernel is slice regular live in
+tests/oracles.py.
 """
 
 import itertools
@@ -23,7 +26,6 @@ import math
 from functools import partial
 from typing import NamedTuple
 
-from . import sparse
 from .algebra import (DEFAULT_TOL, Element, invert, is_imaginary_unit,
                       norm_sq, ordered_product, trace)
 from .errors import (
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .regularity import OrderedPolynomial, poly_eval
 from .slicefun import SlicePoint, slice_eval
-from .stems import StemPoly, stem_product, sigma_tensor
+from .stems import StemPoly
 
 MIN_DELTA = 1e-3
 
@@ -51,16 +53,6 @@ def char_poly(q, p, tol=DEFAULT_TOL):
         raise NotInQuadraticCone(
             "the sphere parameter needs real trace and norm")
     return p * p - p * t.real_coeff() + p.algebra.from_real(nq.real_coeff())
-
-
-def cauchy_kernel_1var(x, y, tol=DEFAULT_TOL):
-    """Delta_y(x)^{-1} (y^c - x); the slice-regular reciprocal of x - y."""
-    delta = char_poly(y, x)
-    if delta.euclid_norm() < MIN_DELTA:
-        raise OnSingularSphere(
-            f"point lies on or near the sphere of the pole "
-            f"(|Delta| = {delta.euclid_norm():.2e})")
-    return invert(delta, tol) * (y.conj() - x)
 
 
 class Circle(NamedTuple):
@@ -157,10 +149,6 @@ class KernelPoint:
                 f"{MIN_DELTA}; the kernel degenerates on pole spheres")
 
 
-def _complex_on_slice(algebra, w, J):
-    return algebra.from_real(w.real) + w.imag * J
-
-
 def _direct_eval(f):
     """SlicePoint -> f(point) without quadrature; None for a callable f."""
     if isinstance(f, OrderedPolynomial):
@@ -168,77 +156,6 @@ def _direct_eval(f):
     if isinstance(f, StemPoly):
         return partial(slice_eval, f)
     return None
-
-
-def cauchy_integrand(f, x, t, torus, tol=DEFAULT_TOL):
-    """The subset-expanded integrand at one angle tuple, exact Elements.
-
-    Sums over all circle choices of the torus.  Each subset K contributes
-    sign (-1)^(n-|K|), per-variable factors Delta^{-1} (h in K) or
-    Delta^{-1} x_h (h outside K), and the right factor built from the
-    conjugated boundary coordinates over K, the velocity product, the
-    J power, and the boundary value of f.
-    """
-    algebra = torus.algebra
-    n = torus.n
-    if x.n != n:
-        raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
-    J = torus.J
-    fn = _direct_eval(f) or f
-    total = algebra.zero()
-    for combo, orient in torus.combos():
-        zs = torus.boundary_value(combo, t)
-        point = SlicePoint(algebra, [w.real for w in zs],
-                           [w.imag for w in zs], [J] * n)
-        fval = fn(point)
-        # velocity product and J^{-n}, all complex on the slice
-        vel = 1 + 0j
-        for c, ang in zip(combo, t):
-            vel *= c.radius * complex(-math.sin(ang), math.cos(ang))
-        jpow = (-1j) ** n
-        xs = [x.element(h) for h in range(1, n + 1)]
-        deltas = []
-        for h in range(n):
-            d = char_poly(_complex_on_slice(algebra, zs[h], J), xs[h])
-            if d.euclid_norm() < MIN_DELTA:
-                raise OnSingularSphere(
-                    f"boundary angle hits the sphere of variable {h + 1}")
-            deltas.append(invert(d, tol))
-        for kmask in range(1 << n):
-            sign = (-1) ** (n - bin(kmask).count("1"))
-            q = complex(sign, 0) * vel * jpow
-            for h in range(n):
-                if kmask >> h & 1:
-                    q *= zs[h].conjugate()
-            v = _complex_on_slice(algebra, q, J) * fval
-            factors = [deltas[h] if kmask >> h & 1 else deltas[h] * xs[h]
-                       for h in range(n)]
-            total = total + orient * ordered_product(factors, v)
-    return total
-
-
-def cauchy_integrand_product_form(f, x, t, torus, tol=DEFAULT_TOL):
-    """Nested one-variable kernels; valid when x lies inside the domain."""
-    algebra = torus.algebra
-    n = torus.n
-    J = torus.J
-    fn = _direct_eval(f) or f
-    total = algebra.zero()
-    for combo, orient in torus.combos():
-        zs = torus.boundary_value(combo, t)
-        point = SlicePoint(algebra, [w.real for w in zs],
-                           [w.imag for w in zs], [J] * n)
-        vel = 1 + 0j
-        for c, ang in zip(combo, t):
-            vel *= c.radius * complex(-math.sin(ang), math.cos(ang))
-        q = vel * (-1j) ** n
-        v = _complex_on_slice(algebra, q, J) * fn(point)
-        kernels = [cauchy_kernel_1var(x.element(h + 1),
-                                      _complex_on_slice(algebra, zs[h], J),
-                                      tol)
-                   for h in range(n)]
-        total = total + orient * ordered_product(kernels, v)
-    return total
 
 
 def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
@@ -428,106 +345,3 @@ def _reconstruct(boundary_values, torus, x):
     for u in reversed(x.units):
         T = T[..., 0, :] + T[..., 1, :] @ algebra.left_mult_matrix(u)
     return [algebra.element(t.tolist()) for t in T], min_delta
-
-
-# -- symbolic regularity of the closed-form kernel -------------------------
-
-
-def kernel_stem_symbolic(algebra, ys_complex, J):
-    """Stem of x -> C(x, y) as (numerator stem, real denominator).
-
-    ys_complex are the poles as exact complex pairs (re, im) on the slice
-    of J.  Every kernel component equals numerator / denominator with the
-    denominator the product of the squared moduli of the characteristic
-    factors, so the CR system can be checked by polynomial identities.
-    """
-    n = len(ys_complex)
-    sigma = sigma_tensor(n)
-    one = algebra.one()
-
-    def lift(h, poly):
-        # a polynomial in (alpha_h, beta_h) as one in all 2n variables
-        out = {}
-        for (ea, eb), c in poly.items():
-            exp = [0] * (2 * n)
-            exp[2 * (h - 1)] = ea
-            exp[2 * (h - 1) + 1] = eb
-            out[tuple(exp)] = c
-        return out
-
-    def var_stem(h, comps):
-        return StemPoly(n, algebra, {local_mask << (h - 1): lift(h, poly)
-                                     for local_mask, poly in comps.items()})
-
-    numer = StemPoly.zero(n, algebra)
-    denom = {(0,) * (2 * n): 1}
-    for h, (re, im) in enumerate(ys_complex, start=1):
-        t = 2 * re
-        nq = re * re + im * im
-        # |delta_h|^2 as a real polynomial in (alpha_h, beta_h)
-        dre = {(2, 0): 1, (0, 2): -1, (1, 0): -t, (0, 0): nq}
-        dim_ = {(1, 1): 2, (0, 1): -t}
-        sq = sparse.mul(dre, dre)
-        sparse.add_into(sq, sparse.mul(dim_, dim_))
-        denom = sparse.mul(denom, lift(h, sq))
-    for kmask in range(1 << n):
-        sign = (-1) ** (n - bin(kmask).count("1"))
-        term = None
-        for h, (re, im) in enumerate(ys_complex, start=1):
-            t = 2 * re
-            nq = re * re + im * im
-            conj_delta = var_stem(h, {
-                0: {(2, 0): one, (0, 2): -1 * one, (1, 0): -t * one,
-                    (0, 0): nq * one},
-                1: {(1, 1): -2 * one, (0, 1): t * one},
-            })
-            if not kmask >> (h - 1) & 1:
-                xh = var_stem(h, {0: {(1, 0): one}, 1: {(0, 1): one}})
-                conj_delta = stem_product(conj_delta, xh, sigma)
-            term = conj_delta if term is None else \
-                stem_product(term, conj_delta, sigma)
-        yc = algebra.one()
-        for h, (re, im) in enumerate(ys_complex, start=1):
-            if kmask >> (h - 1) & 1:
-                yc = yc * (algebra.from_real(re) - im * J)
-        term = stem_product(term, StemPoly.constant(yc, n), sigma)
-        numer = numer + sign * term
-    return numer, denom
-
-
-def rational_stem_is_regular(numer, denom):
-    """CR system for numer/denom with a real scalar denominator, exactly.
-
-    Checks, for every variable and component, the cleared identity
-    (d/dz-bar numer) * denom = quotient-rule correction, so no rational
-    arithmetic is needed.
-    """
-    from fractions import Fraction
-
-    n = numer.n
-    algebra = numer.algebra
-    half = Fraction(1, 2)
-    for h in range(1, n + 1):
-        va, vb = 2 * (h - 1), 2 * (h - 1) + 1
-        d_da = sparse.dx(denom, va)
-        d_db = sparse.dx(denom, vb)
-        bit = 1 << (h - 1)
-        masks = set(numer.components) | {m ^ bit for m in numer.components}
-        for mask in masks:
-            sign = -1 if mask & bit else 1
-            A = numer.components.get(mask, {})
-            Ax = numer.components.get(mask ^ bit, {})
-            # lhs: (cr-bar of the numerator stem)_mask times denom
-            lhs = {}
-            sparse.add_into(lhs, sparse.mul(sparse.dx(A, va), denom), half)
-            sparse.add_into(lhs, sparse.mul(sparse.dx(Ax, vb), denom),
-                            -half * sign)
-            # rhs: quotient-rule correction
-            rhs = {}
-            sparse.add_into(rhs, sparse.mul(A, d_da), half)
-            sparse.add_into(rhs, sparse.mul(Ax, d_db), -half * sign)
-            sparse.add_into(lhs, rhs, -1)
-            if lhs:
-                return False
-    return True
-

@@ -58,10 +58,6 @@ class ParityError(HypersliceError):
     """Stem component violates the even/odd parity law in some beta_h."""
 
 
-class OutsideDomain(HypersliceError):
-    """Evaluation point lies outside the declared domain."""
-
-
 class SphereMismatch(HypersliceError):
     """Representation formula applied to points on different sphere orbits."""
 

@@ -1,11 +1,13 @@
-"""Ordered polynomials, power series, and slice-regularity checks.
+"""Ordered polynomials, power series, and the slice-regularity check.
 
 Ordered monomials put every coefficient on the right: x^l a means
 x_1^{l_1}(x_2^{l_2}(... a)), multiplied innermost-first.  Polynomials and
-convergent series in this shape are exactly the slice regular functions
-this module certifies, three independent ways: the component CR equations
-on the stem, classical holomorphy after a splitting decomposition, and
-the one-variable reduction obtained by freezing all but one variable.
+convergent series in this shape are exactly the slice regular functions.
+is_slice_regular certifies a polynomial or polynomial stem exactly, by the
+Cauchy-Riemann system on the stem (stems.cr_partial_bar).  Two independent
+routes to the same answer, classical holomorphy after a splitting
+decomposition and the one-variable reduction, are the oracles for that
+check in tests/oracles.py.
 """
 
 import math
@@ -14,13 +16,11 @@ from fractions import Fraction
 from operator import add
 
 from . import sparse
-from .algebra import (DEFAULT_TOL, Element, is_imaginary_unit,
-                      make_algebra, splitting_basis)
+from .algebra import Element, make_algebra
 from .errors import (
     AlgebraMismatch,
     BlackBoxUnsupported,
     HypersliceError,
-    NotImaginaryUnit,
     OutsideConvergenceBall,
 )
 from .slicefun import SlicePoint
@@ -334,142 +334,6 @@ def series_eval(s, x, rho):
         if term < 1e-17 * (tail + 1e-300):
             break
     return total, tail
-
-
-# -- splitting decomposition ---------------------------------------------
-
-
-def _solve_exact(matrix, vec):
-    """Gaussian elimination; integer entries promoted to keep divisions exact."""
-    def lift(x):
-        return Fraction(x) if isinstance(x, int) else x
-
-    m = [[lift(e) for e in row] + [lift(v)]
-         for row, v in zip(matrix, vec)]
-    size = len(m)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            raise AlgebraMismatch("singular decomposition matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [e / pv for e in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
-
-
-class SplitReport:
-    def __init__(self, max_residual, failures):
-        self.max_residual = max_residual
-        self.failures = tuple(failures)
-        self.ok = not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        state = "ok" if self.ok else f"{len(self.failures)} failures"
-        return f"SplitReport({state}, max residual {self.max_residual:.3g})"
-
-
-def split_holomorphy_check(f, J, samples_grid=None, tol=DEFAULT_TOL):
-    """Classical holomorphy of the splitting components on one slice.
-
-    Restricts f to the slice of J, writes it over the splitting basis
-    {1, J, J_1, JJ_1, ...} as complex coefficient pairs, and checks both
-    CR equations per component and variable symbolically.  samples_grid,
-    if given, is a list of z tuples where residuals are also evaluated
-    numerically for the report.
-    """
-    F = _require_stem_poly(f)
-    if not is_imaginary_unit(J, tol):
-        raise NotImaginaryUnit("splitting needs a unit imaginary J")
-    basis = splitting_basis(J, tol)
-    dim = F.algebra.dim
-    restricted = F.on_slice(J)
-    # coordinates over the splitting basis, one real polynomial per axis
-    mat = [[basis[col].coeffs[row] for col in range(dim)]
-           for row in range(dim)]
-    axis_polys = [dict() for _ in range(dim)]
-    for exp, c in restricted.items():
-        coords = _solve_exact(mat, list(c.coeffs))
-        for axis, w in enumerate(coords):
-            if w != 0:
-                axis_polys[axis][exp] = w
-    failures = []
-    worst = 0
-    for ell in range(dim // 2):
-        P, Q = axis_polys[2 * ell], axis_polys[2 * ell + 1]
-        for h in range(1, F.n + 1):
-            va, vb = 2 * (h - 1), 2 * (h - 1) + 1
-            r1 = sparse.max_diff(sparse.dx(P, va), sparse.dx(Q, vb))
-            r2 = sparse.max_diff(sparse.dx(P, vb), sparse.dx(Q, va), -1)
-            r = max(r1, r2)
-            if r > 0:
-                failures.append((ell, h, float(r)))
-                worst = max(worst, r)
-    if samples_grid:
-        worst = float(worst)
-        for ell, h, _ in failures:
-            P, Q = axis_polys[2 * ell], axis_polys[2 * ell + 1]
-            va, vb = 2 * (h - 1), 2 * (h - 1) + 1
-            d1 = sparse.dx(P, va)
-            d2 = sparse.dx(Q, vb)
-            for z in samples_grid:
-                flat = [c for ab in z for c in ab]
-                v1 = sparse.value(d1, flat)
-                v2 = sparse.value(d2, flat)
-                worst = max(worst, abs(float(v1 - v2)))
-    return SplitReport(float(worst), failures)
-
-
-# -- one-variable reduction -----------------------------------------------
-
-
-class OneVariableReport:
-    def __init__(self, ok, failures):
-        self.ok = ok
-        self.failures = tuple(failures)
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        state = "ok" if self.ok else f"{len(self.failures)} failures"
-        return f"OneVariableReport({state})"
-
-
-def one_variable_regularity_check(f):
-    """Regularity via the one-variable stems of every truncated derivative.
-
-    For each variable h and each 0/1 prefix over the earlier variables,
-    the truncated derivative is a one-variable function of x_h whose stem
-    components are polynomials in the frozen variables left-multiplied by
-    the frozen units.  Left factors are constant for the x_h derivatives,
-    so the CR pair may be checked block by block in the frozen subsets;
-    each block is one pair of component equations of the full system.
-    """
-    F = _require_stem_poly(f)
-    n = F.n
-    failures = []
-    for h in range(1, n + 1):
-        bit = 1 << (h - 1)
-        va, vb = 2 * (h - 1), 2 * (h - 1) + 1
-        for base in range(1 << n):
-            if base & bit:
-                continue
-            # one-variable stem pair in x_h for the block base = K' | H-
-            G0 = F.components.get(base, {})
-            G1 = F.components.get(base | bit, {})
-            r1 = sparse.max_diff(sparse.dx(G0, va), sparse.dx(G1, vb))
-            r2 = sparse.max_diff(sparse.dx(G0, vb), sparse.dx(G1, va), -1)
-            if max(r1, r2) > 0:
-                failures.append((h, SubsetIndex(base & (bit - 1)),
-                                 SubsetIndex(base & ~(2 * bit - 1))))
-    return OneVariableReport(not failures, failures)
 
 
 def slice_tensor_product(f, g):

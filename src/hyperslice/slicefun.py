@@ -32,10 +32,9 @@ from .errors import (
     AlgebraMismatch,
     NotImaginaryUnit,
     OnRealLocus,
-    OutsideDomain,
     SphereMismatch,
 )
-from .stems import CallableStem, SubsetIndex
+from .stems import CallableStem
 
 
 class SlicePoint:
@@ -253,27 +252,6 @@ def sliceness_residual(f, point, source_units, tol=DEFAULT_TOL):
     return (f(point) - rebuilt).euclid_norm()
 
 
-def sliceness_scan(f, point, units_pool, tol=DEFAULT_TOL):
-    """Max representation residual over source/target unit assignments.
-
-    units_pool is a sequence of imaginary units; all assignments of pool
-    units to the variables are tried on both sides.  Small only if the
-    fiber values are consistent with a single stem.
-    """
-    n = point.n
-    pool = list(units_pool)
-    assignments = [[]]
-    for _ in range(n):
-        assignments = [a + [u] for a in assignments for u in pool]
-    worst = 0.0
-    for src in assignments:
-        for dst in assignments:
-            r = sliceness_residual(f, point.with_units(dst), src, tol)
-            if r > worst:
-                worst = r
-    return worst
-
-
 def spherical_value(f, point):
     """Average of f over the 2^n conjugated points."""
     return _fiber_values(f, point)[0]
@@ -342,82 +320,3 @@ def truncated_derivative(stem, point, eps, tol=DEFAULT_TOL):
     for hmask in range(0, 1 << stem.n, 1 << m):
         values[hmask] = vals[hmask | kmask]
     return _assemble(values, point) / product
-
-
-class VariableDomain:
-    """Constraint on one variable's (alpha, |Im|) pair."""
-
-    def __init__(self, kind, **params):
-        if kind not in ("all", "rect", "disc"):
-            raise ValueError(f"unknown domain kind {kind!r}")
-        self.kind = kind
-        if kind == "rect":
-            self.alpha_min = params["alpha_min"]
-            self.alpha_max = params["alpha_max"]
-            self.beta_max = params["beta_max"]
-        elif kind == "disc":
-            self.center = params["center"]
-            self.radius = params["radius"]
-
-    def contains(self, alpha, beta):
-        if self.kind == "all":
-            return True
-        if beta < 0:
-            beta = -beta
-        if self.kind == "rect":
-            return (self.alpha_min <= alpha <= self.alpha_max
-                    and beta <= self.beta_max)
-        return (alpha - self.center) ** 2 + beta ** 2 <= self.radius ** 2
-
-    def to_json(self):
-        if self.kind == "all":
-            return {"kind": "all"}
-        if self.kind == "rect":
-            return {"kind": "rect", "alpha_min": self.alpha_min,
-                    "alpha_max": self.alpha_max, "beta_max": self.beta_max}
-        return {"kind": "disc", "center": self.center, "radius": self.radius}
-
-    @classmethod
-    def from_json(cls, obj):
-        kind = obj["kind"]
-        params = {k: v for k, v in obj.items() if k != "kind"}
-        return cls(kind, **params)
-
-
-class DomainSpec:
-    """Product domain: one VariableDomain per variable.
-
-    Only alpha and |Im| are constrained, so every domain described here is
-    invariant under all unit changes, as evaluation requires.
-    """
-
-    def __init__(self, variables):
-        self.variables = tuple(variables)
-
-    @property
-    def n(self):
-        return len(self.variables)
-
-    def contains_z(self, z):
-        return all(dom.contains(a, b)
-                   for dom, (a, b) in zip(self.variables, z))
-
-    def contains(self, point):
-        return self.contains_z(point.z())
-
-    def require(self, point):
-        if not self.contains(point):
-            raise OutsideDomain(
-                f"point {point!r} outside the declared domain")
-
-    def to_json(self):
-        return {"variables": [v.to_json() for v in self.variables]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls([VariableDomain.from_json(v) for v in obj["variables"]])
-
-
-def subset_mask(*members):
-    """Convenience: mask of the subset with the given variables."""
-    return SubsetIndex.of(*members)

@@ -1,9 +1,9 @@
 """Sparse polynomials: dicts {exponent tuple: coefficient}.
 
 Every polynomial in the package has this shape: ordered polynomials (one
-exponent per variable), stem components (exponents of alpha_1, beta_1, ...,
-alpha_n, beta_n) and the real denominators of the Cauchy kernel.
-Coefficients are real scalars (int, Fraction, float) or Elements.  Products
+exponent per variable) and stem components (exponents of alpha_1, beta_1,
+..., alpha_n, beta_n).  Coefficients are real scalars (int, Fraction,
+float) or Elements.  Products
 keep the coefficient order ca * cb, because the algebra need not be
 commutative.  Exact zeros are dropped, so equal polynomials compare equal
 as dicts.
@@ -56,22 +56,3 @@ def dx(p, var):
             add_term(out, exp[:var] + (k - 1,) + exp[var + 1:], k * coeff)
     return out
 
-
-def value(p, point):
-    """p at a point, one number per exponent slot; real coefficients only."""
-    total = 0
-    for exp, coeff in p.items():
-        scalar = 1
-        for v, k in zip(point, exp):
-            if k:
-                scalar = scalar * v ** k
-        total = total + coeff * scalar
-    return total
-
-
-def max_diff(p, q, scale=1):
-    """Largest coefficient of p - scale * q, measured by abs or euclid_norm."""
-    diff = dict(p)
-    add_into(diff, q, -scale)
-    return max((c.euclid_norm() if isinstance(c, Element) else abs(c)
-                for c in diff.values()), default=0)

@@ -19,7 +19,8 @@ from operator import add, mul
 
 from . import sparse
 from .algebra import Element, decode_number, encode_number
-from .errors import AlgebraMismatch, IndexOutOfRange, ParityError
+from .errors import (AlgebraMismatch, HypersliceError, IndexOutOfRange,
+                     ParityError)
 
 HALF = Fraction(1, 2)
 
@@ -108,7 +109,11 @@ class StemValue:
 
 
 class StemPoly:
-    """Polynomial stem function; parity checked at construction."""
+    """Polynomial stem function; masks, exponents and parity checked.
+
+    A component mask outside 0..2^n - 1 raises IndexOutOfRange, and an
+    exponent tuple of the wrong length or with a negative entry ParityError.
+    """
 
     is_polynomial = True
 
@@ -117,12 +122,18 @@ class StemPoly:
         self.algebra = algebra
         comps = {}
         for mask, poly in components.items():
+            if mask < 0 or mask >> n:
+                raise IndexOutOfRange(
+                    f"component mask {mask} outside 0..{(1 << n) - 1}")
             clean = {}
             for exp, coeff in poly.items():
                 exp = tuple(int(e) for e in exp)
                 if len(exp) != 2 * n:
                     raise ParityError(
                         f"exponent tuple {exp} has length {len(exp)}, need {2 * n}")
+                if min(exp, default=0) < 0:
+                    raise ParityError(
+                        f"exponent tuple {exp} has a negative entry")
                 if coeff.algebra != algebra:
                     raise AlgebraMismatch(f"{coeff.algebra.kind} coefficient "
                                           f"in a stem over {algebra.kind}")
@@ -247,14 +258,28 @@ class StemPoly:
 
     @classmethod
     def from_json(cls, obj, algebra):
-        comps = {}
-        for key, terms in obj["components"].items():
-            poly = {}
-            for t in terms:
-                coeff = algebra.element([decode_number(c) for c in t["coeff"]])
-                poly[tuple(t["exponents"])] = coeff
-            comps[int(key)] = poly
-        return cls(obj["n"], algebra, comps)
+        """Inverse of to_json; the document is outside input.
+
+        A document of the wrong shape, or with a coefficient decode_number
+        refuses, raises HypersliceError; the constructor checks the rest.
+        """
+        try:
+            n = obj["n"]
+            comps = {}
+            for key, terms in obj["components"].items():
+                poly = comps[int(key)] = {}
+                for t in terms:
+                    exp = tuple(t["exponents"])
+                    if not all(type(e) is int for e in exp):
+                        raise HypersliceError(f"exponents {exp} are not ints")
+                    poly[exp] = algebra.element(map(decode_number, t["coeff"]))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise HypersliceError(
+                "a stem document needs n and components, a map from masks to "
+                "terms with exponents and coeff") from None
+        if type(n) is not int or n < 0:
+            raise HypersliceError(f"n must be an int >= 0, got {n!r}")
+        return cls(n, algebra, comps)
 
 
 class CallableStem:

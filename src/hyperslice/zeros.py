@@ -11,7 +11,8 @@ import math
 import random
 from functools import partial
 
-from .algebra import DEFAULT_TOL, invert, is_imaginary_unit, norm_sq, trace
+from .algebra import (DEFAULT_TOL, encode_number, invert, is_imaginary_unit,
+                      norm_sq, trace)
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
                      NotInvertible, RefinementFailed, UnsupportedKind)
 from .regularity import OrderedPolynomial, ordered_monomial_eval
@@ -39,7 +40,6 @@ class ZeroReport:
         return not self.isolated and not self.spherical
 
     def to_json(self):
-        from .algebra import encode_number
         return {
             "isolated": [[encode_number(c) for c in r.coeffs]
                          for r in self.isolated],
@@ -356,7 +356,6 @@ class ScanReport:
                    for rec in self.records)
 
     def to_json(self):
-        from .algebra import encode_number
         return {
             "fibers": [{
                 "sample": [[encode_number(c) for c in x.coeffs]

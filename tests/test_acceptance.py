@@ -17,10 +17,9 @@ import pytest
 
 from conftest import (random_element, random_imaginary_unit, random_poly,
                       random_stem)
+from oracles import cauchy_integrand, cauchy_integrand_product_form
 from hyperslice.algebra import is_imaginary_unit, make_algebra
-from hyperslice.cauchy import (BoundaryTorus, cauchy_integrand,
-                               cauchy_integrand_product_form,
-                               cauchy_reconstruct)
+from hyperslice.cauchy import BoundaryTorus, cauchy_reconstruct
 from hyperslice.regularity import (OrderedPolynomial, is_slice_regular,
                                    poly_eval, poly_to_stem, star_product)
 from hyperslice.slicefun import (SlicePoint, as_point_function,

@@ -28,7 +28,6 @@ from hyperslice.errors import (
     NotImaginaryUnit,
     NotInQuadraticCone,
     NotInvertible,
-    SplittingFailed,
     UnsupportedKind,
 )
 

@@ -9,11 +9,8 @@ import pytest
 
 from hyperslice.algebra import invert, make_algebra
 from hyperslice.cauchy import (BoundaryTorus, Circle, KernelPoint,
-                               cauchy_integrand,
-                               cauchy_integrand_product_form,
-                               cauchy_kernel_1var, cauchy_reconstruct,
-                               char_poly, kernel_stem_symbolic,
-                               rational_stem_is_regular, slice_cauchy_kernel)
+                               cauchy_reconstruct, char_poly,
+                               slice_cauchy_kernel)
 from hyperslice.errors import (AlgebraMismatch, NonAssociativeAlgebra,
                                NotImaginaryUnit, NotInQuadraticCone,
                                OnSingularSphere,
@@ -24,6 +21,9 @@ from hyperslice.stems import StemPoly
 
 from conftest import (random_element, random_imaginary_unit, random_poly,
                       random_stem)
+from oracles import (cauchy_integrand, cauchy_integrand_product_form,
+                     cauchy_kernel_1var, kernel_stem_symbolic,
+                     rational_stem_is_regular)
 
 
 def test_char_poly_vanishes_exactly_on_the_sphere(H):

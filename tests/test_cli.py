@@ -374,15 +374,74 @@ def _fuzz_roots_argv(draw):
     return ["roots", "--algebra", algebra, "--poly", " + ".join(terms)]
 
 
+# any finite float, from subnormals to 1e308, next to the small ones
+_WIDE = st.one_of(_SMALL, st.floats(-1e308, 1e308, allow_nan=False))
+# inside every --radii disc about 0
+_NEAR = st.floats(-0.45, 0.45).map(lambda v: round(v, 3))
+_RADIUS = st.floats(0.5, 3).map(lambda v: round(v, 2))
+
+
+def _fuzz_poly(draw, algebra, n):
+    """Up to three terms in exactly n variables, each degree <= 3."""
+    units = _FUZZ_UNITS[algebra]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = [str(draw(_WIDE))]
+        for unit in draw(st.lists(st.sampled_from(units), max_size=2,
+                                  unique=True)):
+            parts += [unit, str(draw(_WIDE))]
+        powers = [f"x{h}^{draw(st.integers(0, 3))}" for h in range(1, n + 1)]
+        terms.append("(" + " ".join(parts) + ") " + " ".join(powers))
+    return " + ".join(terms)
+
+
+def _fuzz_point(draw, algebra, n, coordinate):
+    units = _FUZZ_UNITS[algebra]
+    return json.dumps([[draw(coordinate), draw(coordinate),
+                        draw(st.sampled_from(units))] for _ in range(n)])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """argv of roots (above) or of eval, diff, regular, product, cauchy."""
+    command = draw(st.sampled_from(
+        ["roots", "eval", "diff", "regular", "product", "cauchy"]))
+    if command == "roots":
+        return draw(_fuzz_roots_argv())
+    algebra = draw(st.sampled_from(sorted(_FUZZ_UNITS)))
+    n = draw(st.integers(1, 2))
+    argv = [command, "--algebra", algebra, "--poly",
+            _fuzz_poly(draw, algebra, n)]
+    if command == "eval":
+        argv += ["--point", _fuzz_point(draw, algebra, n, _WIDE)]
+    elif command == "diff":
+        argv += ["--var", str(draw(st.integers(1, 3)))]
+        argv += ["--conj"] * draw(st.booleans())
+    elif command == "product":
+        argv += ["--times", _fuzz_poly(draw, algebra, draw(st.integers(1, 2)))]
+    elif command == "cauchy":
+        argv += ["--radii", ",".join(str(draw(_RADIUS)) for _ in range(n)),
+                 "--point", _fuzz_point(draw, algebra, n, _NEAR),
+                 "--samples", str(draw(st.integers(1, 32)))]
+        if draw(st.booleans()):
+            # one token: argparse reads a separate "-1,2" as an option
+            argv += ["--centers=" + ",".join(str(draw(_SMALL))
+                                             for _ in range(n))]
+        if draw(st.booleans()):
+            argv += ["--slice-unit", draw(st.sampled_from(
+                _FUZZ_UNITS[algebra]))]
+    return argv
+
+
 @settings(deadline=None, max_examples=40, database=None)
-@given(_fuzz_roots_argv())
+@given(_fuzz_argv())
 def test_roots_fuzz_exits_cleanly_with_strict_json(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code == 0:
-        check_schema(_strict_json(out.getvalue()), "roots")
+        check_schema(_strict_json(out.getvalue()), argv[0])
     else:
         assert out.getvalue() == ""
         check_schema(_strict_json(err.getvalue()), "error")

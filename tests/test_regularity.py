@@ -17,7 +17,6 @@ from hyperslice.regularity import (
     PowerSeries,
     is_slice_regular,
     norm_constant,
-    one_variable_regularity_check,
     ordered_monomial_eval,
     poly_eval,
     poly_to_stem,
@@ -25,14 +24,12 @@ from hyperslice.regularity import (
     slice_partial,
     slice_partial_conj,
     slice_tensor_product,
-    split_holomorphy_check,
     star_product,
 )
 from hyperslice.slicefun import SlicePoint, slice_eval, stem_from_values
 from hyperslice.stems import (
     CallableStem,
     StemPoly,
-    monomial_stem,
     sigma_tensor,
     stem_product,
 )
@@ -44,6 +41,7 @@ from conftest import (
     random_real_stem,
     random_stem,
 )
+from oracles import one_variable_regularity_check, split_holomorphy_check
 
 F12 = Fraction(1, 2)
 F13 = Fraction(1, 3)
@@ -278,14 +276,6 @@ def test_split_holomorphy_matches_cr_route(H, O, rng):
             G = F + bump
             assert not split_holomorphy_check(G, J).ok
             assert not is_slice_regular(G).ok
-
-
-def test_split_holomorphy_sample_grid(H):
-    bad = StemPoly(2, H, {0: {(1, 0, 0, 0): H.one()}})
-    i = H.basis_named("i")
-    grid = [((0.5, 0.2), (0.1, 0.3)), ((1.0, 1.0), (0.0, 0.5))]
-    report = split_holomorphy_check(bad, i, samples_grid=grid)
-    assert not report.ok and report.max_residual >= 1.0
 
 
 def test_one_variable_route_examples(H):

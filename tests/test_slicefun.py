@@ -7,24 +7,19 @@ import pytest
 from hyperslice.errors import (
     AlgebraMismatch,
     OnRealLocus,
-    OutsideDomain,
     SphereMismatch,
 )
 from hyperslice.slicefun import (
-    DomainSpec,
     SlicePoint,
-    VariableDomain,
     as_point_function,
     one_variable_split,
     representation_eval,
     slice_eval,
     sliceness_residual,
-    sliceness_scan,
     spherical_derivative,
     spherical_expansion,
     spherical_value,
     stem_from_values,
-    subset_mask,
     truncated_derivative,
 )
 from hyperslice.stems import monomial_stem, sigma_tensor, stem_product
@@ -170,9 +165,6 @@ def test_pointwise_product_in_wrong_order_is_not_slice(H):
     # anticommuting target units alone cannot tell the orders apart
     lucky = _exact_point(H, ("j", "k"), [(0, 1), (0, 1)])
     assert sliceness_residual(f, lucky, (i, j)) <= 1e-12
-    pool = (i, j)
-    assert sliceness_scan(f, target, pool) >= 0.1
-    assert sliceness_scan(g, target, pool) <= 1e-12
 
 
 def test_spherical_value_and_derivatives_match_stem(H, rng):
@@ -286,32 +278,6 @@ def test_diagonal_slice_product_law(H, rng):
     lhs = slice_eval(AB, q)
     rhs = slice_eval(A, q) * slice_eval(B, q)
     assert (lhs - rhs).euclid_norm() > 1.0
-
-
-def test_domain_spec(H):
-    dom = DomainSpec([
-        VariableDomain("rect", alpha_min=-1, alpha_max=1, beta_max=2),
-        VariableDomain("disc", center=0, radius=3),
-    ])
-    assert dom.contains_z([(0, 1), (1, 2)])
-    assert not dom.contains_z([(2, 1), (0, 0)])
-    assert not dom.contains_z([(0, 3), (0, 0)])
-    assert not dom.contains_z([(0, 0), (3, 1)])
-    p = _exact_point(H, ("i", "j"), [(0, 1), (1, 2)])
-    dom.require(p)
-    bad = _exact_point(H, ("i", "j"), [(0, 1), (4, 0)])
-    with pytest.raises(OutsideDomain):
-        dom.require(bad)
-    again = DomainSpec.from_json(dom.to_json())
-    assert again.contains_z([(0, 1), (1, 2)])
-    assert not again.contains_z([(2, 1), (0, 0)])
-    with pytest.raises(ValueError):
-        VariableDomain("ball", radius=1)
-
-
-def test_subset_mask_helper():
-    assert subset_mask(1, 3) == 0b101
-    assert subset_mask() == 0
 
 
 def test_spherical_ops_on_octonion_fiber(O, rng):

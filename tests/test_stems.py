@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperslice.errors import IndexOutOfRange, ParityError
+from hyperslice.errors import HypersliceError, IndexOutOfRange, ParityError
 from hyperslice.stems import (
     CallableStem,
     SigmaTable,
@@ -235,6 +235,18 @@ def test_parity_rejects_bad_monomial(H):
         StemPoly(2, H, {0: {(1, 0): H.one()}})
 
 
+def test_stem_refuses_masks_out_of_range_and_negative_exponents(H):
+    one = H.one()
+    for mask in (2, 5, -1):
+        with pytest.raises(IndexOutOfRange):
+            StemPoly(1, H, {mask: {(0, 1): one}})
+    with pytest.raises(IndexOutOfRange):
+        StemPoly(2, H, {4: {}})
+    for exp in ((-2, 0), (0, -2), (-1, 1)):
+        with pytest.raises(ParityError):
+            StemPoly(1, H, {0: {exp: one}})
+
+
 def test_parity_check_diagnostic(H, rng):
     F = random_stem(2, H, rng)
     assert stem_parity_check(F) == []
@@ -368,6 +380,56 @@ def test_stem_json_round_trip(H, rng):
     again = StemPoly.from_json(obj, H)
     assert again == F
     assert again.to_json() == obj
+
+
+def _stem_document(**changes):
+    term = {"exponents": [1, 0], "coeff": [1, "1/2", 0.5, -2]}
+    term.update(changes.pop("term", {}))
+    doc = {"n": 1, "algebra": "quaternions", "components": {"0": [term]}}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    None,
+    [],
+    {"components": {"0": []}},
+    _stem_document(n="1"),
+    _stem_document(n=True),
+    _stem_document(n=-1),
+    _stem_document(components=[]),
+    _stem_document(components={"x": []}),
+    _stem_document(components={"0": 5}),
+    _stem_document(components={"0": ["term"]}),
+    _stem_document(components={"0": [{"coeff": [1, 0, 0, 0]}]}),
+    _stem_document(components={"0": [{"exponents": [0, 0]}]}),
+    _stem_document(components={"5": [{"exponents": [0, 1],
+                                       "coeff": [1, 0, 0, 0]}]}),
+    _stem_document(term={"exponents": [-2, 0]}),
+    _stem_document(term={"exponents": "10"}),
+    _stem_document(term={"exponents": [1.0, 0]}),
+    _stem_document(term={"exponents": [True, 0]}),
+    _stem_document(term={"exponents": [0, 1]}),
+    _stem_document(term={"coeff": 1}),
+    _stem_document(term={"coeff": [1, 0, 0]}),
+    _stem_document(term={"coeff": ["x", 0, 0, 0]}),
+    _stem_document(term={"coeff": ["1/0", 0, 0, 0]}),
+    _stem_document(term={"coeff": ["1.5", 0, 0, 0]}),
+    _stem_document(term={"coeff": [True, 0, 0, 0]}),
+    _stem_document(term={"coeff": [None, 0, 0, 0]}),
+    _stem_document(term={"coeff": [float("nan"), 0, 0, 0]}),
+    _stem_document(term={"coeff": [0, float("inf"), 0, 0]}),
+    _stem_document(term={"coeff": [0, 0, -float("inf"), 0]}),
+])
+def test_stem_json_refuses_malformed_documents(H, doc):
+    with pytest.raises(HypersliceError):
+        StemPoly.from_json(doc, H)
+
+
+def test_stem_json_reads_the_test_document(H):
+    F = StemPoly.from_json(_stem_document(), H)
+    assert F.component(0) == {(1, 0): H.element(
+        [1, Fraction(1, 2), 0.5, -2])}
 
 
 def test_subsets_enumeration():

@@ -33,6 +33,25 @@ def test_every_tol_parameter_is_read():
     assert unread == []
 
 
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in bound.items() if name not in read]
+    assert unused == []
+
 def _readme_examples():
     """(argv, expected stdout) for each `$ hyperslice ...` in README.md."""
     lines = (ROOT / "README.md").read_text().splitlines()
