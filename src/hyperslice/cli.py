@@ -4,10 +4,11 @@ Eight subcommands drive the library: eval, diff, regular, product,
 cauchy, roots, scan, and algebra-dump.  Output is JSON by default
 (schema "hyperslice/1", one document per run, schemas under docs/),
 with csv and text renderings for tables and humans.  Exit codes: 0 on
-success, 2 on domain errors, 3 on expression or point syntax errors,
-and 141 (128 + SIGPIPE, as a shell reports it) when stdout is closed
-before the output is written, as in `hyperslice ... | head`; that case
-prints nothing more.  Errors are emitted as JSON objects on stderr.  The
+success, 2 on domain errors and on unknown, missing or malformed
+options, 3 on expression or point syntax errors, and 141 (128 + SIGPIPE,
+as a shell reports it) when stdout is closed before the output is
+written, as in `hyperslice ... | head`; that case prints nothing more.
+Errors are emitted as JSON objects on stderr.  The
 HYPERSLICE_TOL environment variable overrides the default tolerance of
 1e-9; it must be a finite number >= 0, or the run exits 2.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from .algebra import DEFAULT_TOL, algebra_to_json, make_algebra
 from .cauchy import BoundaryTorus, cauchy_reconstruct
 from .errors import (ExpressionSyntaxError, HypersliceError, IndexOutOfRange,
-                     InvalidTolerance, UnsupportedKind)
+                     InvalidTolerance, UnsupportedKind, UsageError)
 from .parser import (format_poly, parse_expression, parse_point, parse_unit)
 from .regularity import (OrderedPolynomial, is_slice_regular, poly_eval,
                          star_product)
@@ -264,8 +265,15 @@ def _report_error(exc, err):
     return 3 if isinstance(exc, ExpressionSyntaxError) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage text and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hyperslice",
         description="Evaluate, differentiate, multiply, reconstruct, and "
                     "solve slice polynomials over quaternions, octonions, "
@@ -341,8 +349,8 @@ def main(argv=None):
             name in os.environ for name in _BLAS_THREADS):
         # products are at most (4, N) @ (N, A) or 64 x 64: one thread wins
         os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tol = _env_tol()
     except HypersliceError as exc:
         return _report_error(exc, sys.stderr)

@@ -50,6 +50,10 @@ class InvalidTolerance(HypersliceError):
     """A tolerance is not a finite number >= 0."""
 
 
+class UsageError(HypersliceError):
+    """Command line with an unknown, missing or malformed option."""
+
+
 class IndexOutOfRange(HypersliceError):
     """Variable index h outside 1..n."""
 

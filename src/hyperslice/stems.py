@@ -261,10 +261,11 @@ class StemPoly:
         """Inverse of to_json; the document is outside input.
 
         A document of the wrong shape, or with a coefficient decode_number
-        refuses, raises HypersliceError; the constructor checks the rest.
+        refuses, raises HypersliceError, and one written over another
+        algebra kind AlgebraMismatch; the constructor checks the rest.
         """
         try:
-            n = obj["n"]
+            n, kind = obj["n"], obj["algebra"]
             comps = {}
             for key, terms in obj["components"].items():
                 poly = comps[int(key)] = {}
@@ -275,10 +276,13 @@ class StemPoly:
                     poly[exp] = algebra.element(map(decode_number, t["coeff"]))
         except (AttributeError, KeyError, TypeError, ValueError):
             raise HypersliceError(
-                "a stem document needs n and components, a map from masks to "
-                "terms with exponents and coeff") from None
+                "a stem document needs n, algebra and components, a map from "
+                "masks to terms with exponents and coeff") from None
         if type(n) is not int or n < 0:
             raise HypersliceError(f"n must be an int >= 0, got {n!r}")
+        if kind != algebra.kind:
+            raise AlgebraMismatch(
+                f"the document is a stem over {kind!r}, not {algebra.kind!r}")
         return cls(n, algebra, comps)
 
 

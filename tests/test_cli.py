@@ -424,9 +424,10 @@ def _fuzz_argv(draw):
                  "--point", _fuzz_point(draw, algebra, n, _NEAR),
                  "--samples", str(draw(st.integers(1, 32)))]
         if draw(st.booleans()):
-            # one token: argparse reads a separate "-1,2" as an option
-            argv += ["--centers=" + ",".join(str(draw(_SMALL))
-                                             for _ in range(n))]
+            centers = ",".join(str(draw(_SMALL)) for _ in range(n))
+            # as two tokens, a negative first center reads as an option
+            argv += draw(st.sampled_from([["--centers=" + centers],
+                                          ["--centers", centers]]))
         if draw(st.booleans()):
             argv += ["--slice-unit", draw(st.sampled_from(
                 _FUZZ_UNITS[algebra]))]
@@ -445,6 +446,25 @@ def test_roots_fuzz_exits_cleanly_with_strict_json(argv):
     else:
         assert out.getvalue() == ""
         check_schema(_strict_json(err.getvalue()), "error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cauchy", "--poly", "x1", "--radii", "1.5", "--point", "[[0.1,0.1,i]]",
+     "--centers", "-1,2"],
+    ["cauchy", "--poly", "x1"],
+    ["eval", "--poly", "x1", "--point", "[[0,1,i]]", "--bogus"],
+    ["diff", "--poly", "x1", "--var", "two"],
+    ["frob"],
+    [],
+], ids=lambda v: " ".join(v) or "no-arguments")
+def test_usage_errors_are_one_json_error(argv):
+    # a subprocess, so that argparse's usage text would show
+    proc = subprocess.run([sys.executable, "-m", "hyperslice.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    blob = _strict_json(proc.stderr)
+    check_schema(blob, "error")
+    assert blob["error"]["type"] == "UsageError"
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperslice.errors import HypersliceError, IndexOutOfRange, ParityError
+from hyperslice.algebra import make_algebra
+from hyperslice.errors import (AlgebraMismatch, HypersliceError,
+                               IndexOutOfRange, ParityError)
 from hyperslice.stems import (
     CallableStem,
     SigmaTable,
@@ -394,6 +396,7 @@ def _stem_document(**changes):
     None,
     [],
     {"components": {"0": []}},
+    {"n": 1, "components": {"0": []}},
     _stem_document(n="1"),
     _stem_document(n=True),
     _stem_document(n=-1),
@@ -424,6 +427,15 @@ def _stem_document(**changes):
 def test_stem_json_refuses_malformed_documents(H, doc):
     with pytest.raises(HypersliceError):
         StemPoly.from_json(doc, H)
+
+
+def test_stem_json_refuses_a_stem_of_another_algebra(H):
+    # Cl(1,1) has dimension 4 too, so only the algebra key tells them apart
+    C = make_algebra("clifford(1,1)")
+    doc = StemPoly(1, C, {0: {(1, 0): C.basis(1)}}).to_json()
+    with pytest.raises(AlgebraMismatch):
+        StemPoly.from_json(doc, H)
+    assert StemPoly.from_json(doc, C).to_json() == doc
 
 
 def test_stem_json_reads_the_test_document(H):

@@ -33,7 +33,6 @@ def test_every_tol_parameter_is_read():
     assert unread == []
 
 
-
 def test_every_module_level_import_is_used():
     unused = []
     for path in sorted(SRC.glob("*.py")):
@@ -51,6 +50,7 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in bound.items() if name not in read]
     assert unused == []
+
 
 def _readme_examples():
     """(argv, expected stdout) for each `$ hyperslice ...` in README.md."""
