@@ -65,6 +65,10 @@ def decode_number(v):
     raise HypersliceError(f"cannot parse coefficient {v!r}")
 
 
+class _Rows(tuple):
+    """(a_i, table row i) for the nonzero a_i; see AlgebraDef.left_rows."""
+
+
 class AlgebraDef:
     """A finite-dimensional real *-algebra given by its basis table.
 
@@ -156,14 +160,19 @@ class AlgebraDef:
             coeffs[self.basis_index(name)] = val
         return Element(self, tuple(coeffs))
 
+    def left_rows(self, a):
+        """(a_i, table row i) for the nonzero a_i: a, ready for product."""
+        return _Rows((x, row) for x, row in zip(a, self._rows) if x)
+
     def product(self, a, b):
         """Coefficient tuple of ab: the package's one product loop.
 
-        out[k] adds up the nonzero a_i b_j with e_i e_j = +-e_k from an int
-        0, in order of i then j, so float rounding is fixed.
+        a is a coefficient tuple or its left_rows.  out[k] adds up the
+        nonzero a_i b_j with e_i e_j = +-e_k from an int 0, in order of i
+        then j, so float rounding is fixed.
         """
         out = [0] * self.dim
-        for x, row in zip(a, self._rows):
+        for x, row in a if type(a) is _Rows else zip(a, self._rows):
             if x:
                 for (k, positive), y in zip(row, b):
                     if y:
@@ -223,11 +232,17 @@ class AlgebraDef:
 class Element:
     """A value in an AlgebraDef: a coefficient vector over the basis."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "coeffs", "_left_rows")
 
     def __init__(self, algebra, coeffs):
         self.algebra = algebra
         self.coeffs = coeffs
+
+    def left_rows(self):
+        """algebra.left_rows(self.coeffs), taken on first use and kept."""
+        if not hasattr(self, "_left_rows"):
+            self._left_rows = self.algebra.left_rows(self.coeffs)
+        return self._left_rows
 
     def _check(self, other):
         if self.algebra != other.algebra:

@@ -13,7 +13,9 @@ its boundary values in product form, a core and one basis per circle: a
 polynomial or stem as its coefficients on the slice (a polynomial expanded
 there binomially, without its stem) and the per-variable monomials on each
 circle, so no N^n grid is formed, and a callable as its values on every
-node, one call per node.  poly_eval or slice_eval gives the direct
+node, one call per node.  Each circle's nodes are turned into (alpha,
+beta >= 0, J or -J) once, so all nodes share two unit Elements and the
+table rows those keep.  poly_eval or slice_eval gives the direct
 reference.  slice_cauchy_kernel is the closed-form kernel of associative
 algebras at one point.  The pointwise integrand in exact Element
 arithmetic, the oracle the engine is tested against, and the symbolic
@@ -216,18 +218,24 @@ def _stem_on_grid(f, torus, zs):
 def _callable_on_grid(f, torus, zs):
     """f(xi) on every grid node, one call per node; no bases (identity)."""
     import numpy as np
-    algebra = torus.algebra
-    units = [torus.J] * torus.n
-    values = np.empty(tuple(len(z) for z in zs) + (algebra.dim,))
-    for row, node in zip(values.reshape(-1, algebra.dim),
-                         itertools.product(*(z.tolist() for z in zs))):
-        v = f(SlicePoint(algebra, [w.real for w in node],
-                         [w.imag for w in node], units))
-        if not (isinstance(v, Element) and v.algebra == algebra):
-            raise AlgebraMismatch(
-                f"the callable must return Elements of {algebra.kind}: {v!r}")
-        row[:] = v.coeffs
-    return values, [None] * torus.n
+    algebra, J = torus.algebra, torus.J
+    flip = -1 * J
+    # per circle its alphas, betas and units, as SlicePoint would turn them
+    circles = [tuple(zip(*((w.real, -w.imag, flip) if w.imag < 0 else
+                           (w.real, w.imag, J) for w in z.tolist())))
+               for z in zs]
+
+    def coefficients():
+        for point in zip(*map(itertools.product, *circles)):
+            v = f(SlicePoint(algebra, *point))
+            if not (isinstance(v, Element) and v.algebra == algebra):
+                raise AlgebraMismatch(f"the callable must return Elements "
+                                      f"of {algebra.kind}: {v!r}")
+            yield from v.coeffs
+
+    shape = tuple(map(len, zs)) + (algebra.dim,)
+    values = np.fromiter(coefficients(), float, math.prod(shape))
+    return values.reshape(shape), [None] * torus.n
 
 
 def cauchy_reconstruct(f, torus, x):

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import DEFAULT_TOL, algebra_to_json, make_algebra
 from .cauchy import BoundaryTorus, cauchy_reconstruct
@@ -42,24 +42,13 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                  "MKL_NUM_THREADS")
 
 
-@dataclass
-class Request:
-    subcommand: str
-    algebra: str = "H"
-    poly: str = ""
-    times: str = ""
-    point: str = ""
-    var: int = 1
-    conj: bool = False
-    radii: str = ""
-    centers: str = ""
-    samples: int = 128
-    slice_unit: str = ""
-    count: int = 25
-    seed: int = 20240817
-    span: float = 2.0
-    tol: float = DEFAULT_TOL
-    fmt: str = "json"
+# the options of a run with their defaults; a Request adds the subcommand
+_DEFAULTS = {"algebra": "H", "poly": "", "times": "", "point": "", "var": 1,
+             "conj": False, "radii": "", "centers": "", "samples": 128,
+             "slice_unit": "", "count": 25, "seed": 20240817, "span": 2.0,
+             "tol": DEFAULT_TOL, "fmt": "json"}
+Request = namedtuple("Request", ["subcommand", *_DEFAULTS],
+                     defaults=_DEFAULTS.values())
 
 
 def _coeffs(a):
@@ -354,9 +343,8 @@ def main(argv=None):
         tol = _env_tol()
     except HypersliceError as exc:
         return _report_error(exc, sys.stderr)
-    fields = {f for f in Request.__dataclass_fields__}
-    picked = {k: v for k, v in vars(args).items() if k in fields and
-              v is not None}
+    picked = {k: v for k, v in vars(args).items()
+              if k in Request._fields and v is not None}
     try:
         code = run(Request(tol=tol, **picked))
         # a closed pipe must surface here, not in the flush at exit

@@ -3,9 +3,12 @@
 A point of the cone power is held per variable as (alpha_h, beta_h, J_h)
 with beta_h >= 0 and J_h on the unit imaginary sphere.  Evaluating a stem F
 at such a point means summing the ordered unit products [J_K, F_K(z)] over
-all subsets K.  A StemPoly reads each F_K(z) off its term table as a
-coefficient tuple; the n 2^(n-1) unit actions apply AlgebraDef.product to
-tuples and the sum adds tuples, so the result is the only Element formed.
+all subsets K.  A StemPoly reads each F_K(z) off its evaluation plan as a
+coefficient tuple, summed by straight-line kernels cached per dimension and
+block of terms (StemPoly.coeffs_at).  The n 2^(n-1) unit actions apply
+AlgebraDef.product to tuples, given each unit's nonzero table rows, which
+an Element takes once (left_rows); the sum adds tuples, so the result is
+the only Element formed.
 
 The averaging operators rest on one fiber transform: f is evaluated once at
 each of the 2^n conjugates of a point, and for each K the signed sum
@@ -126,7 +129,8 @@ def _assemble(values, point):
     values are coefficient tuples or Elements of the point's algebra.
     """
     algebra = point.algebra
-    members = list(enumerate(point.units))[::-1]
+    units = [(1 << h, unit.left_rows())
+             for h, unit in enumerate(point.units)][::-1]
     total = (0,) * algebra.dim
     for mask, v in enumerate(values):
         if isinstance(v, Element):
@@ -134,12 +138,11 @@ def _assemble(values, point):
                 raise AlgebraMismatch(
                     f"value from {v.algebra.kind}, point in {algebra.kind}")
             v = v.coeffs
-        if not any(v):
-            continue
-        for h, unit in members:
-            if mask >> h & 1:
-                v = algebra.product(unit.coeffs, v)
-        total = tuple(map(add, total, v))
+        if any(v):
+            for bit, rows in units:
+                if mask & bit:
+                    v = algebra.product(rows, v)
+            total = tuple(map(add, total, v))
     return Element(algebra, total)
 
 

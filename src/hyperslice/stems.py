@@ -14,8 +14,6 @@ exact coefficients; identities like Leibniz hold with zero tolerance.
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
 
 from . import sparse
 from .algebra import Element, decode_number, encode_number
@@ -23,6 +21,22 @@ from .errors import (AlgebraMismatch, HypersliceError, IndexOutOfRange,
                      ParityError)
 
 HALF = Fraction(1, 2)
+_BLOCK = 8  # terms per accumulation kernel
+_KERNELS = {}  # (dim, size) -> kernel, so at most _BLOCK per dimension
+
+
+def _kernel(dim, size):
+    """kernel(t, C, S): coordinate i is t[i] + C[i] * S[0] + C[dim + i] * S[1]
+    + ... over size terms whose coefficient tuples C chains, in straight-line
+    code with the operations, in order, of a loop adding one term at a time.
+    Generated on first use and kept for the process.
+    """
+    if (dim, size) not in _KERNELS:
+        sums = ", ".join(" + ".join([f"t[{i}]"] + [
+            f"C[{j * dim + i}] * S[{j}]" for j in range(size)])
+            for i in range(dim))
+        _KERNELS[dim, size] = eval(f"lambda t, C, S: ({sums},)")
+    return _KERNELS[dim, size]
 
 
 class SubsetIndex(int):
@@ -149,7 +163,7 @@ class StemPoly:
                     f"component {SubsetIndex(mask)!r} monomial {exp} violates "
                     f"the beta-parity law ({len(bad)} violations total)")
         self.components = comps
-        self._terms = None
+        self._plan = None
 
     @classmethod
     def zero(cls, n, algebra):
@@ -165,8 +179,8 @@ class StemPoly:
     def value_at(self, z):
         """Every component at z = ((alpha_h, beta_h))_h, as Elements.
 
-        The values come from the term table (coeffs_at); slice_eval reads
-        those tuples itself and applies the units to them.
+        The values come from the evaluation plan (coeffs_at); slice_eval
+        reads those tuples itself and applies the units to them.
         """
         return StemValue(self.n, self.algebra,
                          [Element(self.algebra, c) for c in self.coeffs_at(z)])
@@ -174,27 +188,38 @@ class StemPoly:
     def coeffs_at(self, z):
         """The 2^n component values at z as coefficient tuples.
 
-        The term table, built on the first call, holds per nonzero
-        component each term's nonzero (slot, exponent) pairs and its
-        coefficient tuple; terms add up one at a time from an int 0.
+        The plan, built on the first call, lists the stem's distinct powers
+        alpha_h^k, beta_h^k, each term's factors among them, and each
+        component's terms in blocks of at most _BLOCK.  A call raises each
+        power once, multiplies each term's scalar from an int 1 in slot
+        order, and adds each block to its component's total, from an int 0,
+        with one cached kernel: coeff[i] * scalar term by term, as a loop.
         """
-        if self._terms is None:
-            self._terms = [
-                (mask, [([(slot, k) for slot, k in enumerate(exp) if k],
-                         coeff.coeffs) for exp, coeff in poly.items()])
-                for mask, poly in self.components.items()]
+        if self._plan is None:
+            index, factors, blocks = {}, [], []
+            for mask, poly in self.components.items():
+                terms = list(poly.items())
+                for start in range(0, len(terms), _BLOCK):
+                    block = terms[start:start + _BLOCK]
+                    blocks.append((mask, _kernel(self.algebra.dim, len(block)),
+                                   sum((c.coeffs for _, c in block), ()),
+                                   len(factors), len(factors) + len(block)))
+                    factors += [tuple(index.setdefault(pair, len(index))
+                                      for pair in enumerate(exp) if pair[1])
+                                for exp, _ in block]
+            self._plan = tuple(index), factors, blocks
+        powers, factors, blocks = self._plan
         flat = [v for ab in z for v in ab]
-        zero = (0,) * self.algebra.dim
-        out = [zero] * (1 << self.n)
-        for mask, terms in self._terms:
-            total = zero
-            for pairs, coeffs in terms:
-                scalar = 1
-                for slot, k in pairs:
-                    scalar = scalar * flat[slot] ** k
-                total = tuple(map(add, total, map(mul, coeffs,
-                                                  repeat(scalar))))
-            out[mask] = total
+        table = [flat[slot] ** k for slot, k in powers]
+        scalars = []
+        for term in factors:
+            scalar = 1
+            for i in term:
+                scalar = scalar * table[i]
+            scalars.append(scalar)
+        out = [(0,) * self.algebra.dim] * (1 << self.n)
+        for mask, kernel, coeffs, start, stop in blocks:
+            out[mask] = kernel(out[mask], coeffs, scalars[start:stop])
         return out
 
     def on_slice(self, J):

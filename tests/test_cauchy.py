@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hyperslice import cauchy
 from hyperslice.algebra import invert, make_algebra
 from hyperslice.cauchy import (BoundaryTorus, Circle, KernelPoint,
                                cauchy_reconstruct, char_poly,
@@ -572,3 +573,48 @@ def test_callable_reconstruction_keeps_one_float_per_value(O, rng):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2 ** 10
+
+
+def _grid_per_node(f, torus, zs):
+    """The callable's boundary values, one SlicePoint built per node."""
+    import numpy as np
+    algebra = torus.algebra
+    values = np.empty(tuple(len(z) for z in zs) + (algebra.dim,))
+    for row, node in zip(values.reshape(-1, algebra.dim),
+                         itertools.product(*(z.tolist() for z in zs))):
+        row[:] = f(SlicePoint(algebra, [w.real for w in node],
+                              [w.imag for w in node],
+                              [torus.J] * torus.n)).coeffs
+    return values, [None] * torus.n
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_callable_grid_contract(name, request, rng, monkeypatch):
+    # one call per node and circle combination; every point normalised
+    # (beta >= 0, unit J or -J); values as with a SlicePoint per node
+    A = request.getfixturevalue(name)
+    J = random_imaginary_unit(A, rng)
+    stem = poly_to_stem(random_poly(2, A, rng, deg=3, exact=False))
+    x = SlicePoint(A, [0.1, 0.2], [0.8, -0.3],
+                   [random_imaginary_unit(A, rng) for _ in range(2)])
+    N = 12
+    for torus in (BoundaryTorus.discs(A, [1.5, 1.5], J=J,
+                                      samples_per_circle=N),
+                  BoundaryTorus(A, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],
+                                    [(0.1, 1.4, 1)]], J=J,
+                                samples_per_circle=N)):
+        points = []
+
+        def f(point):
+            points.append(point)
+            return slice_eval(stem, point)
+
+        value, _ = cauchy_reconstruct(f, torus, x)
+        assert len(points) == N ** 2 * len(torus.combos())
+        for point in points:
+            assert min(point.betas) >= 0
+            assert all(u == J or u == -1 * J for u in point.units)
+        with monkeypatch.context() as m:
+            m.setattr(cauchy, "_callable_on_grid", _grid_per_node)
+            want, _ = cauchy_reconstruct(f, torus, x)
+        assert list(map(repr, value.coeffs)) == list(map(repr, want.coeffs))

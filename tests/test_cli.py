@@ -395,6 +395,11 @@ def _fuzz_poly(draw, algebra, n):
     return " + ".join(terms)
 
 
+# too many generators, a bad signature, unknown names
+_FUZZ_BAD_ALGEBRAS = ["clifford(0,7)", "clifford(9,9)", "clifford(-1,2)",
+                      "clifford(1,0)", "clifford(0,0)", "X", ""]
+
+
 def _fuzz_point(draw, algebra, n, coordinate):
     units = _FUZZ_UNITS[algebra]
     return json.dumps([[draw(coordinate), draw(coordinate),
@@ -403,16 +408,29 @@ def _fuzz_point(draw, algebra, n, coordinate):
 
 @st.composite
 def _fuzz_argv(draw):
-    """argv of roots (above) or of eval, diff, regular, product, cauchy."""
+    """argv of any subcommand, roots as above, in any --format or none."""
     command = draw(st.sampled_from(
-        ["roots", "eval", "diff", "regular", "product", "cauchy"]))
+        ["roots", "eval", "diff", "regular", "product", "cauchy", "scan",
+         "algebra-dump"]))
+    fmt = draw(st.sampled_from([[], ["--format", "json"],
+                                ["--format", "csv"], ["--format", "text"]]))
     if command == "roots":
-        return draw(_fuzz_roots_argv())
+        return draw(_fuzz_roots_argv()) + fmt
+    if command == "algebra-dump":
+        return [command, "--algebra", draw(st.sampled_from(
+            sorted(_FUZZ_UNITS) + _FUZZ_BAD_ALGEBRAS))] + fmt
     algebra = draw(st.sampled_from(sorted(_FUZZ_UNITS)))
-    n = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3 if command == "scan" else 2))
     argv = [command, "--algebra", algebra, "--poly",
-            _fuzz_poly(draw, algebra, n)]
-    if command == "eval":
+            _fuzz_poly(draw, algebra, n)] + fmt
+    if command == "scan":
+        # few samples: each one is a root finding
+        for option, values in (("--count", st.integers(-1, 4)),
+                               ("--seed", st.integers(-2 ** 70, 2 ** 70)),
+                               ("--span", st.floats())):
+            if draw(st.booleans()):
+                argv += [option, str(draw(values))]
+    elif command == "eval":
         argv += ["--point", _fuzz_point(draw, algebra, n, _WIDE)]
     elif command == "diff":
         argv += ["--var", str(draw(st.integers(1, 3)))]
@@ -441,11 +459,11 @@ def test_roots_fuzz_exits_cleanly_with_strict_json(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
-    if code == 0:
-        check_schema(_strict_json(out.getvalue()), argv[0])
-    else:
+    if code != 0:
         assert out.getvalue() == ""
         check_schema(_strict_json(err.getvalue()), "error")
+    elif "--format" not in argv or "json" in argv:
+        check_schema(_strict_json(out.getvalue()), argv[0])
 
 
 @pytest.mark.parametrize("argv", [
@@ -682,12 +700,13 @@ def test_env_tolerance_must_be_finite_and_nonnegative(monkeypatch, capsys):
         assert blob["error"]["type"] == "InvalidTolerance", value
 
 
-# a child that runs one CLI command and reports whether numpy got loaded
+# a child that runs one CLI command and reports whether numpy and inspect
+# (which dataclasses would pull in) got loaded
 _NUMPY_PROBE = """\
 import sys
 from hyperslice.cli import main
 code = main(sys.argv[1:])
-print("numpy" in sys.modules, file=sys.stderr)
+print("numpy" in sys.modules, "inspect" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -713,7 +732,7 @@ def test_exact_subcommands_run_without_numpy(argv):
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False\n"
+    assert proc.stderr == "False False\n"
     json.loads(proc.stdout)
 
 

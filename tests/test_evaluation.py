@@ -20,7 +20,7 @@ from hyperslice.regularity import OrderedPolynomial, poly_eval, poly_to_stem
 from hyperslice.slicefun import (SlicePoint, _fiber_values,
                                  representation_eval, slice_eval,
                                  truncated_derivative)
-from hyperslice.stems import CallableStem, StemPoly
+from hyperslice.stems import _BLOCK, CallableStem, StemPoly
 
 from conftest import random_imaginary_unit, random_poly, random_stem
 
@@ -258,3 +258,72 @@ def _poly_and_point(draw):
 def test_stem_value_equals_polynomial_value(case):
     p, x = case
     assert slice_eval(poly_to_stem(p), x) == poly_eval(p, x)
+
+
+# coordinates and coefficients of each number kind; floats reach +-0.0
+_NUMBERS = {
+    "int": st.integers(-3, 3),
+    "fraction": st.builds(lambda k, e: Q(k, 2 ** e), st.integers(-12, 12),
+                          st.integers(0, 3)),
+    "float": st.one_of(st.sampled_from((0.0, -0.0)),
+                       st.floats(-2, 2, allow_nan=False)),
+}
+
+
+def _plan_stem(algebra, n, counts, number, rng):
+    """A stem with counts[mask] <= 18 parity-correct terms per component."""
+    comps = {}
+    for mask, count in enumerate(counts):
+        comps[mask] = {}
+        while len(comps[mask]) < count:
+            exp = []
+            for h in range(n):
+                exp += [rng.randrange(6),
+                        2 * rng.randrange(3) + (mask >> h & 1)]
+            comps[mask][tuple(exp)] = algebra.element(
+                [number(rng) for _ in range(algebra.dim)])
+    return StemPoly(n, algebra, comps)
+
+
+def _check_plan(stem, point):
+    _same(slice_eval(stem, point), _old_slice_eval(stem, point))
+    got = stem.coeffs_at(point.z())
+    want = [v.coeffs for v in _old_stem_values(stem, point)]
+    assert [list(map(repr, c)) for c in got] == \
+        [list(map(repr, c)) for c in want]
+
+
+@st.composite
+def _stem_and_point(draw):
+    kind, sig = draw(st.sampled_from(ALGEBRAS))
+    algebra = make_algebra(kind, *((sig,) if sig else ()))
+    n = draw(st.integers(1, 3))
+    # 0 to 2 blocks and one term, so components fill, cross and miss blocks
+    counts = draw(st.lists(st.integers(0, 2 * _BLOCK + 1),
+                           min_size=1 << n, max_size=1 << n))
+    values = _NUMBERS[draw(st.sampled_from(sorted(_NUMBERS)))]
+    coords = st.lists(_NUMBERS[draw(st.sampled_from(sorted(_NUMBERS)))],
+                      min_size=n, max_size=n)
+    rng = draw(st.randoms(use_true_random=False))
+    stem = _plan_stem(algebra, n, counts,
+                      lambda r: draw(values) if r.random() < 0.5 else 0, rng)
+    # betas may be negative: SlicePoint flips their units
+    point = SlicePoint(algebra, draw(coords), draw(coords),
+                       [_rational_unit(algebra, rng) for _ in range(n)])
+    return stem, point
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(_stem_and_point())
+def test_plan_matches_element_formula(case):
+    _check_plan(*case)
+
+
+def test_plan_matches_element_formula_on_cl06(rng):
+    algebra = make_algebra("clifford", (0, 6))
+    stem = _plan_stem(algebra, 2, [_BLOCK + 3, 2 * _BLOCK, 1, 0],
+                      lambda r: Q(r.randint(-8, 8), 4), rng)
+    for exact in (True, False):
+        point = _points(algebra, 2, rng, exact)[1]
+        _check_plan(stem, point)
+        _check_plan(stem * 0.5, point)
