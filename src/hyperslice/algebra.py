@@ -78,7 +78,7 @@ class AlgebraDef:
     """
 
     def __init__(self, kind, dim, basis_names, mul_index, mul_sign, conj_signs,
-                 associative, norm_kind="euclidean"):
+                 associative):
         if len(basis_names) != dim or len(conj_signs) != dim:
             raise UnsupportedKind("table sizes disagree with dim")
         self.kind = kind
@@ -88,7 +88,6 @@ class AlgebraDef:
         self.mul_sign = tuple(tuple(row) for row in mul_sign)
         self.conj_signs = tuple(conj_signs)
         self.associative = associative
-        self.norm_kind = norm_kind
         self._name_to_index = {n: i for i, n in enumerate(self.basis_names)}
         # row i holds (k, sign == 1) per j, where e_i e_j = sign * e_k
         self._rows = tuple(tuple(zip(ri, (s == 1 for s in rs)))
@@ -485,7 +484,7 @@ def ordered_product(units, v):
     return result
 
 
-def ordered_inverse_product(units, w, tol=DEFAULT_TOL):
+def ordered_inverse_product(units, w):
     """Solve [u, v] = w for v: applies inverses innermost-first.
 
     Equals u_m^{-1}(...(u_1^{-1} w)...), the reversed-inverse ordered
@@ -495,7 +494,7 @@ def ordered_inverse_product(units, w, tol=DEFAULT_TOL):
     """
     result = w
     for u in tuple(units):
-        result = invert(u, tol) * result
+        result = invert(u) * result
     return result
 
 
@@ -522,7 +521,7 @@ class _RowReducer:
         return True
 
 
-def splitting_basis(J, tol=DEFAULT_TOL):
+def splitting_basis(J):
     """Real basis {1, J, J_1, J*J_1, ..., J_u, J*J_u} associated with J.
 
     Greedy completion: scan the basis elements, adding any vector (together
@@ -531,7 +530,7 @@ def splitting_basis(J, tol=DEFAULT_TOL):
     process fills the algebra whenever dim is even.
     """
     A = J.algebra
-    if not is_imaginary_unit(J, tol):
+    if not is_imaginary_unit(J):
         raise NotImaginaryUnit(f"not an imaginary unit: {J.format()}")
     if A.dim % 2:
         raise SplittingFailed(f"dim {A.dim} is odd")
@@ -618,14 +617,14 @@ def _list_of(value, kind, n):
             and all(type(v) is kind for v in value))
 
 
-def algebra_from_json(obj, kind="custom"):
+def algebra_from_json(obj):
     """Rebuild an AlgebraDef from the document algebra_to_json writes.
 
     Reads dim, basis, conjugation_signs and table and ignores any other
     key, so the stdout of `hyperslice algebra-dump` parses straight back.
     Associativity is recomputed from the table, because the document is
-    outside input.  A malformed document raises UnsupportedKind, and one
-    past 64 basis elements DimensionTooLarge.
+    outside input; the algebra is named 'custom'.  A malformed document
+    raises UnsupportedKind, and one past 64 basis elements DimensionTooLarge.
     """
     try:
         dim, names, conjs, table = (
@@ -658,5 +657,5 @@ def algebra_from_json(obj, kind="custom"):
         == mul_sign[j][k] * mul_sign[i][mul_index[j][k]]
         for i in range(dim) for j in range(dim) for k in range(dim)
     )
-    return AlgebraDef(kind, dim, names, mul_index, mul_sign, conjs,
+    return AlgebraDef("custom", dim, names, mul_index, mul_sign, conjs,
                       associative)

@@ -47,11 +47,11 @@ from .stems import StemPoly
 MIN_DELTA = 1e-3
 
 
-def char_poly(q, p, tol=DEFAULT_TOL):
+def char_poly(q, p):
     """Delta_q(p) = p^2 - 2 Re(q) p + n(q); zero exactly on the sphere of q."""
     t = trace(q)
     nq = norm_sq(q)
-    if not t.is_real(tol) or not nq.is_real(tol):
+    if not t.is_real(DEFAULT_TOL) or not nq.is_real(DEFAULT_TOL):
         raise NotInQuadraticCone(
             "the sphere parameter needs real trace and norm")
     return p * p - p * t.real_coeff() + p.algebra.from_real(nq.real_coeff())
@@ -160,7 +160,7 @@ def _direct_eval(f):
     return None
 
 
-def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
+def slice_cauchy_kernel(x, ys):
     """Closed-form kernel for associative algebras.
 
     ys are slice elements with real trace and norm (poles); the kernel is
@@ -174,7 +174,7 @@ def slice_cauchy_kernel(x, ys, tol=DEFAULT_TOL):
     kp = KernelPoint(x, ys)
     n = x.n
     xs = [x.element(h) for h in range(1, n + 1)]
-    inv = [invert(d, tol) for d in kp.deltas]
+    inv = [invert(d) for d in kp.deltas]
     total = algebra.zero()
     for kmask in range(1 << n):
         sign = (-1) ** (n - bin(kmask).count("1"))

@@ -27,6 +27,7 @@ from .slicefun import SlicePoint
 from .stems import (
     StemPoly,
     SubsetIndex,
+    binomial_terms,
     cr_partial,
     cr_partial_bar,
     monomial_stem,
@@ -94,18 +95,15 @@ class OrderedPolynomial:
         """The polynomial on the slice of J, keyed like StemPoly.on_slice.
 
         There the variables commute, so x^l a = prod_h (alpha_h +
-        beta_h J)^l_h a expands binomially, J^b a being a, Ja, -a or -Ja.
+        beta_h J)^l_h a is stems.binomial_terms with i read as J: a term c
+        of mask K is c J^|K| a, J^|K| a being a, Ja, -a or -Ja.
         """
         out = {}
         for ell, a in self.terms.items():
             ja = J * a
             units = (a, ja, -a, -ja)
-            expansion = [((), 1, 0)]
-            for e in ell:
-                expansion = [(exp + (e - b, b), c * math.comb(e, b), k + b)
-                             for exp, c, k in expansion for b in range(e + 1)]
-            for exp, c, k in expansion:
-                sparse.add_term(out, exp, c * units[k % 4])
+            for exp, c, mask in binomial_terms(ell):
+                sparse.add_term(out, exp, c * units[mask.bit_count() % 4])
         return out
 
     def partial(self, h):
@@ -143,11 +141,12 @@ def poly_eval(p, x):
 
 
 def poly_to_stem(p):
-    """Sum of monomial stems; exact."""
-    total = StemPoly.zero(p.n, p.algebra)
+    """The sum of the monomial stems of p, added into one stem; exact."""
+    comps = {}
     for ell, a in p.terms.items():
-        total = total + monomial_stem(ell, a)
-    return total
+        for mask, poly in monomial_stem(ell, a).components.items():
+            sparse.add_into(comps.setdefault(mask, {}), poly)
+    return StemPoly(p.n, p.algebra, comps, _skip_check=True)
 
 
 def star_product(p, q):

@@ -61,22 +61,22 @@ class SlicePoint:
         self.units = tuple(units)
 
     @classmethod
-    def from_elements(cls, xs, tol=DEFAULT_TOL):
+    def from_elements(cls, xs):
         """Decompose cone elements into coordinates; rejects non-cone points."""
         xs = list(xs)
         algebra = xs[0].algebra
         alphas, betas, units = [], [], []
         for x in xs:
-            dec = cone_decompose(x, tol)
+            dec = cone_decompose(x)
             alphas.append(dec.alpha)
             betas.append(dec.beta)
             units.append(dec.unit)
         return cls(algebra, alphas, betas, units)
 
     @classmethod
-    def slice_diagonal(cls, algebra, zs, J, tol=DEFAULT_TOL):
+    def slice_diagonal(cls, algebra, zs, J):
         """All variables on the slice of one unit J; zs are (alpha, beta)."""
-        if not is_imaginary_unit(J, tol):
+        if not is_imaginary_unit(J):
             raise NotImaginaryUnit("slice unit must square to -1")
         alphas = [ab[0] for ab in zs]
         betas = [ab[1] for ab in zs]
@@ -108,9 +108,9 @@ class SlicePoint:
     def imaginary_part(self, h):
         return self.betas[h - 1] * self.units[h - 1]
 
-    def same_fiber(self, other, tol=DEFAULT_TOL):
+    def same_fiber(self, other):
         return self.n == other.n and all(
-            abs(a - b) <= tol for a, b in
+            abs(a - b) <= DEFAULT_TOL for a, b in
             zip(self.alphas + self.betas, other.alphas + other.betas))
 
     def mask_units(self, mask):
@@ -168,17 +168,18 @@ def as_point_function(g):
     return lambda point: g(*point.elements())
 
 
-def _fiber_values(f, point, tol=DEFAULT_TOL):
+def _fiber_values(f, point):
     """The 2^n stem values at the point's fiber from 2^n values of f.
 
     Component K is 2^-n [J_K]^-1 sum over H of (-1)^|K meet H| f(x
     conjugated in H).  It is zero when K holds a variable with beta at or
-    below tol, where the signed sum vanishes on the fiber and J_K may not
-    be a unit.
+    below DEFAULT_TOL, where the signed sum vanishes on the fiber and J_K
+    may not be a unit.
     """
     size = 1 << point.n
     values = [f(point.conjugated(hmask)) for hmask in range(size)]
-    on_real = sum(1 << h for h, b in enumerate(point.betas) if b <= tol)
+    on_real = sum(1 << h for h, b in enumerate(point.betas)
+                  if b <= DEFAULT_TOL)
     weight = Fraction(1, size)
     out = []
     for kmask in range(size):
@@ -192,12 +193,12 @@ def _fiber_values(f, point, tol=DEFAULT_TOL):
     return out
 
 
-def _beta_product(point, kmask, tol):
-    """prod over h in K of beta_h; OnRealLocus if some beta_h <= tol."""
+def _beta_product(point, kmask):
+    """prod over h in K of beta_h; OnRealLocus if some beta_h <= DEFAULT_TOL."""
     product = 1
     for h, b in enumerate(point.betas, start=1):
         if kmask >> (h - 1) & 1:
-            if b <= tol:
+            if b <= DEFAULT_TOL:
                 raise OnRealLocus(
                     f"variable {h} has vanishing imaginary part; the "
                     f"derivative needs the full sphere in that variable")
@@ -205,24 +206,24 @@ def _beta_product(point, kmask, tol):
     return product
 
 
-def representation_eval(f, source, target, tol=DEFAULT_TOL):
+def representation_eval(f, source, target):
     """Value at the target from fiber values at the source.
 
     Both points must carry the same (alpha_h, beta_h); only the units may
     differ.  f is called once at each of the 2^n conjugates of the source.
-    Masks containing a variable with beta below tol are skipped: their
-    alternating sums vanish identically on the fiber.
+    Masks containing a variable with beta at or below DEFAULT_TOL are
+    skipped: their alternating sums vanish identically on the fiber.
     """
     if source.algebra != target.algebra:
         raise AlgebraMismatch("source and target in different algebras")
-    if not source.same_fiber(target, tol):
+    if not source.same_fiber(target):
         raise SphereMismatch(
             "source and target lie on different fibers; the formula only "
             "transports values along one fiber")
-    return _assemble(_fiber_values(f, source, tol), target)
+    return _assemble(_fiber_values(f, source), target)
 
 
-def stem_from_values(f, algebra, n, source_units, tol=DEFAULT_TOL):
+def stem_from_values(f, algebra, n, source_units):
     """Recover the stem components from one fiber of values.
 
     source_units fixes the units I_h used to build the sample points; the
@@ -236,12 +237,12 @@ def stem_from_values(f, algebra, n, source_units, tol=DEFAULT_TOL):
     def components(z):
         point = SlicePoint(algebra, [ab[0] for ab in z],
                            [ab[1] for ab in z], units)
-        return _fiber_values(f, point, tol)
+        return _fiber_values(f, point)
 
     return CallableStem(n, algebra, components)
 
 
-def sliceness_residual(f, point, source_units, tol=DEFAULT_TOL):
+def sliceness_residual(f, point, source_units):
     """How far f is from the fiber representation built at other units.
 
     The source point carries source_units on the same fiber as the target.
@@ -251,7 +252,7 @@ def sliceness_residual(f, point, source_units, tol=DEFAULT_TOL):
     in the wrong order).  Zero on slice functions.
     """
     source = point.with_units(source_units)
-    rebuilt = representation_eval(f, source, point, tol)
+    rebuilt = representation_eval(f, source, point)
     return (f(point) - rebuilt).euclid_norm()
 
 
@@ -260,27 +261,27 @@ def spherical_value(f, point):
     return _fiber_values(f, point)[0]
 
 
-def spherical_derivative(f, point, kmask, tol=DEFAULT_TOL):
+def spherical_derivative(f, point, kmask):
     """K-th spherical derivative at the point, K given as a mask.
 
     Requires beta_k > 0 for every k in K; the imaginary parts are divided
     out, so the value is constant on the fiber for slice functions.  It is
     the K-th stem component divided by the product of the beta_k.
     """
-    product = _beta_product(point, kmask, tol)
-    return _fiber_values(f, point, tol)[kmask] / product
+    product = _beta_product(point, kmask)
+    return _fiber_values(f, point)[kmask] / product
 
 
-def spherical_expansion(f, point, tol=DEFAULT_TOL):
+def spherical_expansion(f, point):
     """Reassemble f(x) as vs f(x) + sum over K of [Im_K(x), f'_{s,K}(x)].
 
     Each term equals [J_K, F_K(z)], so this is the fiber transform summed
     back at the point itself.
     """
-    return _assemble(_fiber_values(f, point, tol), point)
+    return _assemble(_fiber_values(f, point), point)
 
 
-def one_variable_split(f, h, order, tol=DEFAULT_TOL):
+def one_variable_split(f, h, order):
     """The one-variable averaging (order 0) or difference (order 1) operator.
 
     Returns a new function of SlicePoints; iterating over the variables
@@ -296,7 +297,7 @@ def one_variable_split(f, h, order, tol=DEFAULT_TOL):
         minus = f(point.conjugated(bit))
         if order == 0:
             return (plus + minus) * Fraction(1, 2)
-        if point.betas[h - 1] <= tol:
+        if point.betas[h - 1] <= DEFAULT_TOL:
             raise OnRealLocus(
                 f"variable {h} has vanishing imaginary part")
         im = point.imaginary_part(h)
@@ -304,7 +305,7 @@ def one_variable_split(f, h, order, tol=DEFAULT_TOL):
     return g
 
 
-def truncated_derivative(stem, point, eps, tol=DEFAULT_TOL):
+def truncated_derivative(stem, point, eps):
     """Partial spherical derivative in the first variables.
 
     eps is a 0/1 sequence for variables 1..m; variables past m keep their
@@ -317,7 +318,7 @@ def truncated_derivative(stem, point, eps, tol=DEFAULT_TOL):
     if any(e not in (0, 1) for e in eps):
         raise ValueError("eps entries must be 0 or 1")
     kmask = sum(e << h for h, e in enumerate(eps))
-    product = _beta_product(point, kmask, tol)
+    product = _beta_product(point, kmask)
     vals = _stem_values(stem, point)
     values = [(0,) * stem.algebra.dim] * (1 << stem.n)
     for hmask in range(0, 1 << stem.n, 1 << m):

@@ -3,8 +3,10 @@
 A stem assigns to each subset K of {1..n} a component F_K, a polynomial in
 the 2n real variables (alpha_1, beta_1, ..., alpha_n, beta_n) with Element
 coefficients.  The parity law (F_K even in beta_h for h not in K, odd for
-h in K) is enforced structurally: constructors reject violating monomials,
-so every StemPoly in circulation is a genuine stem function.
+h in K) is checked on outside input (the constructor, from_json) and kept
+by sums, products and the Cauchy-Riemann operators.  A complex structure
+J_h breaks it: it moves F_K to K xor {h} with its beta_h degree, so J_h F
+is a StemPoly but no stem function (J_h J_h F = -F is one again).
 
 Components are sparse dicts {exponent tuple -> Element}; exponent index
 2(h-1) is the alpha_h degree and 2(h-1)+1 the beta_h degree.  All calculus
@@ -14,6 +16,7 @@ exact coefficients; identities like Leibniz hold with zero tolerance.
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from . import sparse
 from .algebra import Element, decode_number, encode_number
@@ -127,6 +130,7 @@ class StemPoly:
 
     A component mask outside 0..2^n - 1 raises IndexOutOfRange, and an
     exponent tuple of the wrong length or with a negative entry ParityError.
+    The one operation whose result breaks parity is apply_complex_structure.
     """
 
     is_polynomial = True
@@ -345,51 +349,25 @@ def stem_parity_check(F):
 
 
 class SigmaTable:
-    """Sign table sigma(K,H) defining a symmetric-difference product."""
+    """e_K e_H = sigma(K, H) e_(K xor H) with sigma(K, H) = (-1)^|K meet H|.
 
-    def __init__(self, n, values, hypercomplex=False):
-        self.n = n
+    The only sign table on subsets of {1..n} that is commutative and
+    associative, has e_h e_h = -1 and e_K the product of its singletons.
+    """
+
+    def __init__(self, n):
         size = 1 << n
-        table = [[0] * size for _ in range(size)]
-        for K in range(size):
-            for H in range(size):
-                v = values(K, H) if callable(values) else values[K][H]
-                if v not in (1, -1):
-                    raise ParityError(f"sigma({K},{H}) = {v} is not a sign")
-                table[K][H] = v
-        for K in range(size):
-            if table[K][0] != 1 or table[0][K] != 1:
-                raise ParityError(
-                    "sigma must satisfy sigma(K,0) = sigma(0,K) = 1")
-        self.table = tuple(tuple(row) for row in table)
-        self.hypercomplex = hypercomplex
-        if hypercomplex:
-            self._verify_hypercomplex()
+        self.table = tuple(
+            tuple(-1 if (K & H).bit_count() % 2 else 1 for H in range(size))
+            for K in range(size))
 
     def __call__(self, K, H):
         return self.table[K][H]
 
-    def _verify_hypercomplex(self):
-        for h in range(self.n):
-            if self.table[1 << h][1 << h] != -1:
-                raise ParityError(
-                    f"hypercomplex needs sigma(e{h + 1}, e{h + 1}) = -1")
-        # each e_K must factor through the ordered product of its singletons
-        for K in range(1 << self.n):
-            cur, sign = 0, 1
-            for h in range(self.n):
-                if K >> h & 1:
-                    sign *= self.table[cur][1 << h]
-                    cur ^= 1 << h
-            if sign != 1:
-                raise ParityError(
-                    f"hypercomplex factorization fails at K={SubsetIndex(K)!r}")
-
 
 def sigma_tensor(n):
     """The tensor sign table sigma(K,H) = (-1)^|K meet H|."""
-    return SigmaTable(n, lambda K, H: -1 if (K & H).bit_count() % 2 else 1,
-                      hypercomplex=True)
+    return SigmaTable(n)
 
 
 def stem_product(F, G, sigma):
@@ -408,7 +386,11 @@ def stem_product(F, G, sigma):
 
 
 def apply_complex_structure(w, h):
-    """The h-th complex structure: out_{K xor {h}} gains (-1)^|K meet {h}| in_K."""
+    """The h-th complex structure: out_{K xor {h}} gains (-1)^|K meet {h}| in_K.
+
+    On a StemPoly it breaks the parity law in variable h (module docstring);
+    the Cauchy-Riemann operators pair it with d/dbeta_h, which restores it.
+    """
     if h < 1 or h > w.n:
         raise IndexOutOfRange(f"h = {h} outside 1..{w.n}")
     bit = 1 << (h - 1)
@@ -456,19 +438,27 @@ def _cr(F, h, bar_sign):
     return StemPoly(F.n, F.algebra, out, _skip_check=True)
 
 
-def pq_polynomials(k):
-    """(p_k, q_k) with (alpha + i beta)^k = p_k + i q_k, exact integers.
+def binomial_terms(ell):
+    """prod_h (alpha_h + i beta_h)^ell_h as a list of (exponents, c, mask).
 
-    Returned as sparse dicts in two variables (alpha, beta).
+    A term in prod_h alpha_h^(ell_h - b_h) beta_h^b_h weighs prod_h
+    comb(ell_h, b_h) i^b_h, each i^b folded into the int c as (-1)^(b // 2)
+    and into bit h - 1 of mask as b mod 2.  Lexicographic order in b.
     """
+    terms = [((), 1, 0)]
+    for h, e in enumerate(ell):
+        row = [((e - b, b), (-1) ** (b // 2) * math.comb(e, b), (b & 1) << h)
+               for b in range(e + 1)]
+        terms = [(exp + pair, c * d, mask | bit)
+                 for exp, c, mask in terms for pair, d, bit in row]
+    return terms
+
+
+def pq_polynomials(k):
+    """(p_k, q_k) with (alpha + i beta)^k = p_k + i q_k, as sparse int dicts."""
     p, q = {}, {}
-    for j in range(k + 1):
-        c = math.comb(k, j)
-        exp = (k - j, j)
-        if j % 2 == 0:
-            p[exp] = c * (-1) ** (j // 2)
-        else:
-            q[exp] = c * (-1) ** ((j - 1) // 2)
+    for exp, c, mask in binomial_terms((k,)):
+        (q if mask else p)[exp] = c
     return p, q
 
 
@@ -476,26 +466,10 @@ def monomial_stem(ell, a):
     """Stem of the ordered monomial x^ell a.
 
     Component K is the product of p_{ell_h} over h outside K and q_{ell_h}
-    over h in K, times the coefficient a on the right.
+    over h in K, times the coefficient a on the right: the terms of
+    binomial_terms(ell) with mask K, taken component by component.
     """
-    n = len(ell)
-    pq = [pq_polynomials(k) for k in ell]
     comps = {}
-    for mask in range(1 << n):
-        # assemble the 2n-variable monomial dict by tensoring per-variable parts
-        cur = {(): 1}
-        skip = False
-        for h in range(n):
-            part = pq[h][1] if mask >> h & 1 else pq[h][0]
-            if not part:
-                skip = True
-                break
-            nxt = {}
-            for exp, c in cur.items():
-                for (ea, eb), d in part.items():
-                    nxt[exp + (ea, eb)] = c * d
-            cur = nxt
-        if skip:
-            continue
-        comps[mask] = {exp: c * a for exp, c in cur.items()}
-    return StemPoly(n, a.algebra, comps, _skip_check=True)
+    for exp, c, mask in sorted(binomial_terms(ell), key=itemgetter(2)):
+        sparse.add_term(comps.setdefault(mask, {}), exp, c * a)
+    return StemPoly(len(ell), a.algebra, comps, _skip_check=True)

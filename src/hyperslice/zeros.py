@@ -19,6 +19,7 @@ from .regularity import OrderedPolynomial, ordered_monomial_eval
 
 RESIDUAL_SCALE = 1e-8
 SETTLE_STEPS = 8
+NEWTON_STEPS = 40
 
 
 class ZeroReport:
@@ -158,7 +159,7 @@ def _deflate(stem, factor):
     return quot
 
 
-def _newton_polish(coeffs, x, steps=40):
+def _newton_polish(coeffs, x):
     import numpy as np
     algebra = x.algebra
     deg = len(coeffs) - 1
@@ -167,7 +168,7 @@ def _newton_polish(coeffs, x, steps=40):
     best = x
     best_val = _eval_coeffs(coeffs, best)
     best_res = best_val.euclid_norm()
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         if best_res == 0.0:
             break
         L = algebra.left_mult_matrix(best)

@@ -276,7 +276,7 @@ def split_holomorphy_check(f, J, tol=DEFAULT_TOL):
     F = _require_stem_poly(f)
     if not is_imaginary_unit(J, tol):
         raise NotImaginaryUnit("splitting needs a unit imaginary J")
-    basis = splitting_basis(J, tol)
+    basis = splitting_basis(J)
     dim = F.algebra.dim
     restricted = F.on_slice(J)
     # coordinates over the splitting basis, one real polynomial per axis

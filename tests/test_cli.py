@@ -492,6 +492,8 @@ def test_usage_errors_are_one_json_error(argv):
     (["scan", "--span", "1e200"], "HypersliceError"),
     (["cauchy", "--radii", "nan"], "AlgebraMismatch"),
     (["cauchy", "--radii", "1", "--centers", "inf"], "AlgebraMismatch"),
+    (["cauchy", "--radii", "abc"], "UnsupportedKind"),
+    (["cauchy", "--radii", "1", "--centers", "1;2"], "UnsupportedKind"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_options_are_one_json_error(argv, error):
     # a subprocess, so that a traceback or a numpy warning would show
@@ -504,7 +506,10 @@ def test_non_finite_options_are_one_json_error(argv, error):
     blob = _strict_json(proc.stderr)
     check_schema(blob, "error")
     assert blob["error"]["type"] == error
-    assert "finite" in blob["error"]["message"]
+    # text that is not a number is refused before any finiteness check
+    expected = {"UnsupportedKind": "comma-separated numbers"}.get(error,
+                                                                  "finite")
+    assert expected in blob["error"]["message"]
 
 
 def test_regular_subcommand(H):
@@ -554,6 +559,7 @@ def test_cauchy_subcommand_reports_small_error():
     check_schema(payload, "cauchy")
     assert payload["N"] == 128
     assert payload["abs_error"] <= 1e-8
+    assert payload["abs_error"] == payload["diagnostics"]["disagreement"]
     assert payload["diagnostics"]["min_abs_delta"] >= 1e-3
 
 
@@ -664,6 +670,20 @@ def test_text_format_lines():
     _, out, _ = invoke(subcommand="roots", algebra="H", poly="x1^2 + (1)",
                        fmt="text")
     assert "sphere: center 0, radius 1" in out
+    _, out, _ = invoke(subcommand="roots", algebra="H", poly="x1 + (0 i 1)",
+                       fmt="text")
+    assert out == "isolated: -i\nmax residual: 0.000e+00\n"
+    _, out, _ = invoke(subcommand="diff", algebra="H", poly="x1^3 x2", var=1,
+                       fmt="text")
+    assert out == "derivative: (3) x1^2 x2\n"
+    args = dict(subcommand="cauchy", algebra="H", poly="x1^2", radii="1.5",
+                point="[[0.2,0.3,i]]", samples=16)
+    payload = json.loads(invoke(**args)[1])
+    _, out, _ = invoke(**args, fmt="text")
+    assert out.splitlines() == [
+        f"value: {payload['value_str']}",
+        f"reference: {payload['reference_str']}",
+        f"abs error: {payload['abs_error']:.3e} at N = 16"]
 
 
 def test_env_tolerance_reaches_the_library(monkeypatch):

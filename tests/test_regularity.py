@@ -105,6 +105,26 @@ def test_poly_eval_examples(H):
     assert poly_eval(r, (one, j)) == -1 * k
 
 
+def test_polynomial_arithmetic_matches_poly_eval(H, O, rng):
+    # variables, sums, differences and real multiples act pointwise
+    for algebra in (H, O):
+        for _ in range(5):
+            p = random_poly(2, algebra, rng)
+            q = random_poly(2, algebra, rng)
+            xs = tuple(random_element(algebra, rng, exact=True)
+                       for _ in range(2))
+            for h in (1, 2):
+                x_h = OrderedPolynomial.variable(h, 2, algebra)
+                assert poly_eval(x_h, xs) == xs[h - 1]
+            pv, qv = poly_eval(p, xs), poly_eval(q, xs)
+            assert poly_eval(p + q, xs) == pv + qv
+            assert poly_eval(p - q, xs) == pv - qv
+            assert poly_eval(-F13 * p, xs) == -F13 * pv
+            assert poly_eval(p * 2, xs) == pv * 2
+            with pytest.raises(TypeError):
+                p * q
+
+
 def test_poly_eval_matches_stem_eval(H, O, rng):
     for algebra in (H, O):
         for _ in range(5):

@@ -9,7 +9,6 @@ from hyperslice.errors import (AlgebraMismatch, HypersliceError,
                                IndexOutOfRange, ParityError)
 from hyperslice.stems import (
     CallableStem,
-    SigmaTable,
     StemPoly,
     SubsetIndex,
     apply_complex_structure,
@@ -52,35 +51,12 @@ def test_alternating_sum_orthogonality():
 
 def test_sigma_tensor_values():
     sigma = sigma_tensor(2)
-    assert sigma.hypercomplex
+    assert _is_hypercomplex_table(sigma.table, 2)
     assert sigma(0b01, 0b01) == -1
     assert sigma(0b01, 0b10) == 1
     assert sigma(0b11, 0b01) == -1
     assert sigma(0b11, 0b11) == 1
     assert all(sigma(K, 0) == 1 and sigma(0, K) == 1 for K in range(4))
-
-
-def test_sigma_table_requires_unit_on_empty():
-    with pytest.raises(ParityError):
-        SigmaTable(1, lambda K, H: -1 if H == 0 else 1)
-    with pytest.raises(ParityError):
-        SigmaTable(1, lambda K, H: 2)
-
-
-def test_sigma_table_hypercomplex_validation():
-    # singleton squares must be -1 under the hypercomplex claim
-    with pytest.raises(ParityError):
-        SigmaTable(1, lambda K, H: 1, hypercomplex=True)
-    SigmaTable(1, lambda K, H: 1)  # same table fine without the claim
-
-    def bad_factor(K, H):
-        # flips the sign pairing {1} with {2}, breaking e_{12} = e_1 e_2
-        if K and H and K != H:
-            return -1
-        return -1 if (K and K == H) else 1
-
-    with pytest.raises(ParityError):
-        SigmaTable(2, bad_factor, hypercomplex=True)
 
 
 def _is_hypercomplex_table(table, n):
@@ -283,6 +259,17 @@ def test_complex_structure_squares_to_minus_one(H, rng):
     for h in (1, 2):
         tv = apply_complex_structure(apply_complex_structure(v, h), h)
         assert tv == -1 * v
+
+
+def test_complex_structure_flips_the_beta_parity(H):
+    # J_h moves F_K to K xor {h} without touching beta_h, so J_h F is not
+    # a stem; J_h J_h F = -F is one again
+    F = monomial_stem((1,), H.one())
+    G = apply_complex_structure(F, 1)
+    assert len(stem_parity_check(G)) == 2
+    assert stem_parity_check(apply_complex_structure(G, 1)) == []
+    with pytest.raises(ParityError):
+        StemPoly.from_json(G.to_json(), H)
 
 
 def test_complex_structure_index_range(H, rng):

@@ -2,11 +2,13 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import shlex
 from pathlib import Path
 
+import hyperslice
 from hyperslice import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +88,16 @@ def test_readme_cli_examples_run_as_shown():
             assert json.loads(out.getvalue()) == json.loads(expected), argv
         else:
             assert out.getvalue() == expected, argv
+
+
+def test_benchmark_traced_names_exist():
+    # a traced benchmark run wraps getattr(module, name) for each of these
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    missing = [f"{module}.{name}" for module, names in traced.items()
+               for name in names if not hasattr(
+                   importlib.import_module(f"hyperslice.{module}"), name)]
+    assert traced and missing == []
+    assert [n for n in hyperslice.__all__ if not hasattr(hyperslice, n)] == []
