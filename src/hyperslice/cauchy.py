@@ -100,7 +100,10 @@ class BoundaryTorus:
     @classmethod
     def discs(cls, algebra, radii, centers=None, J=None,
               samples_per_circle=64):
-        centers = centers or [0.0] * len(radii)
+        centers = [0.0] * len(radii) if centers is None else centers
+        if len(centers) != len(radii):
+            raise AlgebraMismatch(
+                f"{len(centers)} centers for {len(radii)} radii")
         circles = [[Circle(c, r)] for c, r in zip(centers, radii)]
         return cls(algebra, circles, J, samples_per_circle)
 
@@ -242,26 +245,30 @@ def cauchy_reconstruct(f, torus, x):
     """Average the integrand over the angle torus; value plus diagnostics.
 
     f is an OrderedPolynomial, a StemPoly, or a callable taking a
-    SlicePoint to an Element.  The input only supplies boundary values in
+    SlicePoint to an Element; a polynomial or stem must have the torus's
+    number of variables.  The input only supplies boundary values in
     product form (_reconstruct): a polynomial or stem as a small core and
     its monomials per circle, expanded on the slice (a polynomial without
     forming its stem), a callable as its value at every node.  Diagnostics
     report the sample count, the worst kernel conditioning, error_estimate
     = |Q_N - Q_{N/2}| (None for odd N), and, for polynomial and stem
-    inputs, the disagreement against direct evaluation: poly_eval for a
-    polynomial, slice_eval for a stem.
+    inputs, the direct value as reference (an Element: poly_eval for a
+    polynomial, slice_eval for a stem) and the disagreement against it.
     """
     import numpy as np
     n = torus.n
+    direct = _direct_eval(f)
+    if direct is not None and f.n != n:
+        raise AlgebraMismatch(f"{type(f).__name__} has {f.n} variables, "
+                              f"torus has {n}")
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
     if not torus.contains_point(x):
         raise PointOutsideE(
             "reconstruction point must lie inside the circularized domain")
     N = torus.samples_per_circle
-    reference = _direct_eval(f)
     boundary_values = partial(
-        _callable_on_grid if reference is None else _stem_on_grid, f)
+        _callable_on_grid if direct is None else _stem_on_grid, f)
     try:
         with np.errstate(over="raise", invalid="raise"):
             (value, *half), min_delta = _reconstruct(boundary_values, torus, x)
@@ -276,9 +283,10 @@ def cauchy_reconstruct(f, torus, x):
         "error_estimate": (float((value - half[0]).euclid_norm()) if half
                            else None),
     }
-    if reference is not None:
-        diagnostics["disagreement"] = float(
-            (value - reference(x)).euclid_norm())
+    if direct is not None:
+        reference = direct(x)
+        diagnostics["disagreement"] = float((value - reference).euclid_norm())
+        diagnostics["reference"] = reference
     return value, diagnostics
 
 

@@ -21,6 +21,7 @@ from .errors import (
     AlgebraMismatch,
     BlackBoxUnsupported,
     HypersliceError,
+    IndexOutOfRange,
     OutsideConvergenceBall,
 )
 from .slicefun import SlicePoint
@@ -48,6 +49,9 @@ class OrderedPolynomial:
             if len(ell) != n or any(e < 0 for e in ell):
                 raise AlgebraMismatch(
                     f"exponent tuple {ell} invalid for {n} variables")
+            if coeff.algebra != algebra:
+                raise AlgebraMismatch(f"{coeff.algebra.kind} coefficient in "
+                                      f"a polynomial over {algebra.kind}")
             if not coeff.is_zero(0):
                 clean[ell] = coeff
         self.terms = clean
@@ -107,7 +111,9 @@ class OrderedPolynomial:
         return out
 
     def partial(self, h):
-        """Slice partial derivative: l_h x^{l - e_h} a termwise."""
+        """Slice partial derivative: l_h x^{l - e_h} a termwise, h in 1..n."""
+        if not 1 <= h <= self.n:
+            raise IndexOutOfRange(f"variable index {h} outside 1..{self.n}")
         return OrderedPolynomial(self.n, self.algebra,
                                  sparse.dx(self.terms, h - 1))
 
@@ -312,13 +318,9 @@ def series_eval(s, x, rho):
             raise OutsideConvergenceBall(
                 f"coordinate {h} has norm {xe.euclid_norm():.4g} "
                 f">= rho = {rho}")
-    total = s.algebra.zero()
-    for d in range(s.truncation_degree + 1):
-        for ell in _exponents_of_degree(s.n, d):
-            a = s.coeff(ell)
-            if a.is_zero(0):
-                continue
-            total = total + ordered_monomial_eval(ell, a, xs)
+    head = {ell: s.coeff(ell) for d in range(s.truncation_degree + 1)
+            for ell in _exponents_of_degree(s.n, d)}
+    total = poly_eval(OrderedPolynomial(s.n, s.algebra, head), xs)
     if s.table is not None:
         known_max = max((sum(ell) for ell in s.table), default=0)
         if s.truncation_degree >= known_max:

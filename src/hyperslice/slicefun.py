@@ -275,10 +275,10 @@ def spherical_derivative(f, point, kmask):
 def spherical_expansion(f, point):
     """Reassemble f(x) as vs f(x) + sum over K of [Im_K(x), f'_{s,K}(x)].
 
-    Each term equals [J_K, F_K(z)], so this is the fiber transform summed
-    back at the point itself.
+    Each term equals [J_K, F_K(z)], so this is the representation formula
+    carrying the fiber values from the point back to itself.
     """
-    return _assemble(_fiber_values(f, point), point)
+    return representation_eval(f, point, point)
 
 
 def one_variable_split(f, h, order):

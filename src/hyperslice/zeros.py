@@ -11,8 +11,7 @@ import math
 import random
 from functools import partial
 
-from .algebra import (DEFAULT_TOL, encode_number, invert, is_imaginary_unit,
-                      norm_sq, trace)
+from .algebra import encode_number, invert, is_imaginary_unit, norm_sq, trace
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
                      NotInvertible, RefinementFailed, UnsupportedKind)
 from .regularity import OrderedPolynomial, ordered_monomial_eval
@@ -215,7 +214,7 @@ def _check_clifford_form(coeffs, algebra):
             "Clifford root finding accepts monic polynomials only")
 
 
-def roots_one_var(p, tol=DEFAULT_TOL):
+def roots_one_var(p):
     """All zeros of a one-variable polynomial with right coefficients.
 
     Quaternions and octonions take any coefficients; Clifford algebras of
@@ -238,14 +237,11 @@ def roots_one_var(p, tol=DEFAULT_TOL):
     is raised when that I is not a unit or the zero does not polish below
     the bound.  Coefficients that are not finite, or whose norms overflow,
     raise HypersliceError.
-
-    tol only decides, through `invert`, whether F_1 (relative to the
-    largest coefficient norm) is invertible; the residual, realness and
-    merging tests use fixed relative thresholds.
     """
     import numpy as np
     if p.n != 1:
-        raise AlgebraMismatch("roots_one_var expects a one-variable polynomial")
+        raise AlgebraMismatch("roots_one_var handles one variable, the "
+                              f"polynomial has {p.n}; use zero_scan for fibers")
     algebra = p.algebra
     coeffs = _dense_coeffs(p)
     if len(coeffs) < 2:
@@ -309,7 +305,7 @@ def roots_one_var(p, tol=DEFAULT_TOL):
         f0, f1 = (algebra.element(part.tolist())
                   for part in (value.real, value.imag))
         try:
-            unit_c = -1 * (f0 * invert(f1, tol))
+            unit_c = -1 * (f0 * invert(f1))
         except NotInvertible as exc:
             raise RefinementFailed(
                 f"sphere ({alpha:.4g}, {beta:.4g}) admits no unit: {exc}")
@@ -404,7 +400,7 @@ def fiber_kind(report):
     return f"finite({len(report.isolated)})"
 
 
-def zero_scan(f, samples, tol=DEFAULT_TOL):
+def zero_scan(f, samples):
     """Fiber taxonomy of the projection onto the trailing variables.
 
     samples is an iterable of tuples of Elements for (x_2 .. x_n).  A
@@ -413,7 +409,8 @@ def zero_scan(f, samples, tol=DEFAULT_TOL):
     reports identically-zero.  Root-finding errors propagate.
     """
     if f.n < 2:
-        raise AlgebraMismatch("zero_scan needs at least two variables")
+        raise AlgebraMismatch("zero_scan needs at least two variables, "
+                              f"the polynomial has {f.n}; use roots_one_var")
     records = []
     for sample in samples:
         sample = tuple(sample)
@@ -424,7 +421,7 @@ def zero_scan(f, samples, tol=DEFAULT_TOL):
                     else "empty-leading-degenerate")
             records.append(FiberRecord(sample, kind, None))
             continue
-        report = roots_one_var(restricted, tol)
+        report = roots_one_var(restricted)
         records.append(FiberRecord(sample, fiber_kind(report), report))
     return ScanReport(records)
 

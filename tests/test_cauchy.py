@@ -79,6 +79,9 @@ def test_boundary_torus_shape_and_winding(H):
         BoundaryTorus(H, [[Circle(0.0, 1.0, 2)]])
     with pytest.raises(AlgebraMismatch):
         BoundaryTorus(H, [[]])
+    for centers in ([0.0, 1.0], []):
+        with pytest.raises(AlgebraMismatch, match="centers for 1 radii"):
+            BoundaryTorus.discs(H, [1.5], centers=centers)
 
 
 def test_boundary_torus_refuses_non_finite_circles(H):
@@ -428,6 +431,12 @@ def test_domain_and_singularity_guards(H):
     with pytest.raises(QuadratureSingularity):
         cauchy_reconstruct(f, torus, SlicePoint(H, [0.0, 0.0], [0.9999, 0.1],
                                                 [i, i]))
+    # one variable on a two-variable torus, refused before any quadrature
+    g = OrderedPolynomial(1, H, {(2,): H.one()})
+    x = SlicePoint(H, [0.1, 0.0], [0.2, 0.1], [i, i])
+    for h in (g, poly_to_stem(g)):
+        with pytest.raises(AlgebraMismatch, match="1 variables, torus has 2"):
+            cauchy_reconstruct(h, torus, x)
 
 
 def test_annulus_reconstruction_and_hole_refusal(H):

@@ -19,8 +19,8 @@ from hyperslice.cli import Request, main, run
 from hyperslice.errors import (DimensionTooLarge, ExpressionSyntaxError,
                                HypersliceError, UnknownBasisName,
                                UnsupportedKind)
-from hyperslice.parser import format_poly, parse_expression
-from hyperslice.regularity import OrderedPolynomial
+from hyperslice.parser import format_poly, parse_expression, parse_point
+from hyperslice.regularity import OrderedPolynomial, poly_eval
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -192,6 +192,25 @@ def test_domain_errors_exit_2():
     code, _, err = invoke(subcommand="roots", algebra="H", poly="x1 x2")
     assert code == 2
     check_schema(json.loads(err), "error")
+    assert "use zero_scan" in json.loads(err)["error"]["message"]
+
+    code, _, err = invoke(subcommand="scan", algebra="H", poly="x1^2")
+    assert code == 2
+    assert "use roots_one_var" in json.loads(err)["error"]["message"]
+
+    # the library checks the index, also when the answer would be zero
+    code, _, err = invoke(subcommand="diff", algebra="H", poly="x1", var=3,
+                          conj=True)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "IndexOutOfRange"
+
+    for radii, centers in (("1.5,1.5", ""), ("", ""), ("1.5", "0,0"),
+                           ("1.5", " , ")):
+        code, out, err = invoke(subcommand="cauchy", algebra="H", poly="x1",
+                                radii=radii, centers=centers,
+                                point="[[0.2,0.3,i]]")
+        assert code == 2 and out == "", (radii, centers)
+        assert json.loads(err)["error"]["type"] == "AlgebraMismatch"
 
     code, _, err = invoke(subcommand="eval", algebra="H", poly="x1",
                           point="[[0,1,i],[0,1,j]]")
@@ -532,8 +551,11 @@ def test_diff_subcommand_round_trips(H):
                           poly="x1^3 x2", var=2, conj=True)
     assert json.loads(out)["derivative"] == "(0)"
 
-    code, _, err = invoke(subcommand="diff", algebra="H", poly="x1", var=5)
-    assert code == 2
+    for var in (5, 0, -1):
+        code, _, err = invoke(subcommand="diff", algebra="H", poly="x1",
+                              var=var)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "IndexOutOfRange"
 
 
 def test_product_subcommand_keeps_the_factor_order(H):
@@ -550,7 +572,7 @@ def test_product_subcommand_keeps_the_factor_order(H):
         {(2,): -1 * H.basis_named("k")}
 
 
-def test_cauchy_subcommand_reports_small_error():
+def test_cauchy_subcommand_reports_small_error(H):
     code, out, _ = invoke(subcommand="cauchy", algebra="H",
                           poly="x1^2 x2 + (0 j 2) x1", radii="1.5,1.5",
                           point="[[0.2,0.3,i],[0.1,0.4,k]]", samples=128)
@@ -561,6 +583,13 @@ def test_cauchy_subcommand_reports_small_error():
     assert payload["abs_error"] <= 1e-8
     assert payload["abs_error"] == payload["diagnostics"]["disagreement"]
     assert payload["diagnostics"]["min_abs_delta"] >= 1e-3
+    # the reference is the library's one direct evaluation, and only that
+    reference = poly_eval(parse_expression("x1^2 x2 + (0 j 2) x1", H),
+                          parse_point("[[0.2,0.3,i],[0.1,0.4,k]]", H, 1e-9))
+    assert repr(payload["reference"]) == repr([float(c) for c in
+                                                reference.coeffs])
+    assert payload["reference_str"] == reference.format()
+    assert "reference" not in payload["diagnostics"]
 
 
 def test_cauchy_reports_the_trapezoid_error_estimate():
@@ -695,6 +724,14 @@ def test_env_tolerance_reaches_the_library(monkeypatch):
     monkeypatch.delenv("HYPERSLICE_TOL")
     monkeypatch.setattr(sys, "stderr", io.StringIO())
     assert main(argv) == 2
+
+
+def test_env_tolerance_leaves_root_finding_alone(monkeypatch, capsys):
+    # the tolerance is that of --point and --slice-unit; root finding keeps
+    # its fixed thresholds, so a loose one still isolates -0.1i
+    monkeypatch.setenv("HYPERSLICE_TOL", "0.5")
+    assert main(["roots", "--poly", "x1 + (0 i 0.1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["isolated_str"] == ["-0.1i"]
 
 
 def test_module_entry_point_runs():

@@ -8,7 +8,9 @@ import pytest
 
 from hyperslice.algebra import invert, make_algebra
 from hyperslice.errors import (
+    AlgebraMismatch,
     BlackBoxUnsupported,
+    IndexOutOfRange,
     NotImaginaryUnit,
     OutsideConvergenceBall,
 )
@@ -61,6 +63,18 @@ def test_slice_partial_examples(H):
     x1sq = _poly(H, 1, {(2,): one})
     assert slice_partial(x1sq, 1) == poly_to_stem(
         _poly(H, 1, {(1,): 2 * one}))
+
+
+def test_partial_refuses_an_index_outside_1_to_n(H):
+    p = _poly(H, 2, {(1, 2): H.one()})
+    for h in (0, -1, 3):
+        with pytest.raises(IndexOutOfRange, match=f"index {h} outside 1..2"):
+            p.partial(h)
+
+
+def test_polynomial_refuses_a_coefficient_of_another_algebra(H, O):
+    with pytest.raises(AlgebraMismatch, match="octonions coefficient"):
+        _poly(H, 1, {(0,): O.basis(5)})
 
 
 def test_symbolic_ops_reject_black_boxes(H):

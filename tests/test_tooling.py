@@ -101,3 +101,16 @@ def test_benchmark_traced_names_exist():
                    importlib.import_module(f"hyperslice.{module}"), name)]
     assert traced and missing == []
     assert [n for n in hyperslice.__all__ if not hasattr(hyperslice, n)] == []
+
+
+def test_cli_handlers_raise_nothing():
+    # argument checks live in the library; option parsing (_floats,
+    # _env_tol) stays outside the handlers
+    tree = ast.parse((SRC / "cli.py").read_text())
+    handlers = {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_run_")}
+    assert set(handlers) == {f.__name__ for f in cli._HANDLERS.values()}
+    raising = [name for name, node in handlers.items()
+               if any(isinstance(sub, ast.Raise) for sub in ast.walk(node))]
+    assert raising == []
