@@ -11,7 +11,8 @@ stem machinery relies on; floats enter only where the caller brings them in
 (or through square roots that are not exact).
 
 numpy is imported inside the functions that compute in floats, never at
-module level, so the exact calculus runs without loading it.
+module level, so the exact calculus and root finding run without loading
+it; of the CLI subcommands, only cauchy does.
 """
 
 import math

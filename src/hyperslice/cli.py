@@ -13,11 +13,12 @@ HYPERSLICE_TOL environment variable sets the unit tolerance of --point and
 --slice-unit, 1e-9 by default; it must be a finite number >= 0, or the
 run exits 2.
 
-eval, diff, regular, product and algebra-dump are exact and never load
-numpy; only cauchy, roots and scan do.  `main` starts numpy's BLAS on one
-thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
-set: no product here is large enough to use a thread pool, and starting
-one costs each process CPU time.
+eval, diff, regular, product and algebra-dump are exact, and roots and
+scan compute in Python floats: none of them loads numpy, only cauchy
+does.  `main` starts numpy's BLAS on one thread unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set: no
+product here is large enough to use a thread pool, and starting one
+costs each process CPU time.
 """
 
 import argparse

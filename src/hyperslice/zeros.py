@@ -5,20 +5,32 @@ real factors x - r and x^2 - 2 alpha x + alpha^2 + beta^2) and isolated
 points.  The real factors are divided out one at a time, so a repeated
 one is found with its own multiplicity; every zero of the quotient is
 isolated and lies on a sphere of its normal polynomial q * q^c.
+
+Root finding never loads numpy: the real polynomials R(x) and q * q^c
+are solved by the Aberth-Ehrlich iteration started on a circle of the
+Fujiwara radius (D. A. Bini, Numer. Algorithms 13, 1996), p is evaluated
+by Horner's rule on coefficient tuples, and isolated zeros are polished
+by least-squares Newton steps.
 """
 
+import cmath
 import math
 import random
+import sys
+from collections import Counter, namedtuple
 from functools import partial
+from operator import add, mul
 
-from .algebra import encode_number, invert, is_imaginary_unit, norm_sq, trace
+from .algebra import encode_number, is_imaginary_unit, norm_sq, trace
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
-                     NotInvertible, RefinementFailed, UnsupportedKind)
+                     RefinementFailed, UnsupportedKind)
 from .regularity import OrderedPolynomial, ordered_monomial_eval
 
 RESIDUAL_SCALE = 1e-8
 SETTLE_STEPS = 8
 NEWTON_STEPS = 40
+ABERTH_STEPS = 200
+EPS = sys.float_info.epsilon
 
 
 class ZeroReport:
@@ -40,19 +52,16 @@ class ZeroReport:
         return not self.isolated and not self.spherical
 
     def to_json(self):
-        return {
-            "isolated": [[encode_number(c) for c in r.coeffs]
-                         for r in self.isolated],
-            "spherical": [[float(a), float(b)] for a, b in self.spherical],
-            "residual_max": self.residual_max,
-        }
+        return {"isolated": [[encode_number(c) for c in r.coeffs]
+                             for r in self.isolated],
+                "spherical": [[float(a), float(b)] for a, b in self.spherical],
+                "residual_max": self.residual_max}
 
 
 def _dense_coeffs(p):
     """[a_0 .. a_d] with the true degree (trailing zeros trimmed)."""
-    algebra = p.algebra
     deg = max((ell[0] for ell in p.terms), default=0)
-    out = [algebra.zero() for _ in range(deg + 1)]
+    out = [p.algebra.zero() for _ in range(deg + 1)]
     for ell, a in p.terms.items():
         out[ell[0]] = out[ell[0]] + a
     while len(out) > 1 and out[-1].is_zero(0):
@@ -60,79 +69,113 @@ def _dense_coeffs(p):
     return out
 
 
-def _eval_coeffs(coeffs, x):
-    total = x.algebra.zero()
-    power = x.algebra.one()
-    for a in coeffs:
-        if not a.is_zero(0):
-            total = total + power * a
-        power = power * x
-    return total
-
-
 def _random_unit(algebra, rng):
-    dim = algebra.dim
+    # Clifford units stay on grade one, where squares are scalar
+    clifford = algebra.kind.startswith("clifford")
     for _ in range(64):
-        v = algebra.element([0.0] + [rng.uniform(-1, 1)
-                                     for _ in range(dim - 1)])
-        if algebra.kind.startswith("clifford"):
-            # stay on grade one, where squares are scalar by construction
-            v = algebra.element([c if (idx).bit_count() == 1 else 0.0
-                                 for idx, c in enumerate(v.coeffs)])
+        draw = [0.0] + [rng.uniform(-1, 1) for _ in range(algebra.dim - 1)]
+        v = algebra.element([c if not clifford or idx.bit_count() == 1
+                             else 0.0 for idx, c in enumerate(draw)])
         nrm = v.euclid_norm()
-        if nrm < 1e-3:
-            continue
-        u = v * (1.0 / nrm)
-        if is_imaginary_unit(u, 1e-9):
+        if nrm >= 1e-3 and is_imaginary_unit(u := v * (1.0 / nrm), 1e-9):
             return u
     return algebra.default_imaginary_unit()
 
 
+def _mod(z):
+    return math.hypot(z.real, z.imag)  # abs() can raise OverflowError
+
+
+def _rounding(sizes, r):
+    """eps sum_k sizes[k] r^k; Horner's rule errs by up to 4(d+1) times it."""
+    total = 0.0
+    for s in reversed(sizes):
+        total = total * r + s
+    return EPS * total
+
+
+def _aberth(coeffs):
+    """The complex zeros of the real polynomial sum_k coeffs[k] x^k.
+
+    Zero low coefficients give zeros at 0; the others start on a circle of
+    the Fujiwara radius, which bounds them all, and take Aberth-Ehrlich
+    corrections p / (p' - p sum_j 1 / (z - z_j)) in turn, until |p(z)| is
+    down to rounding or a correction to eps |z|."""
+    if not abs(coeffs[-1]) >= sys.float_info.min:
+        raise RefinementFailed(f"leading coefficient {coeffs[-1]:.3g} is "
+                               "below the normal float range")
+    low = next(k for k, c in enumerate(coeffs) if c)
+    zeros, coeffs = [0j] * low, coeffs[low:]
+    n, sizes = len(coeffs) - 1, [abs(c) for c in coeffs]
+    radius = 2 * max([(s / sizes[-1] / (2 if k == 0 else 1)) ** (1 / (n - k))
+                      for k, s in enumerate(sizes[:-1])], default=0.0)
+    z = [cmath.rect(radius, (2 * math.pi * k + 0.5) / n) for k in range(n)]
+    moving = range(n)
+    for _ in range(ABERTH_STEPS):
+        still = []
+        for k in moving:
+            p = dp = 0j
+            for c in reversed(coeffs):
+                dp, p = dp * z[k] + p, p * z[k] + c
+            den = dp - p * sum(1 / (z[k] - v) for v in z if v != z[k])
+            if _mod(p) > _rounding(sizes, _mod(z[k])) and den:
+                z[k] -= (step := p / den)
+                if _mod(step) > EPS * _mod(z[k]):
+                    still.append(k)
+        if not (moving := still):
+            break
+    if not all(math.isfinite(_mod(w)) for w in z):
+        raise RefinementFailed("the root iteration left the float range")
+    return zeros + z
+
+
+def _stem_value(stem, w):
+    """P(w) = sum_k w^k stem[k] and P'(w), by Horner's rule per component."""
+    value = slope = [0j] * len(stem[0])
+    for row in reversed(stem):
+        slope = [s * w + v for s, v in zip(slope, value)]
+        value = [v * w + c for v, c in zip(value, row)]
+    return value, slope
+
+
 def _stem_residual(stem, w):
-    """|F_0| + |F_1|, where F_0 + i F_1 = P(w) = sum_k w^k stem[k]."""
-    import numpy as np
-    value = np.polyval(stem[::-1], w)
-    # hypot scales, so no square overflows and no numpy warning is written
-    return math.hypot(*value.real) + math.hypot(*value.imag)
+    """|F_0| + |F_1| for F_0 + i F_1 = P(w); hypot keeps squares finite."""
+    value = _stem_value(stem, w)[0]
+    return (math.hypot(*(v.real for v in value))
+            + math.hypot(*(v.imag for v in value)))
 
 
 def _excess(stem, w):
     """The stem residual above the rounding error of Horner's rule."""
-    import numpy as np
-    floor = (4 * len(stem) * np.finfo(float).eps
-             * np.polyval(np.linalg.norm(stem, axis=1)[::-1], abs(w)))
-    return max(0.0, _stem_residual(stem, w) - float(floor))
+    return max(0.0, _stem_residual(stem, w) - 4 * len(stem)
+               * _rounding([math.hypot(*row) for row in stem], _mod(w)))
 
 
 def _settle(stem, w):
     """w moved by Gauss-Newton on the stem, if it stays close and improves."""
-    import numpy as np
-    coeffs = stem[::-1]
-    slopes = (stem[1:] * np.arange(1, len(stem))[:, None])[::-1]
     x = w
-    with np.errstate(all="ignore"):
-        for _ in range(SETTLE_STEPS):
-            value, slope = np.polyval(coeffs, x), np.polyval(slopes, x)
-            x = x - np.vdot(slope, value) / np.vdot(slope, slope).real
-            if not abs(x - w) <= 1e-6 * (1.0 + abs(w)):
-                return w
-        if (np.linalg.norm(np.polyval(coeffs, x))
-                <= np.linalg.norm(np.polyval(coeffs, w))):
-            return x
-    return w
+    for _ in range(SETTLE_STEPS):
+        value, slope = _stem_value(stem, x)
+        den = sum(s.real * s.real + s.imag * s.imag for s in slope)
+        if not den > 0:
+            return w
+        x -= sum(s.conjugate() * v for s, v in zip(slope, value)) / den
+        if not _near(w, x):
+            return w
+    return x if _stem_residual(stem, x) <= _stem_residual(stem, w) else w
 
 
 def _near(w, v, rel=1e-6):
-    return abs(w - v) <= rel * (1.0 + abs(w))
+    return _mod(w - v) <= rel * (1.0 + _mod(w))
 
 
-def _merge(estimates, excess):
-    """Estimates of one factor replaced by their mean.
-
-    An estimate joins a group within 1e-6 (1 + |w|) of the group's mean,
+def _merge(estimates, excess, coeffs):
+    """Estimates of one factor of R = sum_j coeffs[j] x^j made one value:
+    an estimate joins a group within 1e-6 (1 + |w|) of the group's mean,
     or within 1e-3 (1 + |w|) when the joint mean has no larger excess
-    residual than either; the cap keeps distinct zeros apart.
-    """
+    residual than either; the cap keeps distinct zeros apart.  k
+    estimates of a k-fold zero scatter by about eps^(1/k), but it is a
+    simple zero of R^(k-1), on which their mean is settled."""
     groups = []
     for w in estimates:
         for group in groups:
@@ -144,74 +187,117 @@ def _merge(estimates, excess):
                 break
         else:
             groups.append([w])
-    return [sum(group) / len(group) for group in groups]
+    out = []
+    for group in groups:
+        mean, deriv = sum(group) / len(group), coeffs
+        for _ in group[1:]:
+            deriv = [j * c for j, c in enumerate(deriv)][1:]
+        out.append(_settle([(c,) for c in deriv], mean) if group[1:] else mean)
+    return out
 
 
 def _deflate(stem, factor):
     """Quotient of stem by a monic real factor (both low to high)."""
-    import numpy as np
-    rem, m = stem.copy(), len(factor) - 1
-    quot = np.empty((len(stem) - m, stem.shape[1]))
+    rem, m = list(stem), len(factor) - 1
+    quot = [None] * (len(stem) - m)
     for k in range(len(quot) - 1, -1, -1):
-        quot[k] = rem[k + m]
-        rem[k:k + m + 1] -= np.outer(factor, quot[k])
+        quot[k] = top = rem[k + m]
+        for i, f in enumerate(factor):
+            rem[k + i] = [r - f * c for r, c in zip(rem[k + i], top)]
     return quot
 
 
-def _newton_polish(coeffs, x):
-    import numpy as np
-    algebra = x.algebra
-    deg = len(coeffs) - 1
-    right_mats = {k: algebra.right_mult_matrix(a)
-                  for k, a in enumerate(coeffs) if k and not a.is_zero(0)}
-    best = x
-    best_val = _eval_coeffs(coeffs, best)
-    best_res = best_val.euclid_norm()
-    for _ in range(NEWTON_STEPS):
-        if best_res == 0.0:
+def _horner(algebra, coeffs, x, units=()):
+    """p(x) = a_0 + x(a_1 + x(...)) on tuples (x^k a_k by Artin's theorem),
+    and its slope sum_k x^(k-1)(u h_k) along each unit u, as left_rows."""
+    xs = algebra.left_rows(x)
+    hs = [coeffs[-1]]
+    for a in reversed(coeffs[:-1]):
+        hs.append(tuple(map(add, a, algebra.product(xs, hs[-1]))))
+    slopes = []
+    for u in units:
+        g = algebra.product(u, hs[0])
+        for h in hs[1:-1]:
+            g = tuple(map(add, algebra.product(u, h), algebra.product(xs, g)))
+        slopes.append(g)
+    return hs[-1], slopes
+
+
+def _least_norm_step(jac, b):
+    """d of least norm with sum_m d[m] jac[m] = b, as lstsq finds it:
+    d = A^T y for the system matrix A, with A A^T y = b eliminated on the
+    largest diagonal entry left until one falls below n eps times the
+    largest, the rest of y 0; exact for a consistent b."""
+    rows = list(zip(*jac))
+    gram = {c: [sum(map(mul, r, s)) for s in rows] + [v]
+            for c, (r, v) in enumerate(zip(rows, b))}
+    tol, pivots = len(b) * EPS * max(g[c] for c, g in gram.items()), []
+    while gram:
+        p = gram.pop(j := max(gram, key=lambda c: gram[c][c]))
+        if not p[j] > tol:
             break
-        L = algebra.left_mult_matrix(best)
-        jac = np.zeros((algebra.dim, algebra.dim))
-        m_prev = np.zeros((algebra.dim, algebra.dim))
-        power = algebra.one()
-        for k in range(1, deg + 1):
-            m_k = algebra.right_mult_matrix(power) + m_prev @ L
-            if k in right_mats:
-                jac += m_k @ right_mats[k]
-            m_prev = m_k
-            power = power * best
-        try:
-            delta, *_ = np.linalg.lstsq(jac.T, -best_val.coeffs_float(),
-                                        rcond=None)
-        except np.linalg.LinAlgError:
+        pivots.append((j, p))
+        for g in gram.values():
+            f = g[j] / p[j]
+            g[:] = [a - f * c for a, c in zip(g, p)]
+    y = [0.0] * len(b) + [-1.0]
+    for j, p in reversed(pivots):
+        y[j] = -sum(map(mul, p, y)) / p[j]
+    return [sum(map(mul, column, y)) for column in jac]
+
+
+def _newton_polish(algebra, coeffs, x):
+    """x moved by Newton steps on p while |p(x)| falls, up to rounding;
+    the slopes along the basis elements make the Jacobian."""
+    units = [algebra.basis(m).left_rows() for m in range(algebra.dim)]
+    value = _horner(algebra, coeffs, x)[0]
+    res = math.hypot(*value)
+    for _ in range(NEWTON_STEPS if res else 0):
+        step = _least_norm_step(_horner(algebra, coeffs, x, units)[1],
+                                [-v for v in value])
+        nxt = tuple(map(add, x, step))
+        nvalue = _horner(algebra, coeffs, nxt)[0]
+        if not math.hypot(*nvalue) < res:
             break
-        nxt = best + algebra.element([float(c) for c in delta])
-        nval = _eval_coeffs(coeffs, nxt)
-        nres = nval.euclid_norm()
-        if nres >= best_res:
+        x, value, res = nxt, nvalue, math.hypot(*nvalue)
+        if res <= 4 * len(coeffs) * _rounding(
+                [math.hypot(*a) for a in coeffs], math.hypot(*x)):
             break
-        best, best_val, best_res = nxt, nval, nres
-    return best, best_res
+    return algebra.element(x), res
 
 
 def _check_clifford_form(coeffs, algebra):
-    dim = algebra.dim
-    m = dim.bit_length() - 1
-    for i in range(m):
-        gen = 1 << i
-        if algebra.mul_index[gen][gen] != 0 or algebra.mul_sign[gen][gen] != -1:
-            raise UnsupportedKind(
-                "root finding on Clifford algebras needs every generator "
-                "to square to -1 (negative-definite signature)")
+    if any(algebra.mul_index[g][g] != 0 or algebra.mul_sign[g][g] != -1
+           for g in (1 << i for i in range(algebra.dim.bit_length() - 1))):
+        raise UnsupportedKind(
+            "root finding on Clifford algebras needs every generator "
+            "to square to -1 (negative-definite signature)")
     for a in coeffs:
-        for idx, c in enumerate(a.coeffs):
-            if c != 0 and idx.bit_count() > 1:
-                raise UnsupportedKind(
-                    "Clifford root finding accepts paravector coefficients "
-                    f"only; coefficient {a.format()} has higher grade")
+        if any(c and i.bit_count() > 1 for i, c in enumerate(a.coeffs)):
+            raise UnsupportedKind(
+                "Clifford root finding accepts paravector coefficients "
+                f"only; coefficient {a.format()} has higher grade")
     if not (coeffs[-1] - algebra.one()).is_zero(1e-12):
         raise UnsupportedKind(
             "Clifford root finding accepts monic polynomials only")
+
+
+def _isolated_zero(algebra, q, w):
+    """alpha + beta I, I = -F_0 F_1^c / |F_1|^2 for F_0 + i F_1 = q(w)."""
+    alpha, beta = w.real + 0.0, w.imag
+    value = _stem_value(q, w)[0]
+    f0 = algebra.element([v.real for v in value])
+    f1 = algebra.element([v.imag for v in value])
+    if not (n1 := f1.euclid_norm_sq()) > 1e-18:
+        raise RefinementFailed(f"sphere ({alpha:.4g}, {beta:.4g}) admits no "
+                               f"unit: |F_1|^2 = {n1:.3g} is too small")
+    unit_c = (f0 * f1.conj()) * (-1.0 / n1)
+    nr = norm_sq(unit_c)
+    if (trace(unit_c).euclid_norm() > 1e-4 * (1.0 + unit_c.euclid_norm())
+            or not nr.is_real(1e-6) or abs(float(nr.coeffs[0]) - 1) > 1e-4):
+        raise RefinementFailed(f"sphere ({alpha:.4g}, {beta:.4g}): recovered "
+                               "direction is not an imaginary unit")
+    return algebra.from_real(alpha) + beta * unit_c
 
 
 def roots_one_var(p):
@@ -229,16 +315,20 @@ def roots_one_var(p):
     R(x) = sum_k x^k <a_k, a_d / |a_d|>, with its own multiplicity.  A
     root w of R, settled on the stem, with |F_0| + |F_1| within the bound
     is a real zero when p(Re w) is as small above rounding as p(w), and a
-    sphere of zeros otherwise.  Estimates of one factor are merged into
-    their mean, the factor is divided out, and the search repeats on the
-    quotient q.  Stage two: each zero of q is isolated, alpha + beta I
-    with I = -F_0 F_1^-1 on the sphere of a root alpha + i beta of the
-    normal polynomial q q^c, polished by Newton on p.  RefinementFailed
-    is raised when that I is not a unit or the zero does not polish below
-    the bound.  Coefficients that are not finite, or whose norms overflow,
-    raise HypersliceError.
+    sphere of zeros otherwise; the factor is divided out, and the search
+    repeats on the quotient q.  Stage two: each zero of q is isolated,
+    alpha + beta I with I = -F_0 F_1^-1 on the sphere of a root
+    alpha + i beta of the normal polynomial q q^c, polished by Newton on
+    p.  The roots of R and q q^c come from the Aberth-Ehrlich iteration
+    (Bini, Numer. Algorithms 13, 1996) started on a circle of the
+    Fujiwara radius; p is evaluated by Horner's rule on coefficient
+    tuples, and a Newton step is the minimum-norm least-squares step on
+    the Jacobian of directional derivatives.
+
+    RefinementFailed is raised when that I is not a unit, a zero does not
+    polish below the bound, or R or q q^c leaves the normal float range;
+    HypersliceError, when coefficients or their norms are not finite.
     """
-    import numpy as np
     if p.n != 1:
         raise AlgebraMismatch("roots_one_var handles one variable, the "
                               f"polynomial has {p.n}; use zero_scan for fibers")
@@ -254,35 +344,34 @@ def roots_one_var(p):
                               "whose norms stay in the float range")
     scale = max(norms)
     bound = RESIDUAL_SCALE * (1.0 + scale)
-    stem = np.array([a.coeffs_float() for a in coeffs]) / scale
+    floats = [tuple(map(float, a.coeffs)) for a in coeffs]
+    stem = [[c / scale for c in a] for a in floats]
     # unscaled, so that a tiny leading row does not underflow its norm
-    lead = coeffs[-1].coeffs_float() / norms[-1]
-    isolated = []
-    spherical = []
-    residuals = [0.0]
+    lead = [c / norms[-1] for c in floats[-1]]
+    isolated, spherical, residuals = [], [], [0.0]
 
     def accept_isolated(x):
-        x, res = _newton_polish(coeffs, x)
-        if res > bound:
+        x, res = _newton_polish(algebra, floats, x.coeffs)
+        if not res <= bound:
             raise RefinementFailed(
                 f"candidate near {x.format()} refined to residual "
                 f"{res:.2e} > {bound:.2e}")
-        for r in isolated:
-            if (r - x).euclid_norm() <= 1e-6 * (1.0 + x.euclid_norm()):
-                return
-        isolated.append(x)
-        residuals.append(res)
+        if all((r - x).euclid_norm() > 1e-6 * (1.0 + x.euclid_norm())
+               for r in isolated):
+            isolated.append(x)
+            residuals.append(res)
 
     q = stem
     while len(q) > 1:
+        r = [sum(map(mul, row, lead)) for row in q]
         found = [_settle(q, w) for w in (complex(w.real, abs(w.imag))
-                                         for w in np.roots((q @ lead)[::-1]))
+                                         for w in _aberth(r))
                  if scale * max(_stem_residual(q, w),
                                 _stem_residual(stem, w)) <= bound]
         if not found:
             break
         excess = partial(_excess, q)
-        for w in _merge(found, excess):
+        for w in _merge(found, excess, r):
             alpha, beta = w.real + 0.0, w.imag
             if _near(w, alpha) or excess(alpha) <= excess(w):
                 accept_isolated(algebra.from_real(alpha))
@@ -291,46 +380,21 @@ def roots_one_var(p):
             if not any(_near(w, complex(a, b)) for a, b in spherical):
                 spherical.append((alpha, beta))
                 residuals.append(scale * _stem_residual(stem, w))
-            q = _deflate(q, [alpha ** 2 + beta ** 2, -2.0 * alpha, 1.0])
-    normal = sum(np.convolve(column, column) for column in q.T)
-    if len(q) > 1 and not normal[-1] > 0:
-        raise RefinementFailed(
-            "the normal polynomial underflows: the coefficient norms span "
-            "more than the float range")
-    for w in np.roots(normal[::-1]):
-        alpha, beta = w.real + 0.0, w.imag
-        if beta < 0:
-            continue
-        value = np.polyval(q[::-1], w)
-        f0, f1 = (algebra.element(part.tolist())
-                  for part in (value.real, value.imag))
-        try:
-            unit_c = -1 * (f0 * invert(f1))
-        except NotInvertible as exc:
-            raise RefinementFailed(
-                f"sphere ({alpha:.4g}, {beta:.4g}) admits no unit: {exc}")
-        tr, nr = trace(unit_c), norm_sq(unit_c)
-        if (tr.euclid_norm() > 1e-4 * (1.0 + unit_c.euclid_norm())
-                or not nr.is_real(1e-6)
-                or abs(float(nr.real_coeff()) - 1.0) > 1e-4):
-            raise RefinementFailed(
-                f"sphere ({alpha:.4g}, {beta:.4g}): recovered direction "
-                "is not an imaginary unit")
-        accept_isolated(algebra.from_real(alpha) + beta * unit_c)
+            q = _deflate(q, [alpha * alpha + beta * beta, -2.0 * alpha, 1.0])
+    normal = [0.0] * (2 * len(q) - 1)
+    for i, a in enumerate(q):
+        for j, b in enumerate(q):
+            normal[i + j] += sum(map(mul, a, b))
+    for w in _aberth(normal) if len(q) > 1 else ():
+        if w.imag >= 0:
+            accept_isolated(_isolated_zero(algebra, q, w))
     return ZeroReport(isolated, spherical, max(residuals))
 
 
 # -- multivariable fiber scan ----------------------------------------------
 
 
-class FiberRecord:
-    __slots__ = ("sample", "kind", "report")
-
-    def __init__(self, sample, kind, report):
-        self.sample = sample
-        self.kind = kind
-        self.report = report
-
+class FiberRecord(namedtuple("FiberRecord", "sample kind report")):
     def __repr__(self):
         pt = ", ".join(x.format() for x in self.sample)
         return f"FiberRecord(({pt}): {self.kind})"
@@ -343,60 +407,46 @@ class ScanReport:
         self.records = list(records)
 
     def counts(self):
-        out = {}
-        for rec in self.records:
-            out[rec.kind] = out.get(rec.kind, 0) + 1
-        return out
+        return dict(Counter(rec.kind for rec in self.records))
 
     def nonempty(self):
         return any(rec.report is not None and not rec.report.empty
                    for rec in self.records)
 
     def to_json(self):
-        return {
-            "fibers": [{
-                "sample": [[encode_number(c) for c in x.coeffs]
-                           for x in rec.sample],
-                "kind": rec.kind,
-                "report": rec.report.to_json() if rec.report else None,
-            } for rec in self.records],
-            "counts": self.counts(),
-        }
+        fibers = [{"sample": [[encode_number(c) for c in x.coeffs]
+                              for x in rec.sample],
+                   "kind": rec.kind,
+                   "report": rec.report.to_json() if rec.report else None}
+                  for rec in self.records]
+        return {"fibers": fibers, "counts": self.counts()}
 
     def csv_rows(self):
         yield ("sample", "kind", "isolated", "spherical", "residual_max")
         for rec in self.records:
-            pt = "; ".join(x.format() for x in rec.sample)
-            if rec.report is None:
-                yield (pt, rec.kind, "", "", "")
-            else:
-                yield (pt, rec.kind,
-                       " | ".join(r.format() for r in rec.report.isolated),
-                       " | ".join(f"({a:.6g}, {b:.6g})"
-                                  for a, b in rec.report.spherical),
-                       f"{rec.report.residual_max:.3e}")
+            pt, rep = "; ".join(x.format() for x in rec.sample), rec.report
+            yield (pt, rec.kind, "", "", "") if rep is None else (
+                pt, rec.kind, " | ".join(r.format() for r in rep.isolated),
+                " | ".join(f"({a:.6g}, {b:.6g})" for a, b in rep.spherical),
+                f"{rep.residual_max:.3e}")
 
 
 def restrict_to_first_variable(f, sample):
     """One-variable polynomial in x_1 with the other variables fixed."""
-    algebra = f.algebra
     if len(sample) != f.n - 1:
         raise AlgebraMismatch(
             f"need {f.n - 1} values for the trailing variables")
     coeffs = {}
     for ell, a in f.terms.items():
-        k = ell[0]
-        rest = ordered_monomial_eval(ell[1:], a, sample)
-        coeffs[k] = coeffs.get(k, algebra.zero()) + rest
-    return OrderedPolynomial(1, algebra,
-                             {(k,): c for k, c in coeffs.items()})
+        coeffs[ell[:1]] = (coeffs.get(ell[:1], f.algebra.zero())
+                           + ordered_monomial_eval(ell[1:], a, sample))
+    return OrderedPolynomial(1, f.algebra, coeffs)
 
 
 def fiber_kind(report):
-    if report.spherical and report.isolated:
-        return "mixed"
     if report.spherical:
-        return f"spheres({len(report.spherical)})"
+        return ("mixed" if report.isolated
+                else f"spheres({len(report.spherical)})")
     return f"finite({len(report.isolated)})"
 
 
@@ -412,17 +462,13 @@ def zero_scan(f, samples):
         raise AlgebraMismatch("zero_scan needs at least two variables, "
                               f"the polynomial has {f.n}; use roots_one_var")
     records = []
-    for sample in samples:
-        sample = tuple(sample)
+    for sample in map(tuple, samples):
         restricted = restrict_to_first_variable(f, sample)
         coeffs = _dense_coeffs(restricted)
-        if len(coeffs) < 2:
-            kind = ("identically-zero" if coeffs[0].is_zero(1e-12)
-                    else "empty-leading-degenerate")
-            records.append(FiberRecord(sample, kind, None))
-            continue
-        report = roots_one_var(restricted)
-        records.append(FiberRecord(sample, fiber_kind(report), report))
+        report = roots_one_var(restricted) if len(coeffs) > 1 else None
+        kind = (fiber_kind(report) if report else "identically-zero"
+                if coeffs[0].is_zero(1e-12) else "empty-leading-degenerate")
+        records.append(FiberRecord(sample, kind, report))
     return ScanReport(records)
 
 
@@ -439,19 +485,13 @@ def scan_samples(algebra, nvars, count, seed=20240817, span=2.0):
     rng = random.Random(seed)
     out = []
     for idx in range(count):
-        point = []
+        cls, point = idx % 4, []
         for _ in range(nvars - 1):
-            cls = idx % 4
-            if cls == 0:
-                point.append(algebra.from_real(rng.uniform(-span, span)))
-            elif cls == 1:
-                point.append(rng.uniform(0.1, span)
-                             * _random_unit(algebra, rng))
-            elif cls == 2:
-                point.append(_random_unit(algebra, rng))
-            else:
-                point.append(algebra.from_real(rng.uniform(-span, span))
-                             + rng.uniform(0.1, span)
-                             * _random_unit(algebra, rng))
+            x = (algebra.from_real(rng.uniform(-span, span)) if cls % 3 == 0
+                 else algebra.zero())
+            if cls:
+                x = x + ((rng.uniform(0.1, span) if cls != 2 else 1)
+                         * _random_unit(algebra, rng))
+            point.append(x)
         out.append(tuple(point))
     return out

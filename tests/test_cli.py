@@ -329,6 +329,18 @@ def test_roots_of_huge_mixed_coefficients_is_one_json_error():
         check_schema(_strict_json(proc.stderr), "error")
 
 
+def test_roots_with_a_subnormal_normal_leading_coefficient_is_one_json_error():
+    # stage one finds -1 and leaves the row 1 + 1e-160 x, whose normal
+    # polynomial 1 + 2e-160 x + 1e-320 x^2 leads with a subnormal
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperslice.cli", "roots", "--poly",
+         "(1e-160) x1^2 + x1 + (1)"], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    blob = _strict_json(proc.stderr)
+    check_schema(blob, "error")
+    assert blob["error"]["type"] == "RefinementFailed"
+
+
 def test_roots_of_subnormal_coefficients_is_json_on_stdout():
     # stem values whose largest component is subnormal
     for poly in ("x1 + (0 i 1e-310)", "x1^2 + (-1 i 1e-310)"):
@@ -793,15 +805,38 @@ def test_exact_subcommands_run_without_numpy(argv):
     json.loads(proc.stdout)
 
 
-# a child that runs `roots` through the CLI, numpy loaded first or not,
-# and reports the OpenBLAS thread count it leaves in the environment
+def _root_finding_commands():
+    for alg, (u, v) in _UNITS.items():
+        yield ["roots", "--algebra", alg, "--poly",
+               f"x1^3 + (1 {u} 2) x1^2 + (0 {v} -1) x1 + (2 {u} 1 {v} 1)"]
+        yield ["scan", "--algebra", alg, "--poly",
+               f"x1^2 + x1 x2 + (0 {u} 1) x2^2 + (-1 {v} 1)", "--count", "8"]
+    yield ["roots", "--algebra", "clifford(0,3)", "--poly",
+           "x1^3 + (1 e1 2) x1^2 + (0 e2 -1 e3 1) x1 + (2 e1 1)"]
+
+
+@pytest.mark.parametrize("argv", list(_root_finding_commands()),
+                         ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_root_finding_subcommands_run_without_numpy(argv):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False False\n"
+    check_schema(json.loads(proc.stdout), argv[0])
+
+
+# a child that runs a small `cauchy` through the CLI, numpy loaded first
+# or not, and reports the OpenBLAS thread count it leaves in the
+# environment and whether numpy got loaded
 _BLAS_PROBE = """\
 import os, sys
 if sys.argv[1] == "numpy-first":
     import numpy
 from hyperslice.cli import main
-code = main(["roots", "--poly", "x1^2 + (1)"])
-print(os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+code = main(["cauchy", "--poly", "x1^2 + (1)", "--radii", "1.5",
+             "--point", "[[0.2,0.3,i]]", "--samples", "8"])
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -819,7 +854,7 @@ def test_cli_runs_blas_on_one_thread_unless_told_otherwise(order, preset,
                           capture_output=True, text=True,
                           env={**env, **preset})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == f"{reported}\n"
+    assert proc.stderr == f"{reported} True\n"
     json.loads(proc.stdout)
 
 
@@ -840,6 +875,30 @@ def test_exact_evaluation_runs_without_numpy():
         "    assert hs.representation_eval(\n"
         "        lambda pt: hs.slice_eval(stem, pt), source, x\n"
         "    ) == hs.poly_eval(p, x)\n"
+        "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_root_finding_runs_without_numpy():
+    probe = (
+        "import sys\n"
+        "import hyperslice as hs\n"
+        "for kind in ('quaternions', 'octonions', 'clifford(0,3)'):\n"
+        "    A = hs.make_algebra(kind)\n"
+        "    u, v = A.basis(1), A.basis(2)\n"
+        "    p = hs.OrderedPolynomial(1, A, {(3,): A.one(), (1,): u,\n"
+        "                                    (0,): A.one() + v})\n"
+        "    report = hs.roots_one_var(p)\n"
+        "    assert len(report.isolated) + 2 * len(report.spherical) == 3\n"
+        "    if kind.startswith('clifford'):\n"
+        "        continue  # restrictions leave the paravectors\n"
+        "    f = hs.OrderedPolynomial(2, A, {(2, 0): A.one(), (1, 1): u,\n"
+        "                                    (0, 0): v})\n"
+        "    scan = hs.zero_scan(f, hs.scan_samples(A, 2, 8, seed=3))\n"
+        "    assert sum(scan.counts().values()) == 8\n"
         "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True)

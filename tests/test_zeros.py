@@ -3,15 +3,18 @@
 import json
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_element, random_imaginary_unit
 from hyperslice.errors import (ConstantPolynomial, HypersliceError,
                                RefinementFailed, UnsupportedKind)
 from hyperslice.regularity import OrderedPolynomial, poly_eval, star_product
-from hyperslice.zeros import (restrict_to_first_variable, roots_one_var,
-                              scan_samples, zero_scan)
+from hyperslice.zeros import (_aberth, restrict_to_first_variable,
+                              roots_one_var, scan_samples, zero_scan)
 
 
 def coeff_scale(p):
@@ -492,3 +495,74 @@ def test_seeded_random_products_are_solved(H, O):
         if why is not None:
             failures.append(f"trial {trial}: {why}")
     assert failures == []
+
+
+# -- the real-coefficient root finder against numpy.roots -----------------
+
+def _expand(roots, lead):
+    """Coefficients, low to high, of lead * prod (x - r), taken real."""
+    coeffs = [complex(lead)]
+    for r in roots:
+        coeffs = [0j] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= r * coeffs[k + 1]
+    return [c.real for c in coeffs]
+
+
+def _assert_matches_numpy(coeffs, found):
+    """found and numpy.roots agree one to one, each pair within its
+    first-order rounding error: 1e3 eps sum_k |c_k| |z|^k / |p'(z)|."""
+    np = pytest.importorskip("numpy")
+    reference = list(np.roots(coeffs[::-1]))
+    assert len(found) == len(reference) == len(coeffs) - 1
+    for z in found:
+        slope = sum(k * c * z ** (k - 1) for k, c in enumerate(coeffs) if k)
+        size = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+        tol = 1e3 * sys.float_info.epsilon * size / abs(slope)
+        nearest = min(reference, key=lambda r: abs(r - z))
+        assert abs(nearest - z) <= tol, (coeffs, z, nearest, tol)
+        reference.remove(nearest)
+
+
+@st.composite
+def _separated_real_polynomials(draw):
+    """(coeffs, roots) for degree 1-10: real roots and conjugate pairs
+    at least 0.25 apart, times a leading coefficient of size 0.1-10."""
+    degree = draw(st.integers(1, 10))
+    pairs = draw(st.integers(0, degree // 2))
+    grid = st.integers(-12, 12).map(lambda k: k / 4)
+    reals = draw(st.lists(grid, min_size=degree - 2 * pairs,
+                          max_size=degree - 2 * pairs, unique=True))
+    tops = draw(st.lists(st.tuples(grid, st.integers(1, 12)), min_size=pairs,
+                         max_size=pairs, unique=True))
+    roots = [complex(r) for r in reals]
+    for a, b in tops:
+        roots += [complex(a, b / 4), complex(a, -b / 4)]
+    lead = draw(st.sampled_from((0.1, -0.5, 1.0, 3.0, -10.0)))
+    return _expand(roots, lead), roots
+
+
+@settings(deadline=None, max_examples=150, database=None)
+@given(_separated_real_polynomials())
+def test_aberth_matches_numpy_roots(case):
+    coeffs, roots = case
+    found = _aberth(coeffs)
+    _assert_matches_numpy(coeffs, found)
+    for r in roots:
+        assert min(abs(z - r) for z in found) <= 1e-6 * (1 + abs(r))
+
+
+def test_aberth_fixed_cases():
+    # a zero constant term is an exact zero 0
+    found = _aberth([0.0, -2.0, 1.0])
+    assert 0j in found and min(abs(z - 2) for z in found) <= 1e-14
+    # a double root: both estimates within sqrt(eps) of it
+    found = _aberth([1.0, -2.0, 1.0])
+    assert len(found) == 2 and all(abs(z - 1) <= 1e-7 for z in found)
+    # a leading coefficient of 1e-12 puts one zero near -1e12
+    coeffs = [-1.0, 1.0, 1e-12]
+    found = _aberth(coeffs)
+    _assert_matches_numpy(coeffs, found)
+    assert sorted(z.real for z in found) == pytest.approx([-1e12 - 1, 1.0])
+    with pytest.raises(RefinementFailed):
+        _aberth([1.0, 1.0, 1e-320])
