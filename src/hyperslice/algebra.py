@@ -1,6 +1,6 @@
 """Real alternative *-algebras with monomial multiplication tables.
 
-The central objects are :class:`AlgebraDef` (a validated table),efficient
+The central objects are :class:`AlgebraDef` (a validated table),
 :class:`Element` values over it, and :class:`ConeDecomposition`, the writing
 x = alpha + beta*J of a quadratic-cone point with beta >= 0 and J an
 imaginary unit (t(J) = 0, n(J) = 1).
@@ -154,12 +154,6 @@ class AlgebraDef:
     def has_basis_name(self, name):
         return name in self._name_to_index
 
-    def from_coeff_map(self, mapping):
-        coeffs = [0] * self.dim
-        for name, val in mapping.items():
-            coeffs[self.basis_index(name)] = val
-        return Element(self, tuple(coeffs))
-
     def left_rows(self, a):
         """(a_i, table row i) for the nonzero a_i: a, ready for product."""
         return _Rows((x, row) for x, row in zip(a, self._rows) if x)
@@ -198,18 +192,12 @@ class AlgebraDef:
 
     def left_mult_matrix(self, x):
         """Matrix L with (x*v).coeffs == v.coeffs @ L for float work."""
-        return self._mult_matrix(x, self.dense_tensor())
-
-    def right_mult_matrix(self, x):
-        """Matrix R with (v*x).coeffs == v.coeffs @ R for float work."""
-        return self._mult_matrix(x, self.dense_tensor().swapaxes(0, 1))
-
-    def _mult_matrix(self, x, tensor):
-        # sum_i x_i tensor[i] as one matmul; multiplying by a basis element
+        # sum_i x_i M[i] as one matmul; multiplying by a basis element
         # permutes the basis up to sign, so each entry has one nonzero term
         import numpy as np
         coeffs = x.coeffs_float() if isinstance(x, Element) else np.asarray(x, float)
-        return (coeffs @ tensor.reshape(self.dim, -1)).reshape(tensor.shape[1:])
+        return (coeffs @ self.dense_tensor().reshape(self.dim, -1)).reshape(
+            self.dim, self.dim)
 
     def default_imaginary_unit(self):
         """First basis element lying in the unit sphere; the canonical J.
@@ -359,10 +347,6 @@ def trace(a):
 def norm_sq(a):
     """n(a) = a * a^c, an element (real on the quadratic cone)."""
     return a * a.conj()
-
-
-def approx_eq(a, b, tol=1e-12):
-    return (a - b).is_zero(tol)
 
 
 class ConeDecomposition:

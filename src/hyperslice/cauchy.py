@@ -91,10 +91,11 @@ class BoundaryTorus:
                 f"slice unit from {J.algebra.kind}, torus in {algebra.kind}")
         if not (isinstance(J, Element) and is_imaginary_unit(J)):
             raise NotImaginaryUnit(f"{J!r} is not an imaginary unit")
-        if samples_per_circle < 1:
+        if (type(samples_per_circle) is not int  # refuses bool and float
+                or samples_per_circle < 1):
             raise HypersliceError(
-                f"samples_per_circle must be at least 1, "
-                f"got {samples_per_circle}")
+                f"samples_per_circle must be an int >= 1, "
+                f"got {samples_per_circle!r}")
         self.samples_per_circle = samples_per_circle
 
     @classmethod
@@ -129,11 +130,6 @@ class BoundaryTorus:
             out = [(chosen + (c,), sign * c.orientation)
                    for chosen, sign in out for c in var_circles]
         return out
-
-    def boundary_value(self, combo, angles):
-        """xi(t) for one circle choice, as complex numbers on the slice."""
-        return [c.center + c.radius * complex(math.cos(t), math.sin(t))
-                for c, t in zip(combo, angles)]
 
 
 class KernelPoint:

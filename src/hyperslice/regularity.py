@@ -27,7 +27,6 @@ from .errors import (
 from .slicefun import SlicePoint
 from .stems import (
     StemPoly,
-    SubsetIndex,
     binomial_terms,
     cr_partial,
     cr_partial_bar,
@@ -59,10 +58,6 @@ class OrderedPolynomial:
     @classmethod
     def zero(cls, n, algebra):
         return cls(n, algebra, {})
-
-    @classmethod
-    def constant(cls, a, n):
-        return cls(n, a.algebra, {(0,) * n: a})
 
     @classmethod
     def variable(cls, h, n, algebra):
@@ -184,8 +179,9 @@ class RegularityReport:
     """Outcome of a CR system check; truthy iff every equation holds.
 
     Each violation is (h, K, which): the pair equation in variable h at
-    the subset K not containing h; which is "alpha" for the equation
-    matching alpha- against beta-derivatives and "beta" for the other.
+    the subset K not containing h, an int mask; which is "alpha" for the
+    equation matching alpha- against beta-derivatives and "beta" for the
+    other.
     """
 
     def __init__(self, violations, max_residual):
@@ -218,8 +214,7 @@ def is_slice_regular(f):
         bit = 1 << (h - 1)
         for mask, poly in bar.components.items():
             which = "beta" if mask & bit else "alpha"
-            K = SubsetIndex(mask & ~bit)
-            violations.append((h, K, which))
+            violations.append((h, mask & ~bit, which))
             norms = [c.euclid_norm() for c in poly.values()]
             if not all(map(math.isfinite, norms)):
                 raise HypersliceError(
@@ -280,14 +275,6 @@ class PowerSeries:
             self.coeff = coeff_source
             self.table = None
 
-    @classmethod
-    def from_polynomial(cls, p, M=None):
-        if M is None:
-            M = max(1.0, max((c.euclid_norm() for c in p.terms.values()),
-                             default=1.0))
-        return cls(p.n, p.algebra, dict(p.terms), M,
-                   truncation_degree=p.degree())
-
 
 def _exponents_of_degree(n, total):
     if n == 1:
@@ -303,18 +290,25 @@ def series_eval(s, x, rho):
 
     Needs every coordinate inside the ball of radius rho and the combined
     rate gamma = B * rho * M below one; the tail bound sums the dominating
-    real series past the truncation degree to machine convergence.
+    real series past the truncation degree to machine convergence.  A rho
+    that is not a positive number, or an M that is not a finite number
+    >= 0, raises HypersliceError; each guard is written so NaN fails it.
     """
     xs = x.elements() if isinstance(x, SlicePoint) else tuple(x)
     if len(xs) != s.n:
         raise AlgebraMismatch(f"need {s.n} coordinates, got {len(xs)}")
+    if not rho > 0:
+        raise HypersliceError(f"rho must be a positive number, got {rho!r}")
+    if not 0 <= s.M < math.inf:
+        raise HypersliceError(
+            f"M must be a finite number >= 0, got {s.M!r}")
     B = norm_constant(s.algebra)
     gamma = B * rho * s.M
-    if gamma >= 1:
+    if not gamma < 1:
         raise OutsideConvergenceBall(
             f"gamma = B*rho*M = {gamma:.4g} >= 1; no convergence guarantee")
     for h, xe in enumerate(xs, start=1):
-        if xe.euclid_norm() >= rho:
+        if not xe.euclid_norm() < rho:
             raise OutsideConvergenceBall(
                 f"coordinate {h} has norm {xe.euclid_norm():.4g} "
                 f">= rho = {rho}")

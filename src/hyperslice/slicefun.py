@@ -28,12 +28,12 @@ from .algebra import (
     Element,
     cone_decompose,
     invert,
-    is_imaginary_unit,
     ordered_inverse_product,
 )
 from .errors import (
     AlgebraMismatch,
-    NotImaginaryUnit,
+    HypersliceError,
+    IndexOutOfRange,
     OnRealLocus,
     SphereMismatch,
 )
@@ -72,15 +72,6 @@ class SlicePoint:
             betas.append(dec.beta)
             units.append(dec.unit)
         return cls(algebra, alphas, betas, units)
-
-    @classmethod
-    def slice_diagonal(cls, algebra, zs, J):
-        """All variables on the slice of one unit J; zs are (alpha, beta)."""
-        if not is_imaginary_unit(J):
-            raise NotImaginaryUnit("slice unit must square to -1")
-        alphas = [ab[0] for ab in zs]
-        betas = [ab[1] for ab in zs]
-        return cls(algebra, alphas, betas, [J] * len(alphas))
 
     @property
     def n(self):
@@ -266,8 +257,12 @@ def spherical_derivative(f, point, kmask):
 
     Requires beta_k > 0 for every k in K; the imaginary parts are divided
     out, so the value is constant on the fiber for slice functions.  It is
-    the K-th stem component divided by the product of the beta_k.
+    the K-th stem component divided by the product of the beta_k.  A mask
+    outside 0..2^n - 1 raises IndexOutOfRange.
     """
+    if not 0 <= kmask < 1 << point.n:
+        raise IndexOutOfRange(
+            f"mask {kmask} outside 0..{(1 << point.n) - 1}")
     product = _beta_product(point, kmask)
     return _fiber_values(f, point)[kmask] / product
 
@@ -286,13 +281,19 @@ def one_variable_split(f, h, order):
 
     Returns a new function of SlicePoints; iterating over the variables
     with the characteristic exponents of K produces the K-th spherical
-    derivative.
+    derivative.  An order other than 0 or 1 raises HypersliceError, and h
+    outside 1..n, n the number of variables of the point, IndexOutOfRange.
     """
     if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+        raise HypersliceError(f"order must be 0 or 1, got {order!r}")
+    if h < 1:
+        raise IndexOutOfRange(f"variable index {h} must be >= 1")
     bit = 1 << (h - 1)
 
     def g(point):
+        if h > point.n:
+            raise IndexOutOfRange(
+                f"variable index {h} outside 1..{point.n}")
         plus = f(point)
         minus = f(point.conjugated(bit))
         if order == 0:
@@ -316,7 +317,7 @@ def truncated_derivative(stem, point, eps):
     if m > stem.n:
         raise AlgebraMismatch("eps longer than the number of variables")
     if any(e not in (0, 1) for e in eps):
-        raise ValueError("eps entries must be 0 or 1")
+        raise HypersliceError(f"eps entries must be 0 or 1, got {eps!r}")
     kmask = sum(e << h for h, e in enumerate(eps))
     product = _beta_product(point, kmask)
     vals = _stem_values(stem, point)

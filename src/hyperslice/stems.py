@@ -4,14 +4,13 @@ A stem assigns to each subset K of {1..n} a component F_K, a polynomial in
 the 2n real variables (alpha_1, beta_1, ..., alpha_n, beta_n) with Element
 coefficients.  The parity law (F_K even in beta_h for h not in K, odd for
 h in K) is checked on outside input (the constructor, from_json) and kept
-by sums, products and the Cauchy-Riemann operators.  A complex structure
-J_h breaks it: it moves F_K to K xor {h} with its beta_h degree, so J_h F
-is a StemPoly but no stem function (J_h J_h F = -F is one again).
+by sums, products and the Cauchy-Riemann operators.
 
-Components are sparse dicts {exponent tuple -> Element}; exponent index
-2(h-1) is the alpha_h degree and 2(h-1)+1 the beta_h degree.  All calculus
-here (products, complex structures, Cauchy-Riemann operators) is exact on
-exact coefficients; identities like Leibniz hold with zero tolerance.
+K is an int mask, bit h-1 set when h is a member.  Components are sparse
+dicts {exponent tuple -> Element}; exponent index 2(h-1) is the alpha_h
+degree and 2(h-1)+1 the beta_h degree.  All calculus here (products and
+Cauchy-Riemann operators) is exact on exact coefficients; identities like
+Leibniz hold with zero tolerance.
 """
 
 import math
@@ -42,41 +41,10 @@ def _kernel(dim, size):
     return _KERNELS[dim, size]
 
 
-class SubsetIndex(int):
-    """Subset of {1..n} as a bitmask; bit h-1 set means h is a member."""
-
-    @classmethod
-    def of(cls, *members):
-        mask = 0
-        for h in members:
-            if h < 1:
-                raise IndexOutOfRange(f"variable index {h} must be >= 1")
-            mask |= 1 << (h - 1)
-        return cls(mask)
-
-    @property
-    def size(self):
-        return self.bit_count()
-
-    def sym_diff(self, other):
-        return SubsetIndex(self ^ other)
-
-    def meet(self, other):
-        return SubsetIndex(self & other)
-
-    def contains(self, h):
-        return bool(self >> (h - 1) & 1)
-
-    def members(self):
-        return tuple(h + 1 for h in range(self.bit_length()) if self >> h & 1)
-
-    def __repr__(self):
-        return "{" + ",".join(str(h) for h in self.members()) + "}"
-
-
-def subsets(n):
-    """All subsets of {1..n} in mask order."""
-    return [SubsetIndex(mask) for mask in range(1 << n)]
+def _format_mask(mask):
+    """The subset of a mask as '{1,3}': bit h-1 set means h is a member."""
+    return "{" + ",".join(str(h + 1) for h in range(mask.bit_length())
+                          if mask >> h & 1) + "}"
 
 
 def parity_ok(mask, exponents, n):
@@ -120,7 +88,7 @@ class StemValue:
                 and self.components == other.components)
 
     def __repr__(self):
-        body = ", ".join(f"{SubsetIndex(m)!r}: {c.format()}"
+        body = ", ".join(f"{_format_mask(m)}: {c.format()}"
                          for m, c in enumerate(self.components))
         return f"StemValue({body})"
 
@@ -130,7 +98,6 @@ class StemPoly:
 
     A component mask outside 0..2^n - 1 raises IndexOutOfRange, and an
     exponent tuple of the wrong length or with a negative entry ParityError.
-    The one operation whose result breaks parity is apply_complex_structure.
     """
 
     is_polynomial = True
@@ -158,13 +125,14 @@ class StemPoly:
                 if not coeff.is_zero(0):
                     clean[exp] = coeff
             if clean:
-                comps[SubsetIndex(mask)] = clean
+                comps[int(mask)] = clean
         if not _skip_check:
-            bad = _parity_violations(n, comps)
+            bad = [(mask, exp) for mask, poly in comps.items() for exp in poly
+                   if not parity_ok(mask, exp, n)]
             if bad:
                 mask, exp = bad[0]
                 raise ParityError(
-                    f"component {SubsetIndex(mask)!r} monomial {exp} violates "
+                    f"component {_format_mask(mask)} monomial {exp} violates "
                     f"the beta-parity law ({len(bad)} violations total)")
         self.components = comps
         self._plan = None
@@ -172,13 +140,6 @@ class StemPoly:
     @classmethod
     def zero(cls, n, algebra):
         return cls(n, algebra, {})
-
-    @classmethod
-    def constant(cls, a, n):
-        return cls(n, a.algebra, {0: {(0,) * (2 * n): a}})
-
-    def component(self, mask):
-        return dict(self.components.get(SubsetIndex(mask), {}))
 
     def value_at(self, z):
         """Every component at z = ((alpha_h, beta_h))_h, as Elements.
@@ -334,20 +295,6 @@ class CallableStem:
         return StemValue(self.n, self.algebra, vals)
 
 
-def _parity_violations(n, components):
-    out = []
-    for mask, poly in components.items():
-        for exp in poly:
-            if not parity_ok(mask, exp, n):
-                out.append((SubsetIndex(mask), exp))
-    return out
-
-
-def stem_parity_check(F):
-    """Diagnostic: list of (K, exponents) monomials violating parity."""
-    return _parity_violations(F.n, F.components)
-
-
 class SigmaTable:
     """e_K e_H = sigma(K, H) e_(K xor H) with sigma(K, H) = (-1)^|K meet H|.
 
@@ -383,28 +330,6 @@ def stem_product(F, G, sigma):
             sparse.add_into(out.setdefault(HM ^ LM, {}), sparse.mul(p, q),
                             sigma(HM, LM))
     return StemPoly(F.n, F.algebra, out, _skip_check=True)
-
-
-def apply_complex_structure(w, h):
-    """The h-th complex structure: out_{K xor {h}} gains (-1)^|K meet {h}| in_K.
-
-    On a StemPoly it breaks the parity law in variable h (module docstring);
-    the Cauchy-Riemann operators pair it with d/dbeta_h, which restores it.
-    """
-    if h < 1 or h > w.n:
-        raise IndexOutOfRange(f"h = {h} outside 1..{w.n}")
-    bit = 1 << (h - 1)
-    if isinstance(w, StemValue):
-        vals = [w.algebra.zero()] * (1 << w.n)
-        for mask, c in enumerate(w.components):
-            sign = -1 if mask & bit else 1
-            vals[mask ^ bit] = vals[mask ^ bit] + sign * c
-        return StemValue(w.n, w.algebra, vals)
-    out = {}
-    for mask, poly in w.components.items():
-        sign = -1 if mask & bit else 1
-        sparse.add_into(out.setdefault(mask ^ bit, {}), poly, sign)
-    return StemPoly(w.n, w.algebra, out, _skip_check=True)
 
 
 def cr_partial(F, h):
@@ -452,14 +377,6 @@ def binomial_terms(ell):
         terms = [(exp + pair, c * d, mask | bit)
                  for exp, c, mask in terms for pair, d, bit in row]
     return terms
-
-
-def pq_polynomials(k):
-    """(p_k, q_k) with (alpha + i beta)^k = p_k + i q_k, as sparse int dicts."""
-    p, q = {}, {}
-    for exp, c, mask in binomial_terms((k,)):
-        (q if mask else p)[exp] = c
-    return p, q
 
 
 def monomial_stem(ell, a):

@@ -14,6 +14,11 @@ the slow, direct way, so the fast paths have something to agree with:
   regularity routes (classical holomorphy after splitting, and the
   one-variable reduction) to check is_slice_regular against;
 - max_diff: the largest coefficient of a sparse difference.
+
+Beside them sit the small helpers that only tests need: approx_eq,
+slice_diagonal, boundary_value, pq_polynomials, stem_parity_check and
+apply_complex_structure, the complex structure of a StemPoly that
+stem_product is complex bilinear for.
 """
 
 import math
@@ -24,12 +29,12 @@ from hyperslice.algebra import (DEFAULT_TOL, Element, invert,
                                 is_imaginary_unit, ordered_product,
                                 splitting_basis)
 from hyperslice.cauchy import MIN_DELTA, _direct_eval, char_poly
-from hyperslice.errors import (AlgebraMismatch, NotImaginaryUnit,
-                               OnSingularSphere)
+from hyperslice.errors import (AlgebraMismatch, IndexOutOfRange,
+                               NotImaginaryUnit, OnSingularSphere)
 from hyperslice.regularity import _require_stem_poly
 from hyperslice.slicefun import SlicePoint
-from hyperslice.stems import (StemPoly, SubsetIndex, sigma_tensor,
-                              stem_product)
+from hyperslice.stems import (StemPoly, binomial_terms, parity_ok,
+                              sigma_tensor, stem_product)
 
 
 def max_diff(p, q, scale=1):
@@ -38,6 +43,58 @@ def max_diff(p, q, scale=1):
     sparse.add_into(diff, q, -scale)
     return max((c.euclid_norm() if isinstance(c, Element) else abs(c)
                 for c in diff.values()), default=0)
+
+
+def approx_eq(a, b, tol=1e-12):
+    return (a - b).is_zero(tol)
+
+
+def slice_diagonal(algebra, zs, J):
+    """All variables on the slice of one unit J; zs are (alpha, beta)."""
+    if not is_imaginary_unit(J):
+        raise NotImaginaryUnit("slice unit must square to -1")
+    return SlicePoint(algebra, [ab[0] for ab in zs], [ab[1] for ab in zs],
+                      [J] * len(zs))
+
+
+def boundary_value(combo, angles):
+    """xi(t) for one circle choice, as complex numbers on the slice."""
+    return [c.center + c.radius * complex(math.cos(t), math.sin(t))
+            for c, t in zip(combo, angles)]
+
+
+# -- stem calculus ----------------------------------------------------------
+
+
+def pq_polynomials(k):
+    """(p_k, q_k) with (alpha + i beta)^k = p_k + i q_k, as sparse int dicts."""
+    p, q = {}, {}
+    for exp, c, mask in binomial_terms((k,)):
+        (q if mask else p)[exp] = c
+    return p, q
+
+
+def stem_parity_check(F):
+    """List of (K, exponents) monomials violating the beta-parity law."""
+    return [(mask, exp) for mask, poly in F.components.items()
+            for exp in poly if not parity_ok(mask, exp, F.n)]
+
+
+def apply_complex_structure(F, h):
+    """The h-th complex structure: out_{K xor {h}} gains (-1)^|K meet {h}| F_K.
+
+    It moves F_K to K xor {h} with its beta_h degree, so the result is a
+    StemPoly that breaks the parity law in variable h (J_h J_h F = -F is a
+    stem again); the Cauchy-Riemann operators pair it with d/dbeta_h.
+    """
+    if h < 1 or h > F.n:
+        raise IndexOutOfRange(f"h = {h} outside 1..{F.n}")
+    bit = 1 << (h - 1)
+    out = {}
+    for mask, poly in F.components.items():
+        sparse.add_into(out.setdefault(mask ^ bit, {}), poly,
+                        -1 if mask & bit else 1)
+    return StemPoly(F.n, F.algebra, out, _skip_check=True)
 
 
 # -- pointwise Cauchy integrands ------------------------------------------
@@ -74,7 +131,7 @@ def cauchy_integrand(f, x, t, torus, tol=DEFAULT_TOL):
     fn = _direct_eval(f) or f
     total = algebra.zero()
     for combo, orient in torus.combos():
-        zs = torus.boundary_value(combo, t)
+        zs = boundary_value(combo, t)
         point = SlicePoint(algebra, [w.real for w in zs],
                            [w.imag for w in zs], [J] * n)
         fval = fn(point)
@@ -112,7 +169,7 @@ def cauchy_integrand_product_form(f, x, t, torus, tol=DEFAULT_TOL):
     fn = _direct_eval(f) or f
     total = algebra.zero()
     for combo, orient in torus.combos():
-        zs = torus.boundary_value(combo, t)
+        zs = boundary_value(combo, t)
         point = SlicePoint(algebra, [w.real for w in zs],
                            [w.imag for w in zs], [J] * n)
         vel = 1 + 0j
@@ -188,7 +245,8 @@ def kernel_stem_symbolic(algebra, ys_complex, J):
         for h, (re, im) in enumerate(ys_complex, start=1):
             if kmask >> (h - 1) & 1:
                 yc = yc * (algebra.from_real(re) - im * J)
-        term = stem_product(term, StemPoly.constant(yc, n), sigma)
+        constant = StemPoly(n, algebra, {0: {(0,) * (2 * n): yc}})
+        term = stem_product(term, constant, sigma)
         numer = numer + sign * term
     return numer, denom
 
@@ -344,6 +402,5 @@ def one_variable_regularity_check(f):
             r1 = max_diff(sparse.dx(G0, va), sparse.dx(G1, vb))
             r2 = max_diff(sparse.dx(G0, vb), sparse.dx(G1, va), -1)
             if max(r1, r2) > 0:
-                failures.append((h, SubsetIndex(base & (bit - 1)),
-                                 SubsetIndex(base & ~(2 * bit - 1))))
+                failures.append((h, base & (bit - 1), base & ~(2 * bit - 1)))
     return OneVariableReport(not failures, failures)

@@ -17,7 +17,8 @@ import pytest
 
 from conftest import (random_element, random_imaginary_unit, random_poly,
                       random_stem)
-from oracles import cauchy_integrand, cauchy_integrand_product_form
+from oracles import (cauchy_integrand, cauchy_integrand_product_form,
+                     slice_diagonal)
 from hyperslice.algebra import is_imaginary_unit, make_algebra
 from hyperslice.cauchy import BoundaryTorus, cauchy_reconstruct
 from hyperslice.regularity import (OrderedPolynomial, is_slice_regular,
@@ -207,7 +208,7 @@ def test_criterion_09_cauchy_octonions(O):
         torus = BoundaryTorus.discs(O, [1.5, 1.5], samples_per_circle=128)
         assert _max_error(f, torus, points) <= 1e-6
         zs = [(0.4, 0.9), (-0.2, 0.6)]
-        x = SlicePoint.slice_diagonal(O, zs, torus.J)
+        x = slice_diagonal(O, zs, torus.J)
         for t in [(0.3, 1.1), (2.0, 4.4), (5.9, 0.7)]:
             expanded = cauchy_integrand(f, x, t, torus)
             product = cauchy_integrand_product_form(f, x, t, torus)

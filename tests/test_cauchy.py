@@ -12,9 +12,9 @@ from hyperslice.algebra import invert, make_algebra
 from hyperslice.cauchy import (BoundaryTorus, Circle, KernelPoint,
                                cauchy_reconstruct, char_poly,
                                slice_cauchy_kernel)
-from hyperslice.errors import (AlgebraMismatch, NonAssociativeAlgebra,
-                               NotImaginaryUnit, NotInQuadraticCone,
-                               OnSingularSphere,
+from hyperslice.errors import (AlgebraMismatch, HypersliceError,
+                               NonAssociativeAlgebra, NotImaginaryUnit,
+                               NotInQuadraticCone, OnSingularSphere,
                                PointOutsideE, QuadratureSingularity)
 from hyperslice.regularity import OrderedPolynomial, poly_to_stem
 from hyperslice.slicefun import SlicePoint, representation_eval, slice_eval
@@ -22,9 +22,9 @@ from hyperslice.stems import StemPoly
 
 from conftest import (random_element, random_imaginary_unit, random_poly,
                       random_stem)
-from oracles import (cauchy_integrand, cauchy_integrand_product_form,
-                     cauchy_kernel_1var, kernel_stem_symbolic,
-                     rational_stem_is_regular)
+from oracles import (boundary_value, cauchy_integrand,
+                     cauchy_integrand_product_form, cauchy_kernel_1var,
+                     kernel_stem_symbolic, rational_stem_is_regular)
 
 
 def test_char_poly_vanishes_exactly_on_the_sphere(H):
@@ -92,11 +92,18 @@ def test_boundary_torus_refuses_non_finite_circles(H):
             BoundaryTorus.discs(H, [1.0], centers=[bad])
 
 
+def test_boundary_torus_refuses_samples_that_are_not_an_int(H):
+    # 2.5 once gave an answer with grid_points 2.5, and True ran with N = 1
+    for bad in (2.5, 4.0, True, False, "8", 0, -3):
+        with pytest.raises(HypersliceError, match="samples_per_circle"):
+            BoundaryTorus.discs(H, [1.0], samples_per_circle=bad)
+
+
 def test_integrand_of_one_is_one_on_the_unit_circle(H):
     i = H.basis_named("i")
     torus = BoundaryTorus.discs(H, [1.0], samples_per_circle=8)
     x0 = SlicePoint(H, [0.0], [0.0], [i])
-    f = OrderedPolynomial.constant(H.one(), 1)
+    f = OrderedPolynomial(1, H, {(0,): H.one()})
     for t in (0.0, 0.7, 2.0, 3.9, 5.5):
         v = cauchy_integrand(f, x0, (t,), torus)
         assert (v - H.one()).is_zero(1e-14)
@@ -175,7 +182,7 @@ def test_reconstruct_constant_is_exact_at_tiny_sample_counts(H):
     i, k = H.basis_named("i"), H.basis_named("k")
     x0 = SlicePoint(H, [0.0], [0.0], [i])
     for a in (H.one() + 2 * i - 3 * k, H.zero()):
-        f = OrderedPolynomial.constant(a, 1)
+        f = OrderedPolynomial(1, H, {(0,): a})
         for N in (2, 3, 4):
             torus = BoundaryTorus.discs(H, [1.0], samples_per_circle=N)
             val, diag = cauchy_reconstruct(f, torus, x0)
@@ -388,7 +395,7 @@ def test_kernel_route_matches_expanded_route_in_quaternions(H):
     for a in range(N):
         for b in range(N):
             t = (2 * math.pi * a / N, 2 * math.pi * b / N)
-            zs = torus.boundary_value([c[0] for c in torus.circles], t)
+            zs = boundary_value([c[0] for c in torus.circles], t)
             ys = [H.from_real(w.real) + w.imag * J for w in zs]
             point = SlicePoint(H, [w.real for w in zs],
                                [w.imag for w in zs], [J, J])

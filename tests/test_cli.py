@@ -740,10 +740,15 @@ def test_env_tolerance_reaches_the_library(monkeypatch):
 
 def test_env_tolerance_leaves_root_finding_alone(monkeypatch, capsys):
     # the tolerance is that of --point and --slice-unit; root finding keeps
-    # its fixed thresholds, so a loose one still isolates -0.1i
+    # its fixed thresholds, so a loose one still isolates -0.1i and -0.1e1
     monkeypatch.setenv("HYPERSLICE_TOL", "0.5")
-    assert main(["roots", "--poly", "x1 + (0 i 0.1)"]) == 0
-    assert json.loads(capsys.readouterr().out)["isolated_str"] == ["-0.1i"]
+    cases = {"-0.1i": ["--poly", "x1 + (0 i 0.1)"],
+             "-0.1e1": ["--algebra", "clifford(0,3)",
+                        "--poly", "x1 + (0 e1 0.1)"]}
+    for root, argv in cases.items():
+        assert main(["roots", *argv]) == 0, argv
+        out = json.loads(capsys.readouterr().out)
+        assert out["isolated_str"] == [root], argv
 
 
 def test_module_entry_point_runs():

@@ -10,6 +10,7 @@ from hyperslice.algebra import invert, make_algebra
 from hyperslice.errors import (
     AlgebraMismatch,
     BlackBoxUnsupported,
+    HypersliceError,
     IndexOutOfRange,
     NotImaginaryUnit,
     OutsideConvergenceBall,
@@ -260,7 +261,7 @@ def test_series_zero_and_polynomial(H, rng):
     assert value == H.zero() and tail == 0.0
 
     p = _poly(H, 2, {(1, 1): H.one()})
-    s = PowerSeries.from_polynomial(p)
+    s = PowerSeries(2, H, dict(p.terms), 1.0, truncation_degree=p.degree())
     xs = (random_cone_point(H, rng, span=0.3),
           random_cone_point(H, rng, span=0.3))
     value, tail = series_eval(s, xs, rho=0.9)
@@ -276,6 +277,20 @@ def test_series_rejects_divergence(H):
         series_eval(s, (0.1 * H.basis_named("i"),), rho=0.05)
     with pytest.raises(OutsideConvergenceBall):
         PowerSeries(1, H, {(3,): H.from_real(100)}, M=1.0)
+
+
+def test_series_refuses_nan_and_out_of_range_bounds(H):
+    # every guard is a comparison, so NaN has to fail each one: with
+    # rho or M NaN the tail bound once came back nan
+    x = (0.1 * H.basis_named("i"),)
+    s = PowerSeries(1, H, lambda ell: H.one(), M=0.5)
+    for rho in (math.nan, 0.0, -1.0):
+        with pytest.raises(HypersliceError, match="rho"):
+            series_eval(s, x, rho)
+    for M in (math.nan, math.inf, -0.5):
+        s = PowerSeries(1, H, lambda ell: H.one(), M=M)
+        with pytest.raises(HypersliceError, match="M must"):
+            series_eval(s, x, 0.5)
 
 
 def test_split_holomorphy_examples(H):

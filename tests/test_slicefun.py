@@ -6,6 +6,8 @@ import pytest
 
 from hyperslice.errors import (
     AlgebraMismatch,
+    HypersliceError,
+    IndexOutOfRange,
     OnRealLocus,
     SphereMismatch,
 )
@@ -25,6 +27,7 @@ from hyperslice.slicefun import (
 from hyperslice.stems import monomial_stem, sigma_tensor, stem_product
 
 from conftest import random_imaginary_unit, random_stem
+from oracles import slice_diagonal
 
 F12 = Fraction(1, 2)
 F13 = Fraction(1, 3)
@@ -258,6 +261,28 @@ def test_truncated_derivative_interpolates(H, rng):
             F, _exact_point(H, ("i", "j"), [(F12, 0), (0, 1)]), (1,))
 
 
+def test_spherical_operators_refuse_bad_arguments(H, rng):
+    # a variable index past n once returned f(x) unchanged, h = 0 and a
+    # mask past 2^n - 1 raised bare ValueError and IndexError
+    F = random_stem(2, H, rng)
+    f = lambda p: slice_eval(F, p)
+    p = _exact_point(H, ("i", "j"), [(F12, F23), (-F13, F32)])
+    for order in (0, 1):
+        with pytest.raises(IndexOutOfRange):
+            one_variable_split(f, 3, order)(p)
+        with pytest.raises(IndexOutOfRange):
+            one_variable_split(f, 0, order)
+    for order in (2, -1, 0.5):
+        with pytest.raises(HypersliceError, match="order"):
+            one_variable_split(f, 1, order)
+    for kmask in (4, 7, -1):
+        with pytest.raises(IndexOutOfRange):
+            spherical_derivative(f, p, kmask)
+    for eps in ((2,), (0, -1)):
+        with pytest.raises(HypersliceError, match="eps"):
+            truncated_derivative(F, p, eps)
+
+
 def test_diagonal_slice_product_law(H, rng):
     # real-coefficient stems multiply pointwise on a one-unit diagonal
     from conftest import random_real_stem
@@ -267,14 +292,14 @@ def test_diagonal_slice_product_law(H, rng):
     G = random_real_stem(2, H, rng)
     prod = stem_product(F, G, sigma)
     J = H.basis_named("j")
-    p = SlicePoint.slice_diagonal(H, [(F12, F23), (-F13, F32)], J)
+    p = slice_diagonal(H, [(F12, F23), (-F13, F32)], J)
     assert slice_eval(prod, p) == slice_eval(F, p) * slice_eval(G, p)
     # with noncommuting coefficients the pointwise product law breaks
     i, j, k = H.basis_named("i"), H.basis_named("j"), H.basis_named("k")
     A = monomial_stem((1, 0), i)
     B = monomial_stem((1, 0), j)
     AB = stem_product(A, B, sigma)
-    q = SlicePoint.slice_diagonal(H, [(0, 1), (0, 1)], j)
+    q = slice_diagonal(H, [(0, 1), (0, 1)], j)
     lhs = slice_eval(AB, q)
     rhs = slice_eval(A, q) * slice_eval(B, q)
     assert (lhs - rhs).euclid_norm() > 1.0

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -52,6 +53,28 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in bound.items() if name not in read]
     assert unused == []
+
+
+def test_every_public_name_has_a_caller():
+    # A caller is a Name or Attribute in the package or bench/, a word of
+    # README.md, or an entry of __all__, matched by name: tests do not count
+    defined, used = [], set(hyperslice.__all__)
+    used.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in sorted(SRC.glob("*.py")) + sorted(ROOT.glob("bench/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used.update(sub.id if isinstance(sub, ast.Name) else sub.attr
+                    for sub in ast.walk(tree)
+                    if isinstance(sub, (ast.Name, ast.Attribute)))
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + members:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and d.name[0] != "_":
+                    defined.append((d.name, f"{path.name}:{d.lineno}"))
+    assert [f"{where} {name}" for name, where in defined
+            if name not in used] == []
 
 
 def _readme_examples():
