@@ -99,7 +99,7 @@ class ConstantPolynomial(HypersliceError):
 
 
 class RefinementFailed(HypersliceError):
-    """Newton refinement of a candidate zero did not converge."""
+    """Root finding could not find a zero within its residual bound."""
 
 
 class ExpressionSyntaxError(HypersliceError):

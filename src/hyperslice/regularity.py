@@ -291,14 +291,16 @@ def series_eval(s, x, rho):
     Needs every coordinate inside the ball of radius rho and the combined
     rate gamma = B * rho * M below one; the tail bound sums the dominating
     real series past the truncation degree to machine convergence.  A rho
-    that is not a positive number, or an M that is not a finite number
-    >= 0, raises HypersliceError; each guard is written so NaN fails it.
+    that is not a finite positive number, or an M that is not a finite
+    number >= 0, raises HypersliceError; each guard is written so NaN
+    fails it.
     """
     xs = x.elements() if isinstance(x, SlicePoint) else tuple(x)
     if len(xs) != s.n:
         raise AlgebraMismatch(f"need {s.n} coordinates, got {len(xs)}")
-    if not rho > 0:
-        raise HypersliceError(f"rho must be a positive number, got {rho!r}")
+    if not 0 < rho < math.inf:
+        raise HypersliceError(
+            f"rho must be a finite positive number, got {rho!r}")
     if not 0 <= s.M < math.inf:
         raise HypersliceError(
             f"M must be a finite number >= 0, got {s.M!r}")

@@ -137,10 +137,6 @@ class StemPoly:
         self.components = comps
         self._plan = None
 
-    @classmethod
-    def zero(cls, n, algebra):
-        return cls(n, algebra, {})
-
     def value_at(self, z):
         """Every component at z = ((alpha_h, beta_h))_h, as Elements.
 
@@ -218,13 +214,6 @@ class StemPoly:
         return (isinstance(other, StemPoly) and self.n == other.n
                 and self.algebra == other.algebra
                 and self.components == other.components)
-
-    def is_zero(self):
-        return not self.components
-
-    def degree(self):
-        return max((sum(e) for p in self.components.values() for e in p),
-                   default=0)
 
     def _check(self, other):
         if self.n != other.n or self.algebra != other.algebra:

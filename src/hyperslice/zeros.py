@@ -8,9 +8,8 @@ isolated and lies on a sphere of its normal polynomial q * q^c.
 
 Root finding never loads numpy: the real polynomials R(x) and q * q^c
 are solved by the Aberth-Ehrlich iteration started on a circle of the
-Fujiwara radius (D. A. Bini, Numer. Algorithms 13, 1996), p is evaluated
-by Horner's rule on coefficient tuples, and isolated zeros are polished
-by least-squares Newton steps.
+Fujiwara radius (D. A. Bini, Numer. Algorithms 13, 1996), and each zero
+is accepted on its residual |p(x)|, by Horner's rule on coefficient tuples.
 """
 
 import cmath
@@ -28,7 +27,6 @@ from .regularity import OrderedPolynomial, ordered_monomial_eval
 
 RESIDUAL_SCALE = 1e-8
 SETTLE_STEPS = 8
-NEWTON_STEPS = 40
 ABERTH_STEPS = 200
 EPS = sys.float_info.epsilon
 
@@ -207,63 +205,13 @@ def _deflate(stem, factor):
     return quot
 
 
-def _horner(algebra, coeffs, x, units=()):
-    """p(x) = a_0 + x(a_1 + x(...)) on tuples (x^k a_k by Artin's theorem),
-    and its slope sum_k x^(k-1)(u h_k) along each unit u, as left_rows."""
+def _horner(algebra, coeffs, x):
+    """p(x) = a_0 + x(a_1 + x(...)) on tuples (x^k a_k by Artin's theorem)."""
     xs = algebra.left_rows(x)
-    hs = [coeffs[-1]]
+    value = coeffs[-1]
     for a in reversed(coeffs[:-1]):
-        hs.append(tuple(map(add, a, algebra.product(xs, hs[-1]))))
-    slopes = []
-    for u in units:
-        g = algebra.product(u, hs[0])
-        for h in hs[1:-1]:
-            g = tuple(map(add, algebra.product(u, h), algebra.product(xs, g)))
-        slopes.append(g)
-    return hs[-1], slopes
-
-
-def _least_norm_step(jac, b):
-    """d of least norm with sum_m d[m] jac[m] = b, as lstsq finds it:
-    d = A^T y for the system matrix A, with A A^T y = b eliminated on the
-    largest diagonal entry left until one falls below n eps times the
-    largest, the rest of y 0; exact for a consistent b."""
-    rows = list(zip(*jac))
-    gram = {c: [sum(map(mul, r, s)) for s in rows] + [v]
-            for c, (r, v) in enumerate(zip(rows, b))}
-    tol, pivots = len(b) * EPS * max(g[c] for c, g in gram.items()), []
-    while gram:
-        p = gram.pop(j := max(gram, key=lambda c: gram[c][c]))
-        if not p[j] > tol:
-            break
-        pivots.append((j, p))
-        for g in gram.values():
-            f = g[j] / p[j]
-            g[:] = [a - f * c for a, c in zip(g, p)]
-    y = [0.0] * len(b) + [-1.0]
-    for j, p in reversed(pivots):
-        y[j] = -sum(map(mul, p, y)) / p[j]
-    return [sum(map(mul, column, y)) for column in jac]
-
-
-def _newton_polish(algebra, coeffs, x):
-    """x moved by Newton steps on p while |p(x)| falls, up to rounding;
-    the slopes along the basis elements make the Jacobian."""
-    units = [algebra.basis(m).left_rows() for m in range(algebra.dim)]
-    value = _horner(algebra, coeffs, x)[0]
-    res = math.hypot(*value)
-    for _ in range(NEWTON_STEPS if res else 0):
-        step = _least_norm_step(_horner(algebra, coeffs, x, units)[1],
-                                [-v for v in value])
-        nxt = tuple(map(add, x, step))
-        nvalue = _horner(algebra, coeffs, nxt)[0]
-        if not math.hypot(*nvalue) < res:
-            break
-        x, value, res = nxt, nvalue, math.hypot(*nvalue)
-        if res <= 4 * len(coeffs) * _rounding(
-                [math.hypot(*a) for a in coeffs], math.hypot(*x)):
-            break
-    return algebra.element(x), res
+        value = tuple(map(add, a, algebra.product(xs, value)))
+    return value
 
 
 def _check_clifford_form(coeffs, algebra):
@@ -283,7 +231,11 @@ def _check_clifford_form(coeffs, algebra):
 
 
 def _isolated_zero(algebra, q, w):
-    """alpha + beta I, I = -F_0 F_1^c / |F_1|^2 for F_0 + i F_1 = q(w)."""
+    """alpha + beta I, I = -F_0 F_1^c / |F_1|^2 for F_0 + i F_1 = q(w);
+    a real part of w below eps |w|, which the root iteration stops short
+    of resolving, reads as 0 in alpha and in F_0."""
+    if abs(w.real) < EPS * _mod(w):
+        w = complex(0.0, w.imag)
     alpha, beta = w.real + 0.0, w.imag
     value = _stem_value(q, w)[0]
     f0 = algebra.element([v.real for v in value])
@@ -318,16 +270,16 @@ def roots_one_var(p):
     sphere of zeros otherwise; the factor is divided out, and the search
     repeats on the quotient q.  Stage two: each zero of q is isolated,
     alpha + beta I with I = -F_0 F_1^-1 on the sphere of a root
-    alpha + i beta of the normal polynomial q q^c, polished by Newton on
-    p.  The roots of R and q q^c come from the Aberth-Ehrlich iteration
-    (Bini, Numer. Algorithms 13, 1996) started on a circle of the
-    Fujiwara radius; p is evaluated by Horner's rule on coefficient
-    tuples, and a Newton step is the minimum-norm least-squares step on
-    the Jacobian of directional derivatives.
+    alpha + i beta of the normal polynomial q q^c.  The roots of R and
+    q q^c come from the Aberth-Ehrlich iteration (Bini, Numer. Algorithms
+    13, 1996) started on a circle of the Fujiwara radius.  A real or
+    isolated zero x is accepted on its residual |p(x)|, evaluated by
+    Horner's rule on coefficient tuples, when it is within the bound.
 
-    RefinementFailed is raised when that I is not a unit, a zero does not
-    polish below the bound, or R or q q^c leaves the normal float range;
-    HypersliceError, when coefficients or their norms are not finite.
+    RefinementFailed is raised when that I is not a unit, a zero's
+    residual is above the bound, or R or q q^c leaves the normal float
+    range; HypersliceError, when coefficients or their norms are not
+    finite.
     """
     if p.n != 1:
         raise AlgebraMismatch("roots_one_var handles one variable, the "
@@ -351,10 +303,10 @@ def roots_one_var(p):
     isolated, spherical, residuals = [], [], [0.0]
 
     def accept_isolated(x):
-        x, res = _newton_polish(algebra, floats, x.coeffs)
+        res = math.hypot(*_horner(algebra, floats, x.coeffs))
         if not res <= bound:
             raise RefinementFailed(
-                f"candidate near {x.format()} refined to residual "
+                f"candidate near {x.format()} has residual "
                 f"{res:.2e} > {bound:.2e}")
         if all((r - x).euclid_norm() > 1e-6 * (1.0 + x.euclid_norm())
                for r in isolated):

@@ -214,7 +214,7 @@ def kernel_stem_symbolic(algebra, ys_complex, J):
         return StemPoly(n, algebra, {local_mask << (h - 1): lift(h, poly)
                                      for local_mask, poly in comps.items()})
 
-    numer = StemPoly.zero(n, algebra)
+    numer = StemPoly(n, algebra, {})
     denom = {(0,) * (2 * n): 1}
     for h, (re, im) in enumerate(ys_complex, start=1):
         t = 2 * re

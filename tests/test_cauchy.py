@@ -280,7 +280,7 @@ def test_stem_and_callable_boundary_values_reconstruct_alike(
     assert tori[1].J != A.default_imaginary_unit()
     poly = random_poly(n, A, rng, deg=3, exact=False)
     stem = random_stem(n, A, rng, deg=2, exact=False)
-    zero = StemPoly.zero(n, A)
+    zero = StemPoly(n, A, {})
     for torus in tori:
         for source, as_stem in ((poly, poly_to_stem(poly)), (stem, stem),
                                 (zero, zero)):

@@ -309,7 +309,7 @@ def test_monomial_stems_satisfy_cauchy_riemann(H, O, rng):
             a = random_element(algebra, rng, exact=True)
             F = monomial_stem(ell, a)
             for h in (1, 2):
-                assert cr_partial_bar(F, h).is_zero()
+                assert not cr_partial_bar(F, h).components
 
 
 def test_cr_derivative_of_powers(H):
@@ -338,7 +338,7 @@ def test_stem_addition_scaling(H, rng):
     G = random_stem(2, H, rng)
     assert (F + G) - G == F
     assert Fraction(1, 2) * (F + F) == F
-    assert (F - F).is_zero()
+    assert not (F - F).components
     z = ((Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 5), Fraction(-1, 4)))
     assert (F + G).value_at(z) == F.value_at(z) + G.value_at(z)
 

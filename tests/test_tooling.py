@@ -77,6 +77,29 @@ def test_every_public_name_has_a_caller():
             if name not in used] == []
 
 
+def test_every_private_name_is_read():
+    # module-level _names and UPPER_CASE constants, and private methods,
+    # each read as a Name or Attribute somewhere in the package
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(sub.id if isinstance(sub, ast.Name) else sub.attr
+                    for sub in ast.walk(tree)
+                    if isinstance(sub, (ast.Name, ast.Attribute))
+                    and isinstance(sub.ctx, ast.Load))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + members:
+                names = [t.id for t in getattr(d, "targets", [])
+                         if isinstance(t, ast.Name)]
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    names.append(d.name)
+                defined += [f"{path.name}:{d.lineno} {name}" for name in names
+                            if (name[0] == "_" or name.isupper())
+                            and not name.endswith("__") and name not in read]
+    assert defined == []
+
+
 def _readme_examples():
     """(argv, expected stdout) for each `$ hyperslice ...` in README.md."""
     lines = (ROOT / "README.md").read_text().splitlines()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_imaginary_unit
+from hyperslice.algebra import make_algebra
 from hyperslice.errors import (ConstantPolynomial, HypersliceError,
                                RefinementFailed, UnsupportedKind)
 from hyperslice.regularity import OrderedPolynomial, poly_eval, star_product
@@ -158,7 +159,7 @@ def test_constant_polynomials_are_refused(H):
     assert issubclass(RefinementFailed, HypersliceError)
 
 
-def test_residual_bound_holds_for_random_polynomials(H, O, rng):
+def test_residual_bound_holds_for_random_polynomials(H, O, CL03, rng):
     for algebra in (H, O):
         for _ in range(10):
             deg = rng.randint(1, 3)
@@ -166,6 +167,17 @@ def test_residual_bound_holds_for_random_polynomials(H, O, rng):
             for k in range(deg):
                 if rng.random() < 0.8:
                     terms[(k,)] = random_element(algebra, rng, span=2)
+            p = OrderedPolynomial(1, algebra, terms)
+            assert_report_residuals(p, roots_one_var(p), rng)
+    # Clifford root finding takes monic paravector polynomials
+    for algebra in (CL03, make_algebra("clifford", (0, 6))):
+        for _ in range(10):
+            deg = rng.randint(1, 4)
+            terms = {(deg,): algebra.one()}
+            for k in range(deg):
+                terms[(k,)] = algebra.element(
+                    [rng.uniform(-2, 2) if idx.bit_count() <= 1 else 0.0
+                     for idx in range(algebra.dim)])
             p = OrderedPolynomial(1, algebra, terms)
             assert_report_residuals(p, roots_one_var(p), rng)
 
