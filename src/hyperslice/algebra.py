@@ -66,10 +66,6 @@ def decode_number(v):
     raise HypersliceError(f"cannot parse coefficient {v!r}")
 
 
-class _Rows(tuple):
-    """(a_i, table row i) for the nonzero a_i; see AlgebraDef.left_rows."""
-
-
 class AlgebraDef:
     """A finite-dimensional real *-algebra given by its basis table.
 
@@ -154,26 +150,21 @@ class AlgebraDef:
     def has_basis_name(self, name):
         return name in self._name_to_index
 
-    def left_rows(self, a):
-        """(a_i, table row i) for the nonzero a_i: a, ready for product."""
-        return _Rows((x, row) for x, row in zip(a, self._rows) if x)
-
-    def product(self, a, b):
+    def product(self, rows, b):
         """Coefficient tuple of ab: the package's one product loop.
 
-        a is a coefficient tuple or its left_rows.  out[k] adds up the
-        nonzero a_i b_j with e_i e_j = +-e_k from an int 0, in order of i
-        then j, so float rounding is fixed.
+        rows is a.left_rows(), the loop's one operand form for a left
+        factor.  out[k] adds up the nonzero a_i b_j with e_i e_j = +-e_k
+        from an int 0, in order of i then j, so float rounding is fixed.
         """
         out = [0] * self.dim
-        for x, row in a if type(a) is _Rows else zip(a, self._rows):
-            if x:
-                for (k, positive), y in zip(row, b):
-                    if y:
-                        if positive:
-                            out[k] += x * y
-                        else:
-                            out[k] -= x * y
+        for x, row in rows:
+            for (k, positive), y in zip(row, b):
+                if y:
+                    if positive:
+                        out[k] += x * y
+                    else:
+                        out[k] -= x * y
         return tuple(out)
 
     # -- numeric support ------------------------------------------------------
@@ -194,10 +185,8 @@ class AlgebraDef:
         """Matrix L with (x*v).coeffs == v.coeffs @ L for float work."""
         # sum_i x_i M[i] as one matmul; multiplying by a basis element
         # permutes the basis up to sign, so each entry has one nonzero term
-        import numpy as np
-        coeffs = x.coeffs_float() if isinstance(x, Element) else np.asarray(x, float)
-        return (coeffs @ self.dense_tensor().reshape(self.dim, -1)).reshape(
-            self.dim, self.dim)
+        return (x.coeffs_float() @ self.dense_tensor().reshape(
+            self.dim, -1)).reshape(self.dim, self.dim)
 
     def default_imaginary_unit(self):
         """First basis element lying in the unit sphere; the canonical J.
@@ -227,9 +216,12 @@ class Element:
         self.coeffs = coeffs
 
     def left_rows(self):
-        """algebra.left_rows(self.coeffs), taken on first use and kept."""
+        """(a_i, table row i) for the nonzero a_i: the one operand form of
+        AlgebraDef.product for this element as left factor, taken on first
+        use and kept."""
         if not hasattr(self, "_left_rows"):
-            self._left_rows = self.algebra.left_rows(self.coeffs)
+            self._left_rows = tuple((x, row) for x, row in
+                                    zip(self.coeffs, self.algebra._rows) if x)
         return self._left_rows
 
     def _check(self, other):
@@ -258,7 +250,8 @@ class Element:
         if isinstance(other, Element):
             self._check(other)
             return Element(self.algebra,
-                           self.algebra.product(self.coeffs, other.coeffs))
+                           self.algebra.product(self.left_rows(),
+                                                other.coeffs))
         if isinstance(other, (int, float, Fraction)):
             return Element(self.algebra, tuple(a * other for a in self.coeffs))
         return NotImplemented
@@ -367,10 +360,6 @@ class ConeDecomposition:
 
     def compose(self):
         return self.algebra.from_real(self.alpha) + self.beta * self.unit
-
-    def z(self):
-        """(alpha, beta) as floats, the point of the upper half plane."""
-        return (float(self.alpha), float(self.beta))
 
     def __repr__(self):
         return (f"ConeDecomposition(alpha={self.alpha}, beta={self.beta}, "

@@ -59,11 +59,6 @@ class OrderedPolynomial:
     def zero(cls, n, algebra):
         return cls(n, algebra, {})
 
-    @classmethod
-    def variable(cls, h, n, algebra):
-        ell = tuple(1 if k == h else 0 for k in range(1, n + 1))
-        return cls(n, algebra, {ell: algebra.one()})
-
     def degree(self):
         return max((sum(ell) for ell in self.terms), default=0)
 

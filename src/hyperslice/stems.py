@@ -77,12 +77,6 @@ class StemValue:
                          [a + b for a, b in zip(self.components,
                                                 other.components)])
 
-    def __mul__(self, scalar):
-        return StemValue(self.n, self.algebra,
-                         [c * scalar for c in self.components])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (isinstance(other, StemValue) and self.n == other.n
                 and self.components == other.components)

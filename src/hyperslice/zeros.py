@@ -57,13 +57,12 @@ class ZeroReport:
 
 
 def _dense_coeffs(p):
-    """[a_0 .. a_d] with the true degree (trailing zeros trimmed)."""
+    """[a_0 .. a_d], d the largest exponent of a term; a_d is nonzero,
+    as OrderedPolynomial keeps no zero term."""
     deg = max((ell[0] for ell in p.terms), default=0)
     out = [p.algebra.zero() for _ in range(deg + 1)]
     for ell, a in p.terms.items():
         out[ell[0]] = out[ell[0]] + a
-    while len(out) > 1 and out[-1].is_zero(0):
-        out.pop()
     return out
 
 
@@ -205,12 +204,12 @@ def _deflate(stem, factor):
     return quot
 
 
-def _horner(algebra, coeffs, x):
+def _horner(coeffs, x):
     """p(x) = a_0 + x(a_1 + x(...)) on tuples (x^k a_k by Artin's theorem)."""
-    xs = algebra.left_rows(x)
+    product, xs = x.algebra.product, x.left_rows()
     value = coeffs[-1]
     for a in reversed(coeffs[:-1]):
-        value = tuple(map(add, a, algebra.product(xs, value)))
+        value = tuple(map(add, a, product(xs, value)))
     return value
 
 
@@ -279,7 +278,7 @@ def roots_one_var(p):
     RefinementFailed is raised when that I is not a unit, a zero's
     residual is above the bound, or R or q q^c leaves the normal float
     range; HypersliceError, when coefficients or their norms are not
-    finite.
+    finite; EmptyUnitSphere, when the algebra has no imaginary unit.
     """
     if p.n != 1:
         raise AlgebraMismatch("roots_one_var handles one variable, the "
@@ -290,6 +289,7 @@ def roots_one_var(p):
         raise ConstantPolynomial("polynomial has no nonconstant term")
     if algebra.kind.startswith("clifford"):
         _check_clifford_form(coeffs, algebra)
+    algebra.default_imaginary_unit()  # EmptyUnitSphere: spheres are empty
     norms = [a.euclid_norm() for a in coeffs]
     if not all(map(math.isfinite, norms)):
         raise HypersliceError("the coefficients must be finite numbers "
@@ -303,7 +303,7 @@ def roots_one_var(p):
     isolated, spherical, residuals = [], [], [0.0]
 
     def accept_isolated(x):
-        res = math.hypot(*_horner(algebra, floats, x.coeffs))
+        res = math.hypot(*_horner(floats, x))
         if not res <= bound:
             raise RefinementFailed(
                 f"candidate near {x.format()} has residual "

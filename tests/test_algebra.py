@@ -176,6 +176,11 @@ def test_cone_decompose_basic(H, O):
     assert dec.alpha == 3 and dec.beta == 0
     assert dec.unit == O.basis(1)
 
+    # beta^2 = 2 has no exact root: beta is a float, alpha stays the int 0
+    dec = cone_decompose(H.element((0, 1, 1, 0)))
+    assert type(dec.alpha) is int and dec.alpha == 0
+    assert dec.beta == math.sqrt(2)
+
 
 def test_cone_decompose_rejects(CL03):
     e123 = CL03.basis_named("e123")

@@ -166,6 +166,12 @@ def test_parse_errors_exit_3_with_positions():
     assert (blob["error"]["line"], blob["error"]["col"]) == (1, 6)
 
     code, _, err = invoke(subcommand="eval", algebra="H",
+                          poly="x1 +\n  x2 x1", point="[[0,1,i],[0,1,j]]")
+    assert code == 3
+    blob = json.loads(err)
+    assert (blob["error"]["line"], blob["error"]["col"]) == (2, 6)
+
+    code, _, err = invoke(subcommand="eval", algebra="H",
                           poly="(0 w 1) x1", point="[[0,1,i]]")
     assert code == 3
     assert json.loads(err)["error"]["type"] == "UnknownBasisName"
@@ -583,6 +589,11 @@ def test_product_subcommand_keeps_the_factor_order(H):
     assert parse_expression(out and json.loads(out)["product"], H).terms == \
         {(2,): -1 * H.basis_named("k")}
 
+    # a factor in fewer variables is padded to the other's count
+    _, out, _ = invoke(subcommand="product", algebra="H", poly="x1",
+                       times="(0 i 1) x2")
+    assert json.loads(out)["product"] == "(0 i 1) x1 x2"
+
 
 def test_cauchy_subcommand_reports_small_error(H):
     code, out, _ = invoke(subcommand="cauchy", algebra="H",
@@ -717,6 +728,12 @@ def test_text_format_lines():
     _, out, _ = invoke(subcommand="diff", algebra="H", poly="x1^3 x2", var=1,
                        fmt="text")
     assert out == "derivative: (3) x1^2 x2\n"
+    _, out, _ = invoke(subcommand="regular", algebra="H", poly="x1^2",
+                       fmt="text")
+    assert out == "regular: true (max residual 0)\n"
+    _, out, _ = invoke(subcommand="scan", algebra="H", poly="x1^2 x2 + (1)",
+                       count=4, fmt="text")
+    assert out == "finite(2): 3\nspheres(1): 1\nnonempty: true\n"
     args = dict(subcommand="cauchy", algebra="H", poly="x1^2", radii="1.5",
                 point="[[0.2,0.3,i]]", samples=16)
     payload = json.loads(invoke(**args)[1])

@@ -56,10 +56,13 @@ def test_every_module_level_import_is_used():
 
 
 def test_every_public_name_has_a_caller():
-    # A caller is a Name or Attribute in the package or bench/, a word of
-    # README.md, or an entry of __all__, matched by name: tests do not count
+    # A caller is a Name or Attribute in the package or bench/, a word in
+    # a code span or fenced block of README.md, or an entry of __all__,
+    # matched by name: tests do not count
     defined, used = [], set(hyperslice.__all__)
-    used.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    code = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(),
+                      re.S)
+    used.update(re.findall(r"\w+", " ".join(code)))
     for path in sorted(SRC.glob("*.py")) + sorted(ROOT.glob("bench/*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         used.update(sub.id if isinstance(sub, ast.Name) else sub.attr

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import random_element, random_imaginary_unit
 from hyperslice.algebra import make_algebra
-from hyperslice.errors import (ConstantPolynomial, HypersliceError,
-                               RefinementFailed, UnsupportedKind)
+from hyperslice.errors import (ConstantPolynomial, EmptyUnitSphere,
+                               HypersliceError, RefinementFailed,
+                               UnsupportedKind)
 from hyperslice.regularity import OrderedPolynomial, poly_eval, star_product
 from hyperslice.zeros import (_aberth, restrict_to_first_variable,
                               roots_one_var, scan_samples, zero_scan)
@@ -149,6 +150,10 @@ def test_clifford_gate_refusals(CL03, CL11):
     with pytest.raises(UnsupportedKind):
         roots_one_var(OrderedPolynomial(1, CL03,
                                         {(2,): 2 * CL03.one(), (0,): CL03.one()}))
+    # Cl(0,0) = R has no imaginary unit, so no sphere holds a point
+    R = make_algebra("clifford", (0, 0))
+    with pytest.raises(EmptyUnitSphere):
+        roots_one_var(OrderedPolynomial(1, R, {(2,): R.one(), (0,): R.one()}))
 
 
 def test_constant_polynomials_are_refused(H):
