@@ -11,7 +11,8 @@ written, as in `hyperslice ... | head`; that case prints nothing more.
 Errors are emitted as JSON objects on stderr.  The
 HYPERSLICE_TOL environment variable sets the unit tolerance of --point and
 --slice-unit, 1e-9 by default; it must be a finite number >= 0, or the
-run exits 2.
+run exits 2.  cauchy still needs each point unit to square to -1 within
+1e-9 (NotImaginaryUnit, exit 2).
 
 eval, diff, regular, product and algebra-dump are exact, and roots and
 scan compute in Python floats: none of them loads numpy, only cauchy
@@ -323,7 +324,7 @@ def _env_tol():
 def main(argv=None):
     if "numpy" not in sys.modules and not any(
             name in os.environ for name in _BLAS_THREADS):
-        # products are at most (4, N) @ (N, A) or 64 x 64: one thread wins
+        # products are at most (A, N) @ (N, 4) or 64 x 64: one thread wins
         os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
     try:
         args = build_parser().parse_args(argv)

@@ -601,7 +601,7 @@ def _grid_per_node(f, torus, zs):
         row[:] = f(SlicePoint(algebra, [w.real for w in node],
                               [w.imag for w in node],
                               [torus.J] * torus.n)).coeffs
-    return values, [None] * torus.n
+    return values, None
 
 
 @pytest.mark.parametrize("name", ["H", "O"])
@@ -634,3 +634,146 @@ def test_callable_grid_contract(name, request, rng, monkeypatch):
             m.setattr(cauchy, "_callable_on_grid", _grid_per_node)
             want, _ = cauchy_reconstruct(f, torus, x)
         assert list(map(repr, value.coeffs)) == list(map(repr, want.coeffs))
+
+
+def test_reconstruct_refuses_a_point_unit_that_does_not_square_to_minus_one(
+        H, O):
+    # the kernel's factors are complex numbers in each unit only when
+    # u u = -1; checked before the boundary values are asked for
+    i, j = H.basis_named("i"), H.basis_named("j")
+    torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=8)
+    calls = []
+
+    def f(point):
+        calls.append(point)
+        return H.one()
+
+    for bad in (0.9 * i, H.from_real(0.1) + i, (i + j) * 0.7):
+        x = SlicePoint(H, [0.2, 0.1], [0.5, 0.3], [i, bad])
+        for source in (f, OrderedPolynomial(2, H, {(2, 0): H.one()})):
+            with pytest.raises(NotImaginaryUnit):
+                cauchy_reconstruct(source, torus, x)
+    assert calls == []
+    # rounding far inside DEFAULT_TOL passes, as in O
+    s2 = 1 / math.sqrt(2)
+    x = SlicePoint(O, [0.2], [0.5], [(O.basis(3) + O.basis(6)) * s2])
+    value, diag = cauchy_reconstruct(
+        OrderedPolynomial(1, O, {(2,): O.one()}),
+        BoundaryTorus.discs(O, [1.5], samples_per_circle=64), x)
+    assert diag["disagreement"] < 1e-12
+
+
+def test_kept_tables_give_the_cold_result_and_refuse_writes(
+        H, O, CL03, rng, monkeypatch):
+    # H, O and Cl(0,3), n = 1-3, discs and an annulus whose inner circle
+    # has orientation -1, odd and even N; polynomial, stem and callable
+    monkeypatch.setattr(cauchy, "_kept", {})
+    cases = [
+        (H, BoundaryTorus.discs(H, [1.5], samples_per_circle=7),
+         [0.3], [0.4]),
+        (O, BoundaryTorus(O, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],
+                              [(0.1, 1.4, 1)]], samples_per_circle=8),
+         [0.1, 0.2], [0.8, 0.3]),
+        (CL03, BoundaryTorus.discs(CL03, [1.3, 1.4, 1.2],
+                                   samples_per_circle=4),
+         [0.2, 0.1, -0.1], [0.3, 0.4, 0.2]),
+        (H, BoundaryTorus.discs(H, [1.3, 1.4, 1.2], samples_per_circle=5),
+         [0.2, 0.1, -0.1], [0.3, 0.4, 0.2]),
+    ]
+    for A, torus, alphas, betas in cases:
+        x = SlicePoint(A, alphas, betas,
+                       [random_imaginary_unit(A, rng) for _ in alphas])
+        p = random_poly(len(alphas), A, rng, deg=3, exact=False)
+        stem = poly_to_stem(p)
+        key = (torus.circles, torus.samples_per_circle)
+        for source in (p, stem, lambda q: slice_eval(stem, q)):
+            cauchy._kept.clear()
+            cold = cauchy_reconstruct(source, torus, x)
+            assert key in cauchy._kept
+            warm = cauchy_reconstruct(source, torus, x)
+            assert repr(warm) == repr(cold)
+            # powers of Re z and Im z only for a polynomial or stem
+            tables = cauchy._kept[key]
+            assert (tables.powers is None) == callable(source)
+            for a in [a for a in tables[1:] if a is not None]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0
+
+
+def test_each_geometry_keeps_its_own_tables(H, monkeypatch):
+    monkeypatch.setattr(cauchy, "_kept", {})
+    i, j = H.basis_named("i"), H.basis_named("j")
+    f = OrderedPolynomial(2, H, {(2, 1): H.one() + j, (1, 0): i})
+    x = SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [i, j])
+    tori = [BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=32),
+            BoundaryTorus.discs(H, [1.5, 1.2], samples_per_circle=32),
+            BoundaryTorus.discs(H, [1.5, 1.2], centers=[0.1, 0.0],
+                                samples_per_circle=32)]
+    values = [cauchy_reconstruct(f, torus, x)[0] for torus in tori]
+    kept = [cauchy._kept[(t.circles, 32)] for t in tori]
+    assert len(cauchy._kept) == 3
+    assert not (kept[0].z == kept[1].z).all()
+    assert not (kept[1].z == kept[2].z).all()
+    # each value as a cold call on its own geometry gives it
+    for torus, value in zip(tori, values):
+        cauchy._kept.clear()
+        assert repr(cauchy_reconstruct(f, torus, x)[0]) == repr(value)
+
+
+def test_a_refused_call_keeps_no_tables(H, monkeypatch):
+    monkeypatch.setattr(cauchy, "_kept", {})
+    i = H.basis_named("i")
+    x = SlicePoint(H, [0.2], [0.3], [i])
+    f = OrderedPolynomial(1, H, {(3,): H.one()})
+    refused = [
+        # numpy refuses the node array
+        (BoundaryTorus.discs(H, [1.5], samples_per_circle=2 ** 62), x,
+         HypersliceError),
+        # |z|^2 overflows while the tables are built
+        (BoundaryTorus.discs(H, [1e200], samples_per_circle=8), x,
+         HypersliceError),
+        # the tables fit, (Re z)^3 overflows in the powers
+        (BoundaryTorus.discs(H, [1e150], samples_per_circle=8), x,
+         HypersliceError),
+        # a node lands on the pole sphere of x
+        (BoundaryTorus.discs(H, [1.0], samples_per_circle=8),
+         SlicePoint(H, [0.0], [0.9999], [i]), QuadratureSingularity),
+        (BoundaryTorus.discs(H, [1.5], samples_per_circle=8),
+         SlicePoint(H, [0.2], [0.3], [0.9 * i]), NotImaginaryUnit),
+    ]
+    for torus, point, error in refused:
+        with pytest.raises(error):
+            cauchy_reconstruct(f, torus, point)
+    torus = BoundaryTorus.discs(H, [1.5], samples_per_circle=8)
+    with pytest.raises(AlgebraMismatch):
+        cauchy_reconstruct(lambda p: 1.0, torus, x)
+    assert cauchy._kept == {}
+
+
+def test_kept_tables_stay_within_their_byte_bound(H, monkeypatch):
+    monkeypatch.setattr(cauchy, "_kept", {})
+    i = H.basis_named("i")
+    x = SlicePoint(H, [0.2], [0.3], [i])
+    f = OrderedPolynomial(1, H, {(1,): H.one()})
+    # 2^20 nodes make about 100 MiB of tables: more than the bound, so
+    # none of it stays
+    torus = BoundaryTorus.discs(H, [1.5], samples_per_circle=2 ** 20)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cauchy_reconstruct(f, torus, x)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cauchy._kept == {}
+    assert kept < 2 ** 20
+    # under a bound of three 1024-node tables, the oldest make room
+    tables = cauchy._build_tables(((Circle(0.0, 1.5),),), 1024)
+    size = tables._replace(powers=cauchy._powers(tables.z, 2)).nbytes
+    monkeypatch.setattr(cauchy, "_KEPT_BYTES", 3 * size)
+    radii = [1.5 + k / 8 for k in range(5)]
+    for r in radii:
+        cauchy_reconstruct(f, BoundaryTorus.discs(
+            H, [r], samples_per_circle=1024), x)
+        assert sum(t.nbytes for t in cauchy._kept.values()) <= 3 * size
+    assert [key[0][0][0].radius for key in cauchy._kept] == radii[2:]

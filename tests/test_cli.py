@@ -755,6 +755,21 @@ def test_env_tolerance_reaches_the_library(monkeypatch):
     assert main(argv) == 2
 
 
+def test_cauchy_refuses_a_point_unit_the_loose_tolerance_let_through(
+        monkeypatch, capsys):
+    # [0, 0.9, 0, 0] passes --point under the override, but the kernel
+    # needs u u = -1 within 1e-9: once this printed a value 4.75e-2 off
+    monkeypatch.setenv("HYPERSLICE_TOL", "0.5")
+    argv = ["cauchy", "--algebra", "H", "--poly", "x1^2", "--radii", "1.5",
+            "--point", "[[0.2,0.5,[0,0.9,0,0]]]"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    blob = _strict_json(err)
+    check_schema(blob, "error")
+    assert blob["error"]["type"] == "NotImaginaryUnit"
+
+
 def test_env_tolerance_leaves_root_finding_alone(monkeypatch, capsys):
     # the tolerance is that of --point and --slice-unit; root finding keeps
     # its fixed thresholds, so a loose one still isolates -0.1i and -0.1e1

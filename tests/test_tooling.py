@@ -163,3 +163,51 @@ def test_cli_handlers_raise_nothing():
     raising = [name for name, node in handlers.items()
                if any(isinstance(sub, ast.Raise) for sub in ast.walk(node))]
     assert raising == []
+
+
+def _unbounded_caches(source):
+    """Lines that use functools.cache, or lru_cache without its maxsize
+    stated as an int literal (None, a name, or left to the default)."""
+    tree = ast.parse(source)
+    names = {a.asname or a.name: a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for a in node.names}
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = names.get(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            name = node.attr
+        else:
+            continue
+        if name == "lru_cache" and id(node) in calls:
+            call = calls[id(node)]
+            maxsize = [k.value for k in call.keywords if k.arg == "maxsize"]
+            maxsize = (call.args + maxsize)[:1]
+            if (maxsize and isinstance(maxsize[0], ast.Constant)
+                    and type(maxsize[0].value) is int):
+                continue
+        if name in ("cache", "lru_cache"):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_functools_cache_has_a_finite_maxsize():
+    # an unbounded cache keeps every argument and result for the life of
+    # the process; each bound is stated where its cache is made
+    samples = {"import functools\n@functools.cache\ndef f(x): pass": [2],
+               "from functools import lru_cache as c\n@c(maxsize=None)\n"
+               "def f(x): pass": [2],
+               "from functools import lru_cache\n@lru_cache\n"
+               "def f(x): pass": [2],
+               "import functools\n@functools.lru_cache(maxsize=8)\n"
+               "def f(x): pass\ng = functools.lru_cache(16)(f)": []}
+    for source, lines in samples.items():
+        assert _unbounded_caches(source) == lines, source
+    unbounded = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in _unbounded_caches(path.read_text())]
+    assert unbounded == []
