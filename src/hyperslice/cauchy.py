@@ -9,21 +9,19 @@ unit words u_1^b1(...(u_n^bn(J^b0 f))) with real weights, and each weight
 is the real part of a product of one-variable factors.  The grid sum
 therefore contracts the boundary values of f one angle axis at a time with
 those factors, and the units act once per variable.  The function supplies
-its boundary values in product form: a polynomial or stem as its
-coefficients on the slice (a polynomial expanded there binomially, without
-its stem) and the exponents of its monomials per variable, which the
-engine evaluates on each circle, so no N^n grid is formed, and a callable
-as its values on every node, one call per node.  Each circle's nodes are
-turned into (alpha, beta >= 0, J or -J) once, so all nodes share two unit
-Elements and the table rows those keep.  What depends only on the circles
-and N (the nodes, the rule weights, the powers of Re z and Im z) is kept
-between calls as read-only arrays, at most 16 MiB in all, oldest dropped
-first; a call computes only what depends on the point.  poly_eval or
-slice_eval gives the direct reference.  slice_cauchy_kernel is the
-closed-form kernel of associative algebras at one point.  The pointwise
-integrand in exact Element arithmetic, the oracle the engine is tested
-against, and the symbolic proof that the closed-form kernel is slice
-regular live in tests/oracles.py.
+its boundary values in product form, a core of coefficients and a table
+per circle, so no N^n grid is formed: a polynomial its coefficients and
+the complex powers z^d of the nodes (x^l a = z^l a on the slice, with no
+expansion and no Element product), a stem its coefficients on the slice
+and the real powers alpha^a beta^b, a callable its values on every node,
+one call per node.  What depends only on the circles and N (the nodes and
+the rule weights) is kept between calls as read-only arrays, at most 16
+MiB in all, oldest dropped first.  poly_eval or slice_eval gives the
+direct reference.  slice_cauchy_kernel is the closed-form kernel of
+associative algebras at one point.  The pointwise integrand in exact
+Element arithmetic, the oracle the engine is tested against, and the
+symbolic proof that the closed-form kernel is slice regular live in
+tests/oracles.py.
 """
 
 import itertools
@@ -157,13 +155,15 @@ class KernelPoint:
                 f"{MIN_DELTA}; the kernel degenerates on pole spheres")
 
 
-def _direct_eval(f):
-    """SlicePoint -> f(point) without quadrature; None for a callable f."""
+def _input_kind(f):
+    """(SlicePoint -> f(point) without quadrature, None for a callable f;
+    f's boundary value supplier for _reconstruct)."""
     if isinstance(f, OrderedPolynomial):
-        return partial(poly_eval, f)
+        return partial(poly_eval, f), partial(_polynomial_on_grid, f)
     if isinstance(f, StemPoly):
-        return partial(slice_eval, f)
-    return None
+        return partial(slice_eval, f), partial(_stem_on_grid, f)
+    return None, lambda torus, tables: (partial(_callable_on_grid, f, torus),
+                                        None)
 
 
 def slice_cauchy_kernel(x, ys):
@@ -199,9 +199,9 @@ def slice_cauchy_kernel(x, ys):
 
 class _Tables(NamedTuple):
     """What the quadrature needs of C circles at N nodes each and not of
-    the point; R is 1 rule for odd N, 2 (the N/2 subgrid rule too) for
-    even N.  The arrays are read-only, so that calls can share them; a
-    call that needs higher powers makes new _Tables with _replace."""
+    the point or the input; R is 1 rule for odd N, 2 (the N/2 subgrid rule
+    too) for even N.  The arrays are read-only, so that calls share them.
+    The input's tables (z^d, alpha^a beta^b) come from its supplier."""
 
     rows: tuple     # rows[h]: the indices of the circles of variable h
     var: object     # (C,) the variable of each circle
@@ -210,11 +210,10 @@ class _Tables(NamedTuple):
     sq: object      # (C, N) |z|^2
     zc: object      # (C, 1, N, 1) conj(z)
     vel: object     # (C, R, N, 1) rule weight times o r i e^{it}
-    powers: object = None  # (C, N, 2, D) (Re z)^d and (Im z)^d, d < D
 
     @property
     def nbytes(self):
-        return sum(a.nbytes for a in self[1:] if a is not None)
+        return sum(a.nbytes for a in self[1:])
 
 
 def _build_tables(circles, N):
@@ -238,18 +237,8 @@ def _build_tables(circles, N):
     tables = _Tables(rows, var, z, 2.0 * z.real, z.real ** 2 + z.imag ** 2,
                      z.conjugate()[:, None, :, None], vel)
     for a in tables[1:]:
-        if a is not None:
-            a.setflags(write=False)
+        a.setflags(write=False)
     return tables
-
-
-def _powers(z, deg):
-    """(Re z)^d and (Im z)^d for d < deg, as (circle, node, re/im, d)."""
-    import numpy as np
-    V = np.vander(z.view(float).ravel(), deg,
-                  increasing=True).reshape(*z.shape, 2, deg)
-    V.setflags(write=False)
-    return V
 
 
 # tables of recent (circles, N) keys, oldest first, at most _KEPT_BYTES in
@@ -263,37 +252,63 @@ def _keep(key, tables):
     """Store tables under key in place of older ones, dropping the oldest
     kept tables to stay within _KEPT_BYTES; larger ones are not kept."""
     size = tables.nbytes
+    if size > _KEPT_BYTES:
+        return
     with _kept_lock:
-        if _kept.get(key) is tables or size > _KEPT_BYTES:
-            return
         _kept.pop(key, None)
         while sum(t.nbytes for t in _kept.values()) + size > _KEPT_BYTES:
             del _kept[next(iter(_kept))]
         _kept[key] = tables
 
 
-def _stem_on_grid(f, torus, zs):
-    """f(xi) in product form from f.on_slice(J), f a polynomial or a stem.
+def _core(terms, torus, one):
+    """Terms {(key_1, ..., key_n): Element} as the array core[k_1..k_n] of
+    the term with key_h = keys[h][k_h], and keys; the zero function keeps
+    the key one of the monomial 1, so that no axis is empty."""
+    import numpy as np
+    keys = [sorted({key[h] for key in terms}) or [one]
+            for h in range(torus.n)]
+    index = [{key: k for k, key in enumerate(row)} for row in keys]
+    core = np.zeros(tuple(map(len, keys)) + (torus.algebra.dim,))
+    for key, a in terms.items():
+        core[tuple(ix[k] for ix, k in zip(index, key))] = a.coeffs
+    return core, keys
 
-    f(xi) = sum_k core[k_1..k_n] prod_h alpha_h^a beta_h^b with (a, b) the
-    k_h-th of the distinct exponent pairs of variable h, returned with the
-    (A_1, ..., A_n, dim) core of coefficients; the nodes zs are not needed.
+
+def _polynomial_on_grid(f, torus, tables):
+    """f(xi) in product form, f an OrderedPolynomial, without J.
+
+    On the slice x^l a = z^l a, z^l = prod_h z_h^l_h a complex number c,
+    and c a = Re(c) a + Im(c) J a is formed by the unit stage of
+    _reconstruct (J(Ja) = (JJ)a = -a, so such values multiply as complex
+    numbers).  Returns the core of the a_l, axis h over the distinct
+    degrees of variable h, and per circle the complex (A_h, N) table of z^d.
     """
     import numpy as np
-    terms = f.on_slice(torus.J)
-    # the zero function keeps the monomial 1, so that no axis is empty
-    pairs = [sorted({exp[2 * h:2 * h + 2] for exp in terms}) or [(0, 0)]
-             for h in range(torus.n)]
-    index = [{ab: k for k, ab in enumerate(row)} for row in pairs]
-    core = np.zeros(tuple(map(len, pairs)) + (torus.algebra.dim,))
-    for exp, coeff in terms.items():
-        k = tuple(ix[exp[2 * h:2 * h + 2]] for h, ix in enumerate(index))
-        core[k] = coeff.coeffs
-    return core, pairs
+    core, degrees = _core(f.terms, torus, 0)
+    degrees = [np.array(row)[:, None] for row in degrees]
+    return (lambda zs: core), [z ** degrees[h] for z, h in
+                               zip(tables.z, tables.var.tolist())]
+
+
+def _stem_on_grid(f, torus, tables):
+    """f(xi) in product form from f.on_slice(J), f a StemPoly.
+
+    f(xi) = sum_k core[k_1..k_n] prod_h alpha_h^a beta_h^b with (a, b) the
+    k_h-th of the distinct exponent pairs of variable h.  Returns the core
+    and per circle the real (A_h, N) table of alpha^a beta^b.
+    """
+    import numpy as np
+    core, pairs = _core({tuple(zip(exp[::2], exp[1::2])): c
+                         for exp, c in f.on_slice(torus.J).items()},
+                        torus, (0, 0))
+    pairs = [np.array(row).T[..., None] for row in pairs]
+    return (lambda zs: core), [z.real ** pairs[h][0] * z.imag ** pairs[h][1]
+                               for z, h in zip(tables.z, tables.var.tolist())]
 
 
 def _callable_on_grid(f, torus, zs):
-    """f(xi) on every grid node, one call per node; no exponents."""
+    """f(xi) on every grid node of the (n, N) nodes zs, one call per node."""
     import numpy as np
     algebra, J = torus.algebra, torus.J
     flip = -1 * J
@@ -312,7 +327,7 @@ def _callable_on_grid(f, torus, zs):
 
     shape = tuple(map(len, zs)) + (algebra.dim,)
     values = np.fromiter(coefficients(), float, math.prod(shape))
-    return values.reshape(shape), None
+    return values.reshape(shape)
 
 
 def cauchy_reconstruct(f, torus, x):
@@ -320,32 +335,30 @@ def cauchy_reconstruct(f, torus, x):
 
     f is an OrderedPolynomial, a StemPoly, or a callable taking a
     SlicePoint to an Element; a polynomial or stem must have the torus's
-    number of variables.  Every unit of x must square to -1 within
-    DEFAULT_TOL (NotImaginaryUnit otherwise), since the kernel's factors
-    are complex numbers in each unit.  The input only supplies boundary
-    values in product form (_reconstruct): a polynomial or stem as a small
-    core and the exponents of its monomials per variable, expanded on the
-    slice (a polynomial without forming its stem), a callable as its value
-    at every node.  Diagnostics report the sample count, the worst kernel
-    conditioning, error_estimate = |Q_N - Q_{N/2}| (None for odd N), and,
-    for polynomial and stem inputs, the direct value as reference (an
-    Element: poly_eval for a polynomial, slice_eval for a stem) and the
-    disagreement against it.
+    number of variables and algebra.  Every unit of x must square to -1
+    within DEFAULT_TOL (NotImaginaryUnit otherwise), since the kernel's
+    factors are complex numbers in each unit.  The input only supplies
+    boundary values in product form (_reconstruct).  Diagnostics report
+    the sample count, the worst kernel conditioning, error_estimate =
+    |Q_N - Q_{N/2}| (None for odd N), and, for polynomial and stem inputs,
+    the direct value as reference (an Element: poly_eval for a polynomial,
+    slice_eval for a stem) and the disagreement against it.
     """
     import numpy as np
     n = torus.n
-    direct = _direct_eval(f)
+    direct, boundary_values = _input_kind(f)
     if direct is not None and f.n != n:
         raise AlgebraMismatch(f"{type(f).__name__} has {f.n} variables, "
                               f"torus has {n}")
+    if direct is not None and f.algebra != torus.algebra:
+        raise AlgebraMismatch(f"{type(f).__name__} over {f.algebra.kind}, "
+                              f"torus over {torus.algebra.kind}")
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
     if not torus.contains_point(x):
         raise PointOutsideE(
             "reconstruction point must lie inside the circularized domain")
     N = torus.samples_per_circle
-    boundary_values = partial(
-        _callable_on_grid if direct is None else _stem_on_grid, f)
     try:
         with np.errstate(over="raise", invalid="raise"):
             (value, *half), min_delta = _reconstruct(boundary_values, torus, x)
@@ -379,28 +392,29 @@ def _reconstruct(boundary_values, torus, x):
     on each circle (z = c + r e^{it}, w_h the complex coordinate of x,
     part_0 = Re, part_1 = Im).
 
-    What does not depend on x (nodes, 2 Re z, |z|^2, conj(z), the rule
-    weights times o r i e^{it}, powers of Re z and Im z) comes from
-    _Tables, kept per (circles, N) once a call with them has succeeded; a
-    call computes Delta, the pole guard and P.  boundary_values(torus, zs)
-    gets the (n, N) nodes of one circle per variable, only after the
-    pole-sphere guard and the unit check have passed, and returns (core,
-    exponents): f(t) = sum_k core[k_1..k_n] prod_h V_h[t_h, k_h], V_h[t, k]
-    = (Re z)^a (Im z)^b for the k-th pair (a, b) of exponents[h], or
-    exponents None and V_h the identity (core is f on the nodes).  Axis h
-    is contracted by one batched matmul against P V_h, so no product is
-    larger than 4 x N; the first axis takes P as real rows, so real
-    boundary values are never cast to complex.  For even N the N/2
-    subgrid rule (odd nodes zeroed, even doubled) rides along: returns
-    ([Q_N] or [Q_N, Q_{N/2}], min |Delta|).
+    What depends on neither x nor f (nodes, 2 Re z, |z|^2, conj(z), rule
+    weights times o r i e^{it}) comes from _Tables, kept per (circles, N)
+    by a cold call that succeeded.  boundary_values(torus, tables) runs
+    once, after the pole guard and the unit check, and returns (core, V):
+    f = sum_k core(zs)[k_1..k_n] prod_h V[c_h][k_h, t_h] on the nodes zs
+    of circles c_1..c_n, V[c] the real or complex table of circle c (a
+    complex c times a coefficient a is Re(c) a + Im(c) J a, formed by the
+    unit stage), or V None and core(zs) f on the nodes.  Axis h is one
+    batched matmul against V[c] P, so no product is larger than 4 x N;
+    the first axis takes the weights as real rows for the real core.  For
+    even N the N/2 subgrid rule (odd nodes zeroed, even doubled) rides
+    along: returns ([Q_N] or [Q_N, Q_{N/2}], min |Delta|).
     """
     import numpy as np
     algebra = torus.algebra
     n = torus.n
     N = torus.samples_per_circle
+    # L(u) = sum_i u_i M[i] for the units of x and J, in one product
+    M = algebra.dense_tensor()
+    Ls = (np.array([u.coeffs for u in (*x.units, torus.J)], float)
+          @ M.reshape(len(M), -1)).reshape(-1, *M.shape[1:])
     # row 0 of L(u) is u, so row 0 of L(u) L(u) is u u
-    Ls = np.array([algebra.left_mult_matrix(u) for u in x.units])
-    squares = (Ls[:, :1] @ Ls)[:, 0]
+    squares = (Ls[:n, :1] @ Ls[:n])[:, 0]
     squares[:, 0] += 1.0
     for u, err in zip(x.units, np.abs(squares).max(axis=1)):
         if err > DEFAULT_TOL:
@@ -408,7 +422,8 @@ def _reconstruct(boundary_values, torus, x):
                 f"point unit {u!r} squares to -1 only within {err:.2e}")
     key = (torus.circles, N)
     tables = _kept.get(key)
-    if tables is None:
+    cold = tables is None
+    if cold:
         tables = _build_tables(*key)
     w = np.array([complex(float(a), float(b)) for a, b in x.z()])
     w = w[tables.var, None]
@@ -423,35 +438,26 @@ def _reconstruct(boundary_values, torus, x):
     C = len(delta)
     P = tables.vel * (inv.view(float).reshape(C, 1, N, 2) * tables.zc
                       - (w * inv).view(float).reshape(C, 1, N, 2))
+    core, V = boundary_values(torus, tables)
+    # per circle, the (rule, monomial or node, b) weights of its axis
+    W = P if V is None else [v @ p for v, p in zip(V, P)]
     # S[rule, dim, b_1, ..., b_n] = sum over the grid of prod_h P_h,b_h f,
     # each axis contracted off the front, its b appended at the back
     S = 0
     for combo in itertools.product(*tables.rows):
-        core, exponents = boundary_values(torus, tables.z[list(combo)])
-        if exponents is not None:
-            deg = 1 + max(d for row in exponents for ab in row for d in ab)
-            if tables.powers is None or tables.powers.shape[-1] < deg:
-                tables = tables._replace(powers=_powers(tables.z, deg))
-        s = core[None]
+        s = core(tables.z[list(combo)])[None]
         for h, c in enumerate(combo):
-            # real rows (Re P_0, Im P_0, Re P_1, Im P_1) for the real core;
+            s = s.reshape(len(s), W[c].shape[-2], -1).swapaxes(1, 2)
+            # real rows (Re W_0, Im W_0, Re W_1, Im W_1) for the real core;
             # the product's column pairs are then complex numbers
-            weights = P[c] if h else P[c].view(float)
-            if exponents is not None:
-                v = tables.powers[c]
-                V = (v[:, 0, [a for a, _ in exponents[h]]]
-                     * v[:, 1, [b for _, b in exponents[h]]])
-                weights = V.T @ weights
-            s = s.reshape(len(s), weights.shape[-2], -1).swapaxes(1, 2)
-            s = s @ weights
-            if not h:
-                s = s.view(complex)
+            s = s @ W[c] if h else (s @ W[c].view(float)).view(complex)
         S = S + s
     # v = Re + J Im, then u_1(...(u_n v)) summed over the bits, innermost
     # variable first, through the left-multiplication matrices
     T = S.reshape(len(S), algebra.dim, -1) * ((-1j) ** n / N ** n)
-    T = T.real + algebra.left_mult_matrix(torus.J).T @ T.imag
-    for L in Ls[::-1]:
+    T = T.real + Ls[n].T @ T.imag
+    for L in Ls[n - 1::-1]:
         T = T[..., ::2] + L.T @ T[..., 1::2]
-    _keep(key, tables)
+    if cold:
+        _keep(key, tables)
     return [algebra.element(t.tolist()) for t in T[..., 0]], min_delta

@@ -27,7 +27,6 @@ from .errors import (
 from .slicefun import SlicePoint
 from .stems import (
     StemPoly,
-    binomial_terms,
     cr_partial,
     cr_partial_bar,
     monomial_stem,
@@ -84,21 +83,6 @@ class OrderedPolynomial:
         return (isinstance(other, OrderedPolynomial) and self.n == other.n
                 and self.algebra == other.algebra
                 and self.terms == other.terms)
-
-    def on_slice(self, J):
-        """The polynomial on the slice of J, keyed like StemPoly.on_slice.
-
-        There the variables commute, so x^l a = prod_h (alpha_h +
-        beta_h J)^l_h a is stems.binomial_terms with i read as J: a term c
-        of mask K is c J^|K| a, J^|K| a being a, Ja, -a or -Ja.
-        """
-        out = {}
-        for ell, a in self.terms.items():
-            ja = J * a
-            units = (a, ja, -a, -ja)
-            for exp, c, mask in binomial_terms(ell):
-                sparse.add_term(out, exp, c * units[mask.bit_count() % 4])
-        return out
 
     def partial(self, h):
         """Slice partial derivative: l_h x^{l - e_h} a termwise, h in 1..n."""
@@ -284,11 +268,17 @@ def series_eval(s, x, rho):
     """Truncated sum plus a rigorous tail bound.
 
     Needs every coordinate inside the ball of radius rho and the combined
-    rate gamma = B * rho * M below one; the tail bound sums the dominating
-    real series past the truncation degree to machine convergence.  A rho
-    that is not a finite positive number, or an M that is not a finite
-    number >= 0, raises HypersliceError; each guard is written so NaN
-    fails it.
+    rate gamma = B * rho * M below one.  Each of the C(h+n-1, n-1)
+    monomials x^l a_l of degree h then has norm below gamma^h, so past the
+    truncation degree T the series is dominated by t_h = C(h+n-1, n-1)
+    gamma^h, h > T.  The ratio q_h = t_{h+1}/t_h = gamma (h+n)/(h+1) falls
+    with h, so once q_h < 1 the rest is at most t_h (q_h + q_h^2 + ...) =
+    t_h q_h/(1 - q_h).  The bound adds the terms until then and that rest,
+    rounded up past the float error of at most a thousand terms; if they
+    still rise after those, it is the whole dominating sum (1 - gamma)^-n.
+    A rho that is not a finite positive number, or an M that is not a
+    finite number >= 0, raises HypersliceError; each guard is written so
+    NaN fails it.
     """
     xs = x.elements() if isinstance(x, SlicePoint) else tuple(x)
     if len(xs) != s.n:
@@ -316,16 +306,18 @@ def series_eval(s, x, rho):
         known_max = max((sum(ell) for ell in s.table), default=0)
         if s.truncation_degree >= known_max:
             return total, 0.0
-    # tail of sum (h+1)^n gamma^h beyond the truncation degree
     tail = 0.0
-    g = gamma ** (s.truncation_degree + 1)
-    for h in range(s.truncation_degree + 1, s.truncation_degree + 100000):
-        term = (h + 1) ** s.n * g
+    for h in range(s.truncation_degree + 1, s.truncation_degree + 1001):
+        term = math.comb(h + s.n - 1, s.n - 1) * gamma ** h
         tail += term
-        g *= gamma
-        if term < 1e-17 * (tail + 1e-300):
+        # rounded up past its own roundings, which 1/(1 - q) magnifies
+        q = gamma * (h + s.n) / (h + 1) * (1 + 2 ** -50)
+        if q < 1:
+            tail += term * q / (1 - q)
             break
-    return total, tail
+    else:
+        tail = (1 - gamma) ** -s.n
+    return total, tail * (1 + 1e-12)
 
 
 def slice_tensor_product(f, g):

@@ -28,7 +28,7 @@ from hyperslice import sparse
 from hyperslice.algebra import (DEFAULT_TOL, Element, invert,
                                 is_imaginary_unit, ordered_product,
                                 splitting_basis)
-from hyperslice.cauchy import MIN_DELTA, _direct_eval, char_poly
+from hyperslice.cauchy import MIN_DELTA, _input_kind, char_poly
 from hyperslice.errors import (AlgebraMismatch, IndexOutOfRange,
                                NotImaginaryUnit, OnSingularSphere)
 from hyperslice.regularity import _require_stem_poly
@@ -128,7 +128,7 @@ def cauchy_integrand(f, x, t, torus, tol=DEFAULT_TOL):
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
     J = torus.J
-    fn = _direct_eval(f) or f
+    fn = _input_kind(f)[0] or f
     total = algebra.zero()
     for combo, orient in torus.combos():
         zs = boundary_value(combo, t)
@@ -166,7 +166,7 @@ def cauchy_integrand_product_form(f, x, t, torus, tol=DEFAULT_TOL):
     algebra = torus.algebra
     n = torus.n
     J = torus.J
-    fn = _direct_eval(f) or f
+    fn = _input_kind(f)[0] or f
     total = algebra.zero()
     for combo, orient in torus.combos():
         zs = boundary_value(combo, t)

@@ -2,13 +2,16 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperslice import cauchy
-from hyperslice.algebra import invert, make_algebra
+from hyperslice.algebra import AlgebraDef, invert, make_algebra
 from hyperslice.cauchy import (BoundaryTorus, Circle, KernelPoint,
                                cauchy_reconstruct, char_poly,
                                slice_cauchy_kernel)
@@ -16,7 +19,7 @@ from hyperslice.errors import (AlgebraMismatch, HypersliceError,
                                NonAssociativeAlgebra, NotImaginaryUnit,
                                NotInQuadraticCone, OnSingularSphere,
                                PointOutsideE, QuadratureSingularity)
-from hyperslice.regularity import OrderedPolynomial, poly_to_stem
+from hyperslice.regularity import OrderedPolynomial, poly_eval, poly_to_stem
 from hyperslice.slicefun import SlicePoint, representation_eval, slice_eval
 from hyperslice.stems import StemPoly
 
@@ -444,6 +447,12 @@ def test_domain_and_singularity_guards(H):
     for h in (g, poly_to_stem(g)):
         with pytest.raises(AlgebraMismatch, match="1 variables, torus has 2"):
             cauchy_reconstruct(h, torus, x)
+    # a polynomial or stem over another algebra, refused the same way
+    O = make_algebra("O")
+    k = OrderedPolynomial(2, O, {(1, 1): O.one()})
+    for h in (k, poly_to_stem(k)):
+        with pytest.raises(AlgebraMismatch, match="over octonions, torus"):
+            cauchy_reconstruct(h, torus, x)
 
 
 def test_annulus_reconstruction_and_hole_refusal(H):
@@ -491,16 +500,36 @@ def test_kernel_stem_is_slice_regular_symbolically(H):
 @pytest.mark.parametrize("name", ["H", "O", "CL03"])
 def test_polynomial_on_the_slice_is_its_stem_on_the_slice(name, n, request,
                                                           rng):
-    # the binomial expansion of x^l a on C_J, term for term against the
-    # stem collapsed onto the slice, in exact arithmetic
+    # x^l a = z^l a on C_J: the polynomial's product form (its core and
+    # the complex powers of the nodes, c a read as Re(c) a + Im(c) J a)
+    # against its stem evaluated at each node of the torus
+    import numpy as np
     A = request.getfixturevalue(name)
     units = [A.default_imaginary_unit(), A.basis(2)]
     assert units[1] != units[0]
-    for _ in range(15):
-        p = random_poly(n, A, rng, deg=3, exact=True)
-        for J in units:
-            assert p.on_slice(J) == poly_to_stem(p).on_slice(J)
-    assert OrderedPolynomial.zero(n, A).on_slice(units[0]) == {}
+    circles = [[(0.1, 1.3, 1)] for _ in range(n)]
+    circles[0] = [(0.0, 1.5, 1), (0.0, 0.5, -1)]
+    polys = [random_poly(n, A, rng, deg=3, exact=True) for _ in range(5)]
+    for J in units:
+        torus = BoundaryTorus(A, circles, J=J, samples_per_circle=3)
+        tables = cauchy._build_tables(torus.circles, 3)
+        for p in polys + [OrderedPolynomial.zero(n, A)]:
+            stem = poly_to_stem(p)
+            core, V = cauchy._polynomial_on_grid(p, torus, tables)
+            for combo in itertools.product(*tables.rows):
+                for t in itertools.product(range(3), repeat=n):
+                    zs = [complex(tables.z[c, th]) for c, th in zip(combo, t)]
+                    # contract each axis with its circle's z^d at node t_h
+                    v = core(tables.z[list(combo)])
+                    for c, th in zip(combo, t):
+                        v = np.tensordot(V[c][:, th], v, axes=1)
+                    value = (A.element(v.real.tolist())
+                             + J * A.element(v.imag.tolist()))
+                    want = slice_eval(stem, SlicePoint(
+                        A, [w.real for w in zs], [w.imag for w in zs],
+                        [J] * n))
+                    assert (value - want).euclid_norm() <= 1e-12 * (
+                        1 + want.euclid_norm())
 
 
 def test_polynomial_reconstruction_never_forms_the_stem(H, monkeypatch):
@@ -520,6 +549,90 @@ def test_polynomial_reconstruction_never_forms_the_stem(H, monkeypatch):
     x = SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [i, j])
     value, diag = cauchy_reconstruct(f, torus, x)
     assert diag["disagreement"] < 1e-6
+
+
+def test_polynomial_reconstruction_multiplies_only_for_its_reference(
+        H, O, CL03, rng, monkeypatch):
+    # the boundary values take no Element product: every call of the
+    # product loop comes from the poly_eval reference
+    calls = []
+    product = AlgebraDef.product
+
+    def counted(self, rows, b):
+        calls.append(self)
+        return product(self, rows, b)
+
+    monkeypatch.setattr(AlgebraDef, "product", counted)
+    for A in (H, O, CL03):
+        p = random_poly(2, A, rng, deg=3, exact=False)
+        torus = BoundaryTorus(A, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],
+                                  [(0.1, 1.4, 1)]], samples_per_circle=16)
+        x = SlicePoint(A, [0.1, 0.2], [0.8, 0.3],
+                       [random_imaginary_unit(A, rng) for _ in range(2)])
+        calls.clear()
+        cauchy_reconstruct(p, torus, x)
+        in_reconstruct = len(calls)
+        calls.clear()
+        poly_eval(p, x)
+        assert in_reconstruct == len(calls) > 0
+
+
+def test_stem_is_put_on_the_slice_once_per_reconstruction(H, monkeypatch):
+    # two variables with an annulus each: four circle combinations, one
+    # core for all of them
+    i, j = H.basis_named("i"), H.basis_named("j")
+    stem = poly_to_stem(OrderedPolynomial(2, H, {(2, 1): H.one() + j,
+                                                 (1, 0): i}))
+    torus = BoundaryTorus(H, [[(0.0, 1.5, 1), (0.0, 0.5, -1)]] * 2,
+                          samples_per_circle=64)
+    x = SlicePoint(H, [0.1, 0.2], [0.8, 0.7], [i, j])
+    calls = []
+    on_slice = StemPoly.on_slice
+
+    def counted(self, J):
+        calls.append(J)
+        return on_slice(self, J)
+
+    monkeypatch.setattr(StemPoly, "on_slice", counted)
+    value, diag = cauchy_reconstruct(stem, torus, x)
+    assert len(torus.combos()) == 4 and len(calls) == 1
+    assert diag["disagreement"] < 1e-10
+
+
+@st.composite
+def _reconstruction_cases(draw):
+    """(algebra, torus, point, polynomial) over the engine's input kinds."""
+    name = draw(st.sampled_from(["H", "O", "clifford(0,3)"]))
+    A = make_algebra(name)
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(3, {1: 16, 2: 8, 3: 5}[n]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    circles = [[(rng.uniform(-0.1, 0.1), rng.uniform(1.2, 1.5), 1)]
+               for _ in range(n)]
+    if draw(st.booleans()):
+        # an annulus: the inner circle runs clockwise
+        circles[draw(st.integers(0, n - 1))].append((0.0, 0.5, -1))
+    J = random_imaginary_unit(A, rng) if draw(st.booleans()) else None
+    torus = BoundaryTorus(A, circles, J=J, samples_per_circle=N)
+    x = SlicePoint(A, [rng.uniform(-0.3, 0.3) for _ in range(n)],
+                   [rng.uniform(0.7, 1.0) for _ in range(n)],
+                   [random_imaginary_unit(A, rng) for _ in range(n)])
+    p = random_poly(n, A, rng, deg=draw(st.integers(0, 4)), exact=False)
+    return torus, x, p
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(_reconstruction_cases())
+def test_polynomial_stem_and_callable_reconstruct_alike(case):
+    # three product forms of one function through one quadrature: the
+    # complex powers, the stem's real powers and the values node by node
+    torus, x, p = case
+    stem = poly_to_stem(p)
+    value, _ = cauchy_reconstruct(p, torus, x)
+    for source in (stem, lambda q: slice_eval(stem, q)):
+        other, _ = cauchy_reconstruct(source, torus, x)
+        assert ((other - value).euclid_norm()
+                <= 1e-12 * (1 + value.euclid_norm()))
 
 
 @pytest.mark.parametrize("name", ["H", "O", "CL03"])
@@ -601,7 +714,7 @@ def _grid_per_node(f, torus, zs):
         row[:] = f(SlicePoint(algebra, [w.real for w in node],
                               [w.imag for w in node],
                               [torus.J] * torus.n)).coeffs
-    return values, None
+    return values
 
 
 @pytest.mark.parametrize("name", ["H", "O"])
@@ -689,13 +802,12 @@ def test_kept_tables_give_the_cold_result_and_refuse_writes(
         for source in (p, stem, lambda q: slice_eval(stem, q)):
             cauchy._kept.clear()
             cold = cauchy_reconstruct(source, torus, x)
-            assert key in cauchy._kept
+            tables = cauchy._kept[key]
             warm = cauchy_reconstruct(source, torus, x)
             assert repr(warm) == repr(cold)
-            # powers of Re z and Im z only for a polynomial or stem
-            tables = cauchy._kept[key]
-            assert (tables.powers is None) == callable(source)
-            for a in [a for a in tables[1:] if a is not None]:
+            # a warm call stores nothing: the kept tables stay as they were
+            assert cauchy._kept[key] is tables
+            for a in tables[1:]:
                 with pytest.raises(ValueError, match="read-only"):
                     a.flat[0] = 0
 
@@ -769,7 +881,7 @@ def test_kept_tables_stay_within_their_byte_bound(H, monkeypatch):
     assert kept < 2 ** 20
     # under a bound of three 1024-node tables, the oldest make room
     tables = cauchy._build_tables(((Circle(0.0, 1.5),),), 1024)
-    size = tables._replace(powers=cauchy._powers(tables.z, 2)).nbytes
+    size = tables.nbytes
     monkeypatch.setattr(cauchy, "_KEPT_BYTES", 3 * size)
     radii = [1.5 + k / 8 for k in range(5)]
     for r in radii:

@@ -256,6 +256,23 @@ def test_series_geometric(H):
     assert tail < 1e-3
 
 
+def test_series_tail_bounds_a_slowly_converging_series(H):
+    # a_l = M^|l| with M = 1 - 1e-12 at the real x = M, rho = 1: the head
+    # of 25 terms is about 25 and f(x) = 1/(1 - M^2) about 5e11; a bound
+    # summing its dominating series for a fixed number of terms stopped
+    # near 5e9, far below the missing 5e11
+    mpmath = pytest.importorskip("mpmath")
+    M = 1 - 1e-12
+    s = PowerSeries(1, H, lambda ell: H.from_real(M ** sum(ell)), M=M)
+    value, tail = series_eval(s, (H.from_real(M),), rho=1.0)
+    with mpmath.workdps(50):
+        exact = 1 / (1 - mpmath.mpf(M) ** 2)
+        error = abs(exact - mpmath.mpf(value.coeffs[0]))
+    assert all(c == 0 for c in value.coeffs[1:])
+    assert error > 4e11
+    assert error <= tail < 10 * error
+
+
 def test_series_zero_and_polynomial(H, rng):
     zs = PowerSeries(1, H, {}, M=0.0)
     value, tail = series_eval(zs, (0.3 * H.basis_named("j"),), rho=0.5)

@@ -139,6 +139,21 @@ def test_readme_cli_examples_run_as_shown():
             assert out.getvalue() == expected, argv
 
 
+def test_readme_library_quickstart_runs_as_shown():
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```",
+                      (ROOT / "README.md").read_text(), re.S).group(1)
+    comments = [line.rsplit("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments) == 5
+    # the exact lines; roots and the Cauchy error print floats
+    assert printed[:3] == comments[:3]
+    assert float(printed[4]) <= 1e-13
+
+
 def test_benchmark_traced_names_exist():
     # a traced benchmark run wraps getattr(module, name) for each of these
     tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
