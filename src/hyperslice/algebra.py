@@ -10,9 +10,9 @@ through products, conjugation and cone decompositions, which the symbolic
 stem machinery relies on; floats enter only where the caller brings them in
 (or through square roots that are not exact).
 
-numpy is imported inside the functions that compute in floats, never at
-module level, so the exact calculus and root finding run without loading
-it; of the CLI subcommands, only cauchy does.
+Everything here is pure Python except AlgebraDef.dense_tensor, the table
+the Cauchy engine contracts, which imports numpy; so the exact calculus,
+root finding and every CLI subcommand but cauchy run without loading it.
 """
 
 import math
@@ -35,9 +35,10 @@ DEFAULT_TOL = 1e-9
 
 
 def encode_number(x):
-    """JSON form of a coefficient: ints pass through, Fractions as 'p/q'."""
+    """JSON form of a coefficient: ints and floats pass through, Fractions
+    as 'p/q', and a bool or any other type raises HypersliceError."""
     if isinstance(x, bool):
-        raise TypeError("bool is not a coefficient")
+        raise HypersliceError("bool is not a coefficient")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
@@ -46,7 +47,7 @@ def encode_number(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
         return x
-    raise TypeError(f"cannot serialize coefficient of type {type(x).__name__}")
+    raise HypersliceError(f"cannot serialize a {type(x).__name__} coefficient")
 
 
 def decode_number(v):
@@ -181,13 +182,6 @@ class AlgebraDef:
             self._dense = M
         return self._dense
 
-    def left_mult_matrix(self, x):
-        """Matrix L with (x*v).coeffs == v.coeffs @ L for float work."""
-        # sum_i x_i M[i] as one matmul; multiplying by a basis element
-        # permutes the basis up to sign, so each entry has one nonzero term
-        return (x.coeffs_float() @ self.dense_tensor().reshape(
-            self.dim, -1)).reshape(self.dim, self.dim)
-
     def default_imaginary_unit(self):
         """First basis element lying in the unit sphere; the canonical J.
 
@@ -320,10 +314,6 @@ class Element:
         # hypot scales, so coefficients past 1e154 do not overflow
         return math.hypot(*map(float, self.coeffs))
 
-    def coeffs_float(self):
-        import numpy as np
-        return np.array([float(c) for c in self.coeffs])
-
 
 # -- basic operations ---------------------------------------------------------
 
@@ -419,35 +409,23 @@ def is_imaginary_unit(x, tol=DEFAULT_TOL):
 
 
 def invert(x, tol=DEFAULT_TOL):
-    """Two-sided inverse.
+    """Two-sided inverse x^c/n(x) of a point of the quadratic cone.
 
-    If t(x) and n(x) are real within tol (the cone case and a bit beyond),
-    the inverse is conj(x)/n(x), exact for exact input.  Otherwise a linear
-    solve against the left-multiplication matrix is attempted and the result
-    is verified on both sides.
+    The domain is the x with t(x) and n(x) real within tol, which every
+    cone point satisfies; there x^c/n(x) is the inverse, exact for exact
+    input.  A t(x) or n(x) that is not real raises NotInQuadraticCone,
+    naming the failed condition, and n(x) <= tol^2 raises NotInvertible.
     """
-    n = norm_sq(x)
     t = trace(x)
-    if t.is_real(tol) and n.is_real(tol):
-        n0 = n.real_coeff()
-        if n0 == 0 or abs(n0) <= tol * tol:
-            raise NotInvertible(f"n(x) = {float(n0)} too small")
-        return x.conj() / n0
-    import numpy as np
-    A = x.algebra
-    L = A.left_mult_matrix(x)
-    e0 = np.zeros(A.dim)
-    e0[0] = 1.0
-    try:
-        v = np.linalg.solve(L.T, e0)
-    except np.linalg.LinAlgError as exc:
-        raise NotInvertible("left multiplication is singular") from exc
-    y = A.element(tuple(v))
-    scale = max(1.0, x.euclid_norm() * y.euclid_norm())
-    if not (x * y - A.one()).is_zero(1e-9 * scale) or \
-       not (y * x - A.one()).is_zero(1e-9 * scale):
-        raise NotInvertible("solve produced a one-sided candidate only")
-    return y
+    if not t.is_real(tol):
+        raise NotInQuadraticCone(f"trace not real: t(x) = {t.format()}")
+    n = norm_sq(x)
+    if not n.is_real(tol):
+        raise NotInQuadraticCone(f"norm not real: n(x) = {n.format()}")
+    n0 = n.real_coeff()
+    if n0 == 0 or abs(n0) <= tol * tol:
+        raise NotInvertible(f"n(x) = {float(n0)} too small")
+    return x.conj() / n0
 
 
 def ordered_product(units, v):
@@ -472,61 +450,52 @@ def ordered_inverse_product(units, w):
     return result
 
 
-class _RowReducer:
-    """Incremental Gaussian elimination used for basis completion."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-
-    def try_add(self, vec):
-        import numpy as np
-        v = np.array([float(c) for c in vec])
-        norm_in = np.linalg.norm(v)
-        for row, piv in zip(self.rows, self.pivots):
-            v = v - v[piv] * row
-        if np.linalg.norm(v) <= 1e-8 * max(1.0, norm_in):
-            return False
-        piv = int(np.argmax(np.abs(v)))
-        v = v / v[piv]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-
 def splitting_basis(J):
     """Real basis {1, J, J_1, J*J_1, ..., J_u, J*J_u} associated with J.
 
     Greedy completion: scan the basis elements, adding any vector (together
     with its left J-multiple) that enlarges the span.  Left multiplication
     by J squares to -1, so every added pair keeps the span J-stable and the
-    process fills the algebra whenever dim is even.
+    process fills the algebra whenever dim is even.  Independence is
+    decided by Gaussian elimination in floats: a vector whose remainder is
+    at most 1e-8 times its size lies in the span.
     """
     A = J.algebra
     if not is_imaginary_unit(J):
         raise NotImaginaryUnit(f"not an imaginary unit: {J.format()}")
     if A.dim % 2:
         raise SplittingFailed(f"dim {A.dim} is odd")
-    reducer = _RowReducer(A.dim)
+    rows = []  # (pivot, row), each row 1 at its pivot, its largest entry
+
+    def enlarges(x):
+        v = [float(c) for c in x.coeffs]
+        size = math.hypot(*v)
+        for piv, row in rows:
+            f = v[piv]
+            v = [a - f * b for a, b in zip(v, row)]
+        if math.hypot(*v) <= 1e-8 * max(1.0, size):
+            return False
+        piv = max(range(A.dim), key=lambda k: abs(v[k]))
+        rows.append((piv, [a / v[piv] for a in v]))
+        return True
+
     basis = [A.one(), J]
-    for v in basis:
-        if not reducer.try_add(v.coeffs):
-            raise SplittingFailed("1 and J are dependent")
+    # t(J) = 0 and n(J) = 1 keep J off the real axis
+    added = [enlarges(v) for v in basis]
+    assert all(added), "1 and J are dependent"
     for i in range(A.dim):
         if len(basis) == A.dim:
             break
         cand = A.basis(i)
-        if not reducer.try_add(cand.coeffs):
+        if not enlarges(cand):
             continue
         jcand = J * cand
-        if not reducer.try_add(jcand.coeffs):
+        if not enlarges(jcand):
             raise SplittingFailed(
                 f"J*{A.basis_names[i]} fell into the current span")
-        basis.append(cand)
-        basis.append(jcand)
-    if len(basis) != A.dim:
-        raise SplittingFailed("basis scan exhausted before filling the span")
+        basis += (cand, jcand)
+    # every e_i now lies within 1e-8 of the span, so the span is the algebra
+    assert len(basis) == A.dim, "basis scan exhausted before filling the span"
     return basis
 
 

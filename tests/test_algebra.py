@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperslice.algebra import (
+    AlgebraDef,
     algebra_from_json,
     algebra_to_json,
     cone_decompose,
     conj,
+    encode_number,
     invert,
     is_imaginary_unit,
     make_algebra,
@@ -22,11 +24,14 @@ from hyperslice.algebra import (
     trace,
 )
 from hyperslice.errors import (
+    AlgebraMismatch,
     DimensionTooLarge,
     EmptyUnitSphere,
+    HypersliceError,
     NotImaginaryUnit,
     NotInQuadraticCone,
     NotInvertible,
+    SplittingFailed,
     UnsupportedKind,
 )
 
@@ -118,6 +123,18 @@ def test_make_algebra_errors():
     # string signature spelling
     A = make_algebra("clifford(1,1)")
     assert A.dim == 4 and A.kind == "clifford(1,1)"
+
+
+def test_unknown_names_signatures_and_mixed_operands_are_refused(H, O):
+    with pytest.raises(AlgebraMismatch, match="no basis element named"):
+        H.basis_named("e7")
+    with pytest.raises(AlgebraMismatch, match="operands from"):
+        H.one() + O.one()
+    for kind in ("clifford(1,x)", "clifford(1)"):
+        with pytest.raises(UnsupportedKind, match="cannot parse Clifford"):
+            make_algebra(kind)
+    with pytest.raises(UnsupportedKind, match="requires a"):
+        make_algebra("clifford")
 
 
 def test_anti_involution_exact(H, O, CL03, rng):
@@ -275,14 +292,19 @@ def test_invert(H, CL03, rng):
     x = H.element([Fraction(1), Fraction(2), 0, 0])
     y = invert(x)
     assert y == H.element([Fraction(1, 5), Fraction(-2, 5), 0, 0])
-    # outside the cone: 2 + e123 has nonreal trace, needs the linear solve
-    z = CL03.from_real(2) + CL03.basis_named("e123")
-    w = invert(z)
-    assert approx_eq(z * w, CL03.one(), 1e-10)
-    assert approx_eq(w * z, CL03.one(), 1e-10)
-    # 1 + e123 is a zero divisor
-    with pytest.raises(NotInvertible):
-        invert(CL03.from_real(1) + CL03.basis_named("e123"))
+    # outside the cone: 2 + e123 and 1 + e123 have a nonreal trace
+    for r in (2, 1):
+        with pytest.raises(NotInQuadraticCone, match="trace not real"):
+            invert(CL03.from_real(r) + CL03.basis_named("e123"))
+
+
+def test_invert_refusals(H, CL03):
+    with pytest.raises(NotInvertible, match="too small"):
+        invert(H.zero())
+    # t(e1 + e23) = 0, but n(e1 + e23) = 2 - 2 e123
+    x = CL03.basis_named("e1") + CL03.basis_named("e23")
+    with pytest.raises(NotInQuadraticCone, match="norm not real"):
+        invert(x)
 
 
 def test_ordered_product(H, O, rng):
@@ -357,7 +379,7 @@ def test_splitting_basis(H, O, CL11, rng):
             J = J * (1 / math.sqrt(2))
         basis = splitting_basis(J)
         assert len(basis) == A.dim
-        mat = np.array([b.coeffs_float() for b in basis])
+        mat = np.array([b.coeffs for b in basis], float)
         assert abs(np.linalg.det(mat)) > 1e-8
         # the pair structure: entry 2l+1 is J * entry 2l
         for l in range(A.dim // 2):
@@ -366,11 +388,43 @@ def test_splitting_basis(H, O, CL11, rng):
     for _ in range(5):
         J = random_imaginary_unit(O, rng)
         basis = splitting_basis(J)
-        mat = np.array([b.coeffs_float() for b in basis])
+        mat = np.array([b.coeffs for b in basis], float)
         assert abs(np.linalg.det(mat)) > 1e-10
 
     with pytest.raises(NotImaginaryUnit):
         splitting_basis(H.one() + i)
+
+
+def _custom(names, conjs, table):
+    return algebra_from_json({"dim": len(names), "basis": names,
+                              "conjugation_signs": conjs, "table": table})
+
+
+def test_splitting_refusals():
+    # a is an imaginary unit in both tables: a^c = -a and a^2 = -1
+    A = _custom(["1", "a", "b"], [1, -1, -1],
+                [["1", "a", "b"], ["a", "-1", "b"], ["b", "b", "-1"]])
+    with pytest.raises(SplittingFailed, match="dim 3 is odd"):
+        splitting_basis(A.basis(1))
+    # a b = a: left multiplication by a no longer squares to -1, so the
+    # pair (b, a b) does not enlarge the span twice
+    A = _custom(["1", "a", "b", "c"], [1, -1, -1, -1],
+                [["1", "a", "b", "c"], ["a", "-1", "a", "c"],
+                 ["b", "b", "-1", "c"], ["c", "c", "c", "-1"]])
+    with pytest.raises(SplittingFailed, match=r"J\*b fell into"):
+        splitting_basis(A.basis(1))
+
+
+def test_algebra_def_checks_table_sizes():
+    with pytest.raises(UnsupportedKind, match="table sizes disagree"):
+        AlgebraDef("custom", 2, ("1",), [[0, 1], [1, 0]], [[1, 1], [1, -1]],
+                   (1, -1), associative=True)
+
+
+@pytest.mark.parametrize("x", (True, 1j), ids=("bool", "complex"))
+def test_encode_number_refuses_non_coefficients(x):
+    with pytest.raises(HypersliceError, match="coefficient"):
+        encode_number(x)
 
 
 def test_no_imaginary_units_refused():
@@ -416,8 +470,10 @@ def test_multiplication_matrices_are_exact(H, O, CL03, CL11, rng):
         M = A.dense_tensor()
         for _ in range(10):
             x, v = random_element(A, rng), random_element(A, rng)
-            c = x.coeffs_float()
-            L = A.left_mult_matrix(x)
-            # one nonzero term per entry, so any summation order agrees
-            assert np.array_equal(L, np.tensordot(c, M, axes=(0, 0)))
-            assert np.allclose(v.coeffs_float() @ L, (x * v).coeffs_float())
+            L = np.tensordot(np.array(x.coeffs, float), M, axes=(0, 0))
+            # row j is x e_j; one nonzero term per entry, so any summation
+            # order agrees with the product loop
+            assert np.array_equal(L, np.array(
+                [(x * A.basis(j)).coeffs for j in range(A.dim)], float))
+            assert np.allclose(np.array(v.coeffs, float) @ L,
+                               np.array((x * v).coeffs, float))

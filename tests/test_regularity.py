@@ -273,6 +273,23 @@ def test_series_tail_bounds_a_slowly_converging_series(H):
     assert error <= tail < 10 * error
 
 
+def test_series_tail_falls_back_to_the_whole_dominating_sum(H):
+    # n = 3, a_l = M^|l| with M = 1 - 1e-6: q_h = gamma (h + 3)/(h + 1)
+    # stays above 1 until h is about 2e6, so the thousand-term loop ends
+    # and the bound is the whole dominating sum (1 - gamma)^-3
+    mpmath = pytest.importorskip("mpmath")
+    M = 1 - 1e-6
+    s = PowerSeries(3, H, lambda ell: H.from_real(M ** sum(ell)), M=M)
+    value, tail = series_eval(s, (H.from_real(0.5),) * 3, rho=1.0)
+    gamma = norm_constant(H) * 1.0 * M  # B rho M
+    assert tail == (1 - gamma) ** -3 * (1 + 1e-12)
+    with mpmath.workdps(50):
+        exact = 1 / (1 - mpmath.mpf(M) / 2) ** 3
+        error = abs(exact - mpmath.mpf(value.coeffs[0]))
+    assert all(c == 0 for c in value.coeffs[1:])
+    assert error <= tail
+
+
 def test_series_zero_and_polynomial(H, rng):
     zs = PowerSeries(1, H, {}, M=0.0)
     value, tail = series_eval(zs, (0.3 * H.basis_named("j"),), rho=0.5)

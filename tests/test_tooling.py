@@ -226,3 +226,45 @@ def test_every_functools_cache_has_a_finite_maxsize():
     unbounded = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
                  for line in _unbounded_caches(path.read_text())]
     assert unbounded == []
+
+
+def _numpy_imports(source):
+    """(scope, line) of each import of numpy, where scope is the dotted
+    path of the classes and functions around it ('' at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            if any(n.split(".")[0] == "numpy" for n in names):
+                found.append((scope, child.lineno))
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_numpy_is_imported_only_for_cauchy_reconstruction():
+    # the table algebra, the stem calculus and root finding run without
+    # numpy; the Cauchy engine and the structure tensor it contracts,
+    # AlgebraDef.dense_tensor, load it
+    samples = {"import numpy as np": [("", 1)],
+               "def f():\n    if x:\n        from numpy import linalg":
+               [("f", 3)],
+               "class A:\n    def g(self):\n        import numpy.linalg":
+               [("A.g", 3)],
+               "import math\nimport numpyro": []}
+    for source, found in samples.items():
+        assert _numpy_imports(source) == found, source
+    found = {(path.name, scope or "<module>")
+             for path in sorted(SRC.glob("*.py")) if path.name != "cauchy.py"
+             for scope, _ in _numpy_imports(path.read_text())}
+    assert found == {("algebra.py", "AlgebraDef.dense_tensor")}
