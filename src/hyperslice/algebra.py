@@ -77,8 +77,14 @@ class AlgebraDef:
 
     def __init__(self, kind, dim, basis_names, mul_index, mul_sign, conj_signs,
                  associative):
-        if len(basis_names) != dim or len(conj_signs) != dim:
+        if (len(basis_names) != dim or len(conj_signs) != dim
+                or len(mul_index) != dim or len(mul_sign) != dim
+                or any(len(row) != dim for row in (*mul_index, *mul_sign))):
             raise UnsupportedKind("table sizes disagree with dim")
+        if (any(k not in range(dim) for row in mul_index for k in row)
+                or any(s not in (1, -1) for row in mul_sign for s in row)):
+            raise UnsupportedKind("table entries must be basis indices "
+                                  "with signs +1/-1")
         self.kind = kind
         self.dim = dim
         self.basis_names = tuple(basis_names)
@@ -151,6 +157,11 @@ class AlgebraDef:
     def has_basis_name(self, name):
         return name in self._name_to_index
 
+    def left_rows(self, coeffs):
+        """(a_i, table row i) for the nonzero a_i of a coefficient tuple:
+        the one operand form of product for a left factor."""
+        return tuple((x, row) for x, row in zip(coeffs, self._rows) if x)
+
     def product(self, rows, b):
         """Coefficient tuple of ab: the package's one product loop.
 
@@ -214,8 +225,7 @@ class Element:
         AlgebraDef.product for this element as left factor, taken on first
         use and kept."""
         if not hasattr(self, "_left_rows"):
-            self._left_rows = tuple((x, row) for x, row in
-                                    zip(self.coeffs, self.algebra._rows) if x)
+            self._left_rows = self.algebra.left_rows(self.coeffs)
         return self._left_rows
 
     def _check(self, other):

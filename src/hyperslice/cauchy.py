@@ -16,9 +16,13 @@ expansion and no Element product), a stem its coefficients on the slice
 and the real powers alpha^a beta^b, a callable its values on every node,
 one call per node.  What depends only on the circles and N (the nodes and
 the rule weights) is kept between calls as read-only arrays, at most 16
-MiB in all, oldest dropped first.  poly_eval or slice_eval gives the
-direct reference.  slice_cauchy_kernel is the closed-form kernel of
-associative algebras at one point.  The pointwise integrand in exact
+MiB in all, oldest dropped first.  A polynomial is not evaluated directly:
+its trapezoid error has a closed form, so it gets a proven error_bound
+(_error_bound), and an N at or below its degree in some variable is
+refused as aliasing (QuadratureAliasing).  A stem, which need not be slice
+regular, gets its slice_eval value as a reference; a callable gets
+neither.  slice_cauchy_kernel is the closed-form kernel of associative
+algebras at one point.  The pointwise integrand in exact
 Element arithmetic, the oracle the engine is tested against, and the
 symbolic proof that the closed-form kernel is slice regular live in
 tests/oracles.py.
@@ -40,9 +44,10 @@ from .errors import (
     NotInQuadraticCone,
     OnSingularSphere,
     PointOutsideE,
+    QuadratureAliasing,
     QuadratureSingularity,
 )
-from .regularity import OrderedPolynomial, poly_eval
+from .regularity import OrderedPolynomial, count_constant, norm_constant
 from .slicefun import SlicePoint, slice_eval
 from .stems import StemPoly
 
@@ -118,11 +123,13 @@ class BoundaryTorus:
         return len(self.circles)
 
     def contains_z(self, alpha, beta, h):
-        """Winding test in variable h; the region is even-odd by orientation."""
+        """Winding test in variable h: the oriented circles of h must wind
+        exactly once around alpha + i|beta|, since the Cauchy sum returns
+        the winding number times f."""
         z = complex(alpha, abs(beta))
         winding = sum(c.orientation for c in self.circles[h - 1]
                       if abs(z - c.center) < c.radius)
-        return winding >= 1
+        return winding == 1
 
     def contains_point(self, point):
         return all(self.contains_z(a, b, h + 1)
@@ -156,14 +163,12 @@ class KernelPoint:
 
 
 def _input_kind(f):
-    """(SlicePoint -> f(point) without quadrature, None for a callable f;
-    f's boundary value supplier for _reconstruct)."""
+    """f's boundary value supplier for _reconstruct."""
     if isinstance(f, OrderedPolynomial):
-        return partial(poly_eval, f), partial(_polynomial_on_grid, f)
+        return partial(_polynomial_on_grid, f)
     if isinstance(f, StemPoly):
-        return partial(slice_eval, f), partial(_stem_on_grid, f)
-    return None, lambda torus, tables: (partial(_callable_on_grid, f, torus),
-                                        None)
+        return partial(_stem_on_grid, f)
+    return lambda torus, tables: (partial(_callable_on_grid, f, torus), None)
 
 
 def slice_cauchy_kernel(x, ys):
@@ -283,12 +288,18 @@ def _polynomial_on_grid(f, torus, tables):
     _reconstruct (J(Ja) = (JJ)a = -a, so such values multiply as complex
     numbers).  Returns the core of the a_l, axis h over the distinct
     degrees of variable h, and per circle the complex (A_h, N) table of z^d.
+    The powers are running products, z^d = z z^(d-1), so z^d carries at
+    most d - 1 complex roundings, as _error_bound counts them.
     """
     import numpy as np
     core, degrees = _core(f.terms, torus, 0)
-    degrees = [np.array(row)[:, None] for row in degrees]
-    return (lambda zs: core), [z ** degrees[h] for z, h in
-                               zip(tables.z, tables.var.tolist())]
+    z = tables.z
+    powers = np.empty((max(map(max, degrees)) + 1,) + z.shape, complex)
+    powers[0] = 1.0
+    for d in range(1, len(powers)):
+        np.multiply(powers[d - 1], z, out=powers[d])
+    return (lambda zs: core), [powers[degrees[h], c] for c, h in
+                               enumerate(tables.var.tolist())]
 
 
 def _stem_on_grid(f, torus, tables):
@@ -338,46 +349,232 @@ def cauchy_reconstruct(f, torus, x):
     number of variables and algebra.  Every unit of x must square to -1
     within DEFAULT_TOL (NotImaginaryUnit otherwise), since the kernel's
     factors are complex numbers in each unit.  The input only supplies
-    boundary values in product form (_reconstruct).  Diagnostics report
-    the sample count, the worst kernel conditioning, error_estimate =
-    |Q_N - Q_{N/2}| (None for odd N), and, for polynomial and stem inputs,
-    the direct value as reference (an Element: poly_eval for a polynomial,
-    slice_eval for a stem) and the disagreement against it.
+    boundary values in product form (_reconstruct).  A polynomial of
+    degree d_h >= N in some variable h raises QuadratureAliasing before any
+    quadrature: its trapezoid sums alias.  Diagnostics report the sample
+    count, the worst kernel conditioning, error_estimate = |Q_N - Q_{N/2}|
+    (None for odd N), and by input kind: for a polynomial error_bound, a
+    proven bound on |Q_N - f(x)| (_error_bound, no evaluation of f); for a
+    stem, which need not be slice regular, its slice_eval value as
+    reference and the disagreement |Q_N - reference|; for a callable
+    nothing more.
     """
     import numpy as np
     n = torus.n
-    direct, boundary_values = _input_kind(f)
-    if direct is not None and f.n != n:
-        raise AlgebraMismatch(f"{type(f).__name__} has {f.n} variables, "
-                              f"torus has {n}")
-    if direct is not None and f.algebra != torus.algebra:
-        raise AlgebraMismatch(f"{type(f).__name__} over {f.algebra.kind}, "
-                              f"torus over {torus.algebra.kind}")
+    boundary_values = _input_kind(f)
+    if isinstance(f, (OrderedPolynomial, StemPoly)):
+        if f.n != n:
+            raise AlgebraMismatch(f"{type(f).__name__} has {f.n} variables, "
+                                  f"torus has {n}")
+        if f.algebra != torus.algebra:
+            raise AlgebraMismatch(f"{type(f).__name__} over "
+                                  f"{f.algebra.kind}, torus over "
+                                  f"{torus.algebra.kind}")
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
+    N = torus.samples_per_circle
+    if isinstance(f, OrderedPolynomial):
+        degrees = [max(col) for col in zip(*f.terms)] or [0] * n
+        for h, d in enumerate(degrees, start=1):
+            if N <= d:
+                raise QuadratureAliasing(
+                    f"variable {h} has degree {d}, and N = {N} samples per "
+                    f"circle alias it; N must exceed {d}")
     if not torus.contains_point(x):
         raise PointOutsideE(
             "reconstruction point must lie inside the circularized domain")
-    N = torus.samples_per_circle
     try:
         with np.errstate(over="raise", invalid="raise"):
-            (value, *half), min_delta = _reconstruct(boundary_values, torus, x)
+            (value, *half), cond = _reconstruct(boundary_values, torus, x)
     except FloatingPointError as exc:
         raise HypersliceError(
             f"quadrature arithmetic leaves the float range: {exc}") from None
     diagnostics = {
         "N": N,
         "grid_points": N ** n * len(torus.combos()),
-        "min_abs_delta": float(min_delta),
-        "max_inv_delta": float(1.0 / min_delta),
+        "min_abs_delta": cond.min_delta,
+        "max_inv_delta": 1.0 / cond.min_delta,
         "error_estimate": (float((value - half[0]).euclid_norm()) if half
                            else None),
     }
-    if direct is not None:
-        reference = direct(x)
+    if isinstance(f, OrderedPolynomial):
+        try:
+            diagnostics["error_bound"] = _error_bound(f, torus, x, degrees,
+                                                      cond)
+        except OverflowError:  # a power past the float range: no bound
+            diagnostics["error_bound"] = math.inf
+    elif isinstance(f, StemPoly):
+        reference = slice_eval(f, x)
         diagnostics["disagreement"] = float((value - reference).euclid_norm())
         diagnostics["reference"] = reference
     return value, diagnostics
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+_UP = 1 + 2.0 ** -50  # q_c raised past its own rounding
+_SQRT2 = math.sqrt(2)
+
+
+def _unit_norms(unit):
+    """(|u_i| as floats, ||u||_1, kappa) of a unit, kappa bounding
+    ||p + q u|| by kappa |p + i q| for real p, q: the root of
+    max(1, ||u||^2) + |u_0| bounds the largest eigenvalue of the Gram
+    matrix [[1, u_0], [u_0, ||u||^2]] of (1, u) (Gershgorin)."""
+    coeffs = list(map(abs, map(float, unit.coeffs)))
+    norm = math.hypot(*coeffs)
+    return coeffs, sum(coeffs), math.sqrt(max(1.0, norm * norm) + coeffs[0])
+
+
+_CONSTANTS = {}
+
+
+def _table_constants(algebra):
+    """(B, B_abs, positive), cached per algebra: norm_constant,
+    count_constant, and, for an associative table whose rows are signed
+    permutations and whose basis elements square to +-1 (Clifford tables),
+    the i with e_i e_i = +1; positive is None for any other table."""
+    if algebra not in _CONSTANTS:
+        dim = algebra.dim
+        signed = algebra.associative and all(
+            algebra.mul_index[i][i] == 0 and sorted(row) == list(range(dim))
+            for i, row in enumerate(algebra.mul_index))
+        positive = (tuple(i for i in range(dim)
+                          if algebra.mul_sign[i][i] == 1)
+                    if signed else None)
+        _CONSTANTS[algebra] = (norm_constant(algebra),
+                               count_constant(algebra), positive)
+    return _CONSTANTS[algebra]
+
+
+def _error_bound(f, torus, x, degrees, cond):
+    """A proven bound on |Q_N - f(x)| for an OrderedPolynomial f with every
+    degree d_h below N: the truncation of the trapezoid rule in exact
+    arithmetic, plus the rounding of the float computation.
+
+    Truncation.  Take one variable, w = alpha + i beta its coordinate and a
+    circle (c, r, o).  If |w - c| < r, then r e^{it}/(z - w) =
+    sum_m rho^m e^{-imt} with rho = (w - c)/r, and z^d = (c + r e^{it})^d
+    has the frequencies 0..d < N; the N-node mean of z^d r e^{it}/(z - w)
+    keeps the m = j + kN, k >= 0, and sums to w^d/(1 - rho^N).  If
+    |w - c| > r, with sigma = r/(w - c) it sums to -w^d sigma^N/(1 -
+    sigma^N), where the integral is 0.  With the orientations, the circles
+    winding once around w (BoundaryTorus.contains_z), the rule returns
+    G(w) = w^d (1 + E(w)), |E| <= eps_h = sum_c q_c^N/(1 - q_c^N), q_c =
+    |rho| or |sigma| (Trefethen & Weideman, SIAM Review 56, 2014).  The
+    engine reads variable h's kernel factor in its unit u_h and J only in
+    the unit stage; splitting its bicomplex sums by the idempotents
+    (1 -+ i u)/2 gives the rule at w and at conj(w), where G(conj w) =
+    conj(G(w)).  So the J parts cancel, variable h contributes the left
+    factor y_h = Re G(w_h) + Im G(w_h) u_h, and a monomial becomes
+    y_1(...(y_n a_l)), against the exact x_1(...(x_1(x_2(...a_l)))).  Let
+    left multiplication L by any p + q u_h have norm <= omega_h |p + iq|:
+      - H and O compose norms: omega = kappa (_unit_norms);
+      - Clifford tables (_table_constants): L_y^T L_y = L_{y~ y} with
+        y~ = p - q u + 2 q u+, u+ the part of u on basis elements squaring
+        to +1, so with e = u u + 1 and ||L_z|| <= ||z||_1, omega^2 = 1 +
+        ||e||_1 + ||u+||_1 (1 + 2 ||u||_1), 1 for exact units of Cl(0, n);
+      - other associative tables: omega = B kappa, B = norm_constant.
+    With P_d = Re w^d + Im w^d u, x P_d = P_{d+1} + beta Im(w^d) e, so d
+    left multiplications by x differ from L_{P_d} by at most
+    d mu omega^(d-1) |w|^d, mu >= ||L_e|| (||e||_1, or B ||e||_1 on other
+    tables).  x(xv) = (xx)v needs an alternative algebra: an associative
+    table or O's; any other table gets inf.  Expanding the differences
+    factor by factor against prod_h (omega_h |w_h|)^{l_h}, with nu_h =
+    d_h mu_h (omega_h eps_h covers the l_h = 0 factors),
+        T = sum_l ||a_l|| prod_h (omega_h |w_h|)^{l_h}
+            (prod_h (1 + omega_h eps_h)(1 + nu_h) - 1),
+    which for exact units on H and O is sum_l ||a_l|| prod_h
+    |w_h|^{l_h} (prod_h (1 + eps_h) - 1).
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, ch. 3).  With at most k roundings in each term of a sum of
+    products, the error is at most gamma_k = ku/(1 - ku) times the same
+    computation on absolute values.  The rule weight of node t of circle
+    c, o r e^{it} (part_b(1/Delta) conj(z) - part_b(w/Delta)), is at most
+    sqrt(2) r (rho_c + |w|)/|Delta_t| over its two parts b, |z| <= rho_c
+    = |c| + r; so variable h weighs at most W_h = sum_c sqrt(2) r_c
+    (rho_c + |w_h|) mean_t 1/|Delta_t|, the l1 norm of its rule weights.
+    Products on absolute values grow by at most B_abs = count_constant,
+    a unit stage by B_abs kappa, and F =
+    sum_l ||a_l|| prod_h rho_h^{l_h} bounds f on the torus, so
+        R = gamma_k (1 + B_abs kappa_J) prod_h (B_abs kappa_h W_h) F.
+    k counts per variable N + d_h + 1 for the sums over the nodes and the
+    degrees; 33 d_h for the running powers z^d (one complex product each,
+    under 3u), the node's effect on z^d and the inputs read as floats;
+    32 (rho_h + |w_h|)^2/min|Delta| for the node's effect on the kernel and
+    Delta (numpy's exp taken within 2 ulp and the angle within 3.5u move z
+    by 22 u rho, the kernel by that over |z - w| >= |Delta|/(rho + |w|),
+    Delta by 4u (rho + |w|)^2); 64 for the other products and quotients of
+    the weights; then one per circle combination, dim + 1 per unit stage
+    and 8 for the scaling.  The computed u u + 1 is off by at most
+    gamma_{2 dim + 1} (||u||_1^2 + dim) in l1, so ||e||_1 is at most dim
+    times its largest computed coordinate plus that.  The bound is T + R,
+    raised by 2^-30 for its own float evaluation (q_c by 2^-50 before its
+    N-th power, eps_h by 4u/(1 - q_c^N)); inf when it leaves the float
+    range or q_c reaches 1.
+    """
+    algebra = torus.algebra
+    N, n, dim = torus.samples_per_circle, torus.n, algebra.dim
+    B, B_abs, positive = _table_constants(algebra)
+    if not algebra.associative and B != 1:
+        return math.inf  # a table that may not be alternative
+    gamma_e = (2 * dim + 1) * _U / (1 - (2 * dim + 1) * _U)
+    trunc = 0.0  # prod_h (1 + omega_h eps_h)(1 + nu_h) - 1, no cancellation
+    absolute = 1 + B_abs * _unit_norms(torus.J)[2]  # on |.|, F aside
+    k = 8 + (n + 1) * (dim + 1) + math.prod(map(len, torus.circles))
+    scaled, outer = [], []
+    sums = iter(cond.inv_delta_sums)
+    for circles, a, b, unit, d, err in zip(torus.circles, x.alphas, x.betas,
+                                           x.units, degrees,
+                                           cond.unit_errors):
+        w = complex(a, b)
+        modulus = abs(w)
+        eps = weight = rho = 0.0
+        for (center, radius, _), inv_sum in zip(circles, sums):
+            dist = abs(w - center)
+            q = (dist / radius if dist < radius else radius / dist) * _UP
+            t = q ** N
+            eps += t / (1 - t) * (1 + 4 * _U / (1 - t)) if t < 1 else math.inf
+            rho_c = abs(center) + radius
+            rho = max(rho, rho_c)
+            weight += radius * (rho_c + modulus) * inv_sum
+        coeffs, l1, kappa = _unit_norms(unit)
+        mu = dim * err + gamma_e * (l1 * l1 + dim)
+        if B == 1:
+            omega = kappa
+        elif positive is not None:
+            plus = sum(coeffs[i] for i in positive)
+            omega = math.sqrt(1 + mu + plus * (1 + 2 * l1))
+        else:
+            mu, omega = B * mu, B * kappa
+        eps *= omega
+        step = eps + d * mu + eps * d * mu
+        trunc += step + trunc * step
+        k += N + 34 * d + 65 + 32 * (rho + modulus) ** 2 / cond.min_delta
+        absolute *= B_abs * kappa * _SQRT2 * weight / N
+        scaled.append(omega * modulus)
+        outer.append(rho)
+    lead = size = 0.0
+    for ell, a in f.terms.items():
+        p = q = a.euclid_norm()
+        for e, s, r in zip(ell, scaled, outer):
+            if e:
+                p *= s ** e
+                q *= r ** e
+        lead += p
+        size += q
+    gamma = k * _U / (1 - k * _U) if k * _U < 1 else math.inf
+    bound = (lead * trunc + gamma * absolute * size) * (1 + 2 ** -30)
+    # nan (inf times 0) reads as no bound
+    return bound if bound < math.inf else math.inf
+
+
+class _Conditioning(NamedTuple):
+    """What _reconstruct reports besides the values."""
+
+    min_delta: float       # min |Delta| over the grid
+    unit_errors: list      # per unit of x, the largest coordinate of uu + 1
+    inv_delta_sums: list   # per circle, the sum of 1/|Delta| over the nodes
 
 
 def _reconstruct(boundary_values, torus, x):
@@ -403,7 +600,7 @@ def _reconstruct(boundary_values, torus, x):
     batched matmul against V[c] P, so no product is larger than 4 x N;
     the first axis takes the weights as real rows for the real core.  For
     even N the N/2 subgrid rule (odd nodes zeroed, even doubled) rides
-    along: returns ([Q_N] or [Q_N, Q_{N/2}], min |Delta|).
+    along: returns ([Q_N] or [Q_N, Q_{N/2}], _Conditioning).
     """
     import numpy as np
     algebra = torus.algebra
@@ -416,7 +613,8 @@ def _reconstruct(boundary_values, torus, x):
     # row 0 of L(u) is u, so row 0 of L(u) L(u) is u u
     squares = (Ls[:n, :1] @ Ls[:n])[:, 0]
     squares[:, 0] += 1.0
-    for u, err in zip(x.units, np.abs(squares).max(axis=1)):
+    unit_errors = np.abs(squares).max(axis=1).tolist()
+    for u, err in zip(x.units, unit_errors):
         if err > DEFAULT_TOL:
             raise NotImaginaryUnit(
                 f"point unit {u!r} squares to -1 only within {err:.2e}")
@@ -428,7 +626,8 @@ def _reconstruct(boundary_values, torus, x):
     w = np.array([complex(float(a), float(b)) for a, b in x.z()])
     w = w[tables.var, None]
     delta = w * w - tables.two_re * w + tables.sq
-    min_delta = float(np.abs(delta).min())
+    abs_delta = np.abs(delta)
+    min_delta = float(abs_delta.min())
     if min_delta < MIN_DELTA:
         raise QuadratureSingularity(
             f"grid approaches a pole sphere: min |Delta| = "
@@ -460,4 +659,6 @@ def _reconstruct(boundary_values, torus, x):
         T = T[..., ::2] + L.T @ T[..., 1::2]
     if cold:
         _keep(key, tables)
-    return [algebra.element(t.tolist()) for t in T[..., 0]], min_delta
+    cond = _Conditioning(min_delta, unit_errors,
+                         (1.0 / abs_delta).sum(axis=1).tolist())
+    return [algebra.element(t.tolist()) for t in T[..., 0]], cond

@@ -115,7 +115,12 @@ def _run_cauchy(req, algebra):
                                 samples_per_circle=req.samples)
     pt = parse_point(req.point, algebra, req.tol, nvars=p.n)
     value, diag = cauchy_reconstruct(p, torus, pt)
-    reference = diag.pop("reference")
+    # the direct value is the CLI's own check; the library's is the bound,
+    # which stays the last diagnostic
+    bound = diag.pop("error_bound")
+    reference = poly_eval(p, pt)
+    diag["disagreement"] = (value - reference).euclid_norm()
+    diag["error_bound"] = bound
     return {"value": _coeffs(value), "value_str": value.format(),
             "reference": _coeffs(reference),
             "reference_str": reference.format(),

@@ -94,6 +94,11 @@ class PointOutsideE(HypersliceError):
     """Reconstruction target lies outside the circularized product domain."""
 
 
+class QuadratureAliasing(HypersliceError):
+    """Too few samples per circle for a polynomial's degree: N <= d aliases
+    the trapezoid sums, so the reconstruction means nothing."""
+
+
 class ConstantPolynomial(HypersliceError):
     """Root finding requested for a polynomial with no nonconstant term."""
 

@@ -108,16 +108,69 @@ def ordered_monomial_eval(ell, a, xs):
     return v
 
 
+def _point_rows(algebra, alpha, beta, unit):
+    """The left_rows of alpha + beta J, formed without an Element."""
+    coeffs = [beta * c for c in unit.coeffs]
+    coeffs[0] = alpha + coeffs[0]
+    return algebra.left_rows(coeffs)
+
+
+def _horner(node, rows, product):
+    """Nested Horner on coefficient tuples: a trie level {l_h: child} is
+    q_0 + x_h(q_1 + x_h(q_2 + ...)), each q_k its child one level down (a
+    coefficient tuple at the last level) and x_h the left factor rows[0]."""
+    if not rows:
+        return node
+    x, rest = rows[0], rows[1:]
+    acc, top = None, 0
+    for k in sorted(node, reverse=True):
+        q = _horner(node[k], rest, product)
+        if acc is not None:
+            for _ in range(top - k):
+                acc = product(x, acc)
+            q = tuple(map(add, acc, q))
+        acc, top = q, k
+    for _ in range(top):
+        acc = product(x, acc)
+    return acc
+
+
 def poly_eval(p, x):
-    """Pointwise value; x is a SlicePoint or a tuple of Elements."""
-    xs = x.elements() if isinstance(x, SlicePoint) else tuple(x)
-    if len(xs) != p.n:
-        raise AlgebraMismatch(f"need {p.n} coordinates, got {len(xs)}")
-    total = (0,) * p.algebra.dim
+    """Pointwise value; x is a SlicePoint or a tuple of Elements.
+
+    One nested Horner on coefficient tuples over the trie of exponents:
+    p = q_0 + x_1(q_1 + x_1(q_2 + ...)), each q_k a nested Horner in
+    x_2, ..., x_n, and multiplying by x_h is AlgebraDef.product with x_h's
+    table rows (for a SlicePoint taken straight from alpha_h + beta_h J_h).
+    Left multiplication is linear, so this is the sum of the ordered
+    monomials x_1(...(x_1(x_2(...a_l)))) term by term for any units, which
+    is x^l a_l since x(xv) = (xx)v in an alternative algebra.  Exact
+    coefficients give the exact value; float rounding follows the Horner
+    order, not the term order.
+    """
+    A = p.algebra
+    if isinstance(x, SlicePoint):
+        coords = [_point_rows(A, *c) for c in zip(x.alphas, x.betas, x.units)]
+        algebras = [x.algebra]
+    else:
+        xs = tuple(x)
+        coords = [e.left_rows() for e in xs]
+        algebras = [e.algebra for e in xs]
+    if len(coords) != p.n:
+        raise AlgebraMismatch(f"need {p.n} coordinates, got {len(coords)}")
+    if any(other != A for other in algebras):
+        raise AlgebraMismatch(f"point outside {A.kind}")
+    if not p.n:
+        return p.terms.get((), A.zero())
+    trie = {}
     for ell, a in p.terms.items():
-        v = ordered_monomial_eval(ell, a, xs)
-        total = tuple(map(add, total, v.coeffs))
-    return Element(p.algebra, total)
+        node = trie
+        for e in ell[:-1]:
+            node = node.setdefault(e, {})
+        node[ell[-1]] = a.coeffs
+    if not trie:
+        return A.zero()
+    return Element(A, _horner(trie, coords, A.product))
 
 
 def poly_to_stem(p):
@@ -206,25 +259,35 @@ def is_slice_regular(f):
 # -- power series ---------------------------------------------------------
 
 _B_CACHE = {}
+_COUNT_CACHE = {}
+
+
+def count_constant(algebra):
+    """sqrt(max_k c_k), c_k the number of pairs (i, j) with e_i e_j = +-e_k.
+
+    Every pair (i, j) feeds exactly one k, so Cauchy-Schwarz per coordinate
+    gives ||xy||^2 <= max_k c_k ||x||^2 ||y||^2 in any monomial table.  The
+    count ignores the signs, so it also bounds the product taken on
+    absolute values with every sign +, which rounding bounds need: 2 on H,
+    sqrt(8) on O, sqrt(dim) on the Clifford tables.  Cached per algebra.
+    """
+    if algebra not in _COUNT_CACHE:
+        counts = Counter(k for row in algebra.mul_index for k in row)
+        _COUNT_CACHE[algebra] = math.sqrt(max(counts.values()))
+    return _COUNT_CACHE[algebra]
 
 
 def norm_constant(algebra):
     """B with ||xy|| <= B ||x|| ||y|| for all x, y; proven, not sampled.
 
-    H and O are composition algebras, so B = 1 there.  For any other
-    monomial table, coordinate k of xy is a signed sum of the c_k products
-    x_i y_j with e_i e_j = +-e_k, and every pair (i, j) feeds exactly one
-    k.  Cauchy-Schwarz per coordinate then gives
-    ||xy||^2 <= max_k c_k ||x||^2 ||y||^2, so B = sqrt(max_k c_k), which
-    is sqrt(dim) for the Clifford tables.  Cached per algebra.
+    H and O are composition algebras, so B = 1 there; any other table gets
+    count_constant, which is sqrt(dim) for the Clifford tables.  Cached per
+    algebra.
     """
     if algebra not in _B_CACHE:
-        if algebra in (make_algebra("H"), make_algebra("O")):
-            B = 1.0
-        else:
-            counts = Counter(k for row in algebra.mul_index for k in row)
-            B = math.sqrt(max(counts.values()))
-        _B_CACHE[algebra] = B
+        _B_CACHE[algebra] = (1.0 if algebra in (make_algebra("H"),
+                                                 make_algebra("O"))
+                             else count_constant(algebra))
     return _B_CACHE[algebra]
 
 

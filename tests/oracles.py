@@ -13,7 +13,11 @@ the slow, direct way, so the fast paths have something to agree with:
 - split_holomorphy_check and one_variable_regularity_check: two more
   regularity routes (classical holomorphy after splitting, and the
   one-variable reduction) to check is_slice_regular against;
-- max_diff: the largest coefficient of a sparse difference.
+- max_diff: the largest coefficient of a sparse difference;
+- poly_value_mp and distance_mp: a polynomial's value at 50 digits, term
+  by term in Element arithmetic on mpmath numbers, and the distance of a
+  float Element from it, the oracle for poly_eval's rounding and for the
+  Cauchy error bound.
 
 Beside them sit the small helpers that only tests need: approx_eq,
 slice_diagonal, boundary_value, pq_polynomials, stem_parity_check and
@@ -28,11 +32,12 @@ from hyperslice import sparse
 from hyperslice.algebra import (DEFAULT_TOL, Element, invert,
                                 is_imaginary_unit, ordered_product,
                                 splitting_basis)
-from hyperslice.cauchy import MIN_DELTA, _input_kind, char_poly
+from hyperslice.cauchy import MIN_DELTA, char_poly
 from hyperslice.errors import (AlgebraMismatch, IndexOutOfRange,
                                NotImaginaryUnit, OnSingularSphere)
-from hyperslice.regularity import _require_stem_poly
-from hyperslice.slicefun import SlicePoint
+from hyperslice.regularity import (OrderedPolynomial, _require_stem_poly,
+                                   poly_eval)
+from hyperslice.slicefun import SlicePoint, slice_eval
 from hyperslice.stems import (StemPoly, binomial_terms, parity_ok,
                               sigma_tensor, stem_product)
 
@@ -114,6 +119,15 @@ def _complex_on_slice(algebra, w, J):
     return algebra.from_real(w.real) + w.imag * J
 
 
+def _pointwise(f):
+    """SlicePoint -> f(point) for a polynomial, a stem or a callable."""
+    if isinstance(f, OrderedPolynomial):
+        return lambda point: poly_eval(f, point)
+    if isinstance(f, StemPoly):
+        return lambda point: slice_eval(f, point)
+    return f
+
+
 def cauchy_integrand(f, x, t, torus, tol=DEFAULT_TOL):
     """The subset-expanded integrand at one angle tuple, exact Elements.
 
@@ -128,7 +142,7 @@ def cauchy_integrand(f, x, t, torus, tol=DEFAULT_TOL):
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
     J = torus.J
-    fn = _input_kind(f)[0] or f
+    fn = _pointwise(f)
     total = algebra.zero()
     for combo, orient in torus.combos():
         zs = boundary_value(combo, t)
@@ -166,7 +180,7 @@ def cauchy_integrand_product_form(f, x, t, torus, tol=DEFAULT_TOL):
     algebra = torus.algebra
     n = torus.n
     J = torus.J
-    fn = _input_kind(f)[0] or f
+    fn = _pointwise(f)
     total = algebra.zero()
     for combo, orient in torus.combos():
         zs = boundary_value(combo, t)
@@ -404,3 +418,48 @@ def one_variable_regularity_check(f):
             if max(r1, r2) > 0:
                 failures.append((h, base & (bit - 1), base & ~(2 * bit - 1)))
     return OneVariableReport(not failures, failures)
+
+
+# -- high-precision values ------------------------------------------------
+
+
+def _mpf(c):
+    import mpmath
+    if isinstance(c, Fraction):
+        return mpmath.mpf(c.numerator) / c.denominator
+    return mpmath.mpf(c)
+
+
+def poly_value_mp(p, point, dps=50):
+    """p at a SlicePoint to dps digits, as a list of mpmath numbers.
+
+    The ordered monomials x_1(...(x_n a_l)), one Element product per unit
+    of degree and summed term by term, on mpf coefficients: the point's
+    alpha, beta and unit and p's coefficients are read exactly, so the
+    only error is the 50-digit rounding.  It shares the multiplication
+    table with the library, not its evaluation order or its floats.
+    """
+    import mpmath
+    A = p.algebra
+    with mpmath.workdps(dps):
+        xs = []
+        for alpha, beta, unit in zip(point.alphas, point.betas, point.units):
+            coeffs = [_mpf(beta) * _mpf(c) for c in unit.coeffs]
+            coeffs[0] += _mpf(alpha)
+            xs.append(Element(A, tuple(coeffs)))
+        total = [mpmath.mpf(0)] * A.dim
+        for ell, a in p.terms.items():
+            v = Element(A, tuple(_mpf(c) for c in a.coeffs))
+            for h in reversed(range(p.n)):
+                for _ in range(ell[h]):
+                    v = xs[h] * v
+            total = [s + c for s, c in zip(total, v.coeffs)]
+    return total
+
+
+def distance_mp(value, exact):
+    """Euclidean distance of an Element's coefficients from mpf ones."""
+    import mpmath
+    with mpmath.workdps(50):
+        return float(mpmath.sqrt(mpmath.fsum(
+            (_mpf(c) - e) ** 2 for c, e in zip(value.coeffs, exact))))

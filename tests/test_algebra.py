@@ -421,6 +421,25 @@ def test_algebra_def_checks_table_sizes():
                    (1, -1), associative=True)
 
 
+def test_algebra_def_refuses_ragged_tables():
+    # this table once built, and a * a came back as 0: the product loop
+    # stopped at the short row
+    with pytest.raises(UnsupportedKind, match="table sizes disagree"):
+        AlgebraDef("custom", 2, ("1", "a"), [[0, 1], [1]],
+                   [[1, 1], [1, -1]], (1, -1), True)
+    for index, sign in (([[0, 1], [1, 0]], [[1, 1], [1]]),
+                        ([[0, 1], [1, 0], [0, 0]], [[1, 1], [1, -1]])):
+        with pytest.raises(UnsupportedKind, match="table sizes disagree"):
+            AlgebraDef("custom", 2, ("1", "a"), index, sign, (1, -1), True)
+    for index, sign in (([[0, 1], [1, 2]], [[1, 1], [1, -1]]),
+                        ([[0, 1], [1, 0]], [[1, 1], [1, 0]])):
+        with pytest.raises(UnsupportedKind, match="table entries"):
+            AlgebraDef("custom", 2, ("1", "a"), index, sign, (1, -1), True)
+    A = AlgebraDef("custom", 2, ("1", "a"), [[0, 1], [1, 0]],
+                   [[1, 1], [1, -1]], (1, -1), True)
+    assert A.basis(1) * A.basis(1) == A.from_real(-1)
+
+
 @pytest.mark.parametrize("x", (True, 1j), ids=("bool", "complex"))
 def test_encode_number_refuses_non_coefficients(x):
     with pytest.raises(HypersliceError, match="coefficient"):

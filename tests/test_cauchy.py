@@ -18,7 +18,8 @@ from hyperslice.cauchy import (BoundaryTorus, Circle, KernelPoint,
 from hyperslice.errors import (AlgebraMismatch, HypersliceError,
                                NonAssociativeAlgebra, NotImaginaryUnit,
                                NotInQuadraticCone, OnSingularSphere,
-                               PointOutsideE, QuadratureSingularity)
+                               PointOutsideE, QuadratureAliasing,
+                               QuadratureSingularity)
 from hyperslice.regularity import OrderedPolynomial, poly_eval, poly_to_stem
 from hyperslice.slicefun import SlicePoint, representation_eval, slice_eval
 from hyperslice.stems import StemPoly
@@ -27,7 +28,8 @@ from conftest import (random_element, random_imaginary_unit, random_poly,
                       random_stem)
 from oracles import (boundary_value, cauchy_integrand,
                      cauchy_integrand_product_form, cauchy_kernel_1var,
-                     kernel_stem_symbolic, rational_stem_is_regular)
+                     distance_mp, kernel_stem_symbolic, poly_value_mp,
+                     rational_stem_is_regular)
 
 
 def test_char_poly_vanishes_exactly_on_the_sphere(H):
@@ -85,6 +87,21 @@ def test_boundary_torus_shape_and_winding(H):
     for centers in ([0.0, 1.0], []):
         with pytest.raises(AlgebraMismatch, match="centers for 1 radii"):
             BoundaryTorus.discs(H, [1.5], centers=centers)
+
+
+def test_a_point_wound_twice_is_outside(H):
+    # two nested positive circles wind twice around the point, and the
+    # Cauchy sum there is twice f: -0.1 + 2.24i against f = -0.05 + 1.12i
+    i = H.basis_named("i")
+    torus = BoundaryTorus(H, [[(0.0, 1.5, 1), (0.0, 1.0, 1)]],
+                          samples_per_circle=32)
+    x = SlicePoint(H, [0.2], [0.3], [i])
+    assert not torus.contains_z(0.2, 0.3, 1)
+    assert torus.contains_z(0.2, 1.2, 1)  # inside the outer circle only
+    f = OrderedPolynomial(1, H, {(2,): H.one(), (0,): i})
+    for source in (f, poly_to_stem(f)):
+        with pytest.raises(PointOutsideE):
+            cauchy_reconstruct(source, torus, x)
 
 
 def test_boundary_torus_refuses_non_finite_circles(H):
@@ -206,7 +223,9 @@ def test_reconstruct_bidisc_quaternion_monomial(H):
     val2, _ = cauchy_reconstruct(f, torus2, x)
     err256 = (val2 - ref).euclid_norm()
     assert err256 <= max(0.5 * err128, 1e-12)
-    assert diag["disagreement"] == err128
+    # a polynomial gets a proven bound, and no direct reference
+    assert "disagreement" not in diag and "reference" not in diag
+    assert err128 <= diag["error_bound"] <= 1e-8
     assert diag["min_abs_delta"] >= 1e-3
 
 
@@ -307,12 +326,17 @@ def test_error_estimate_tracks_the_trapezoid_error(H):
         torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=N)
         val, diag = cauchy_reconstruct(f, torus, x)
         assert (val - ref).euclid_norm() <= diag["error_estimate"]
+        assert (val - ref).euclid_norm() <= diag["error_bound"]
         estimates.append(diag["error_estimate"])
     assert all(b < 0.5 * a for a, b in zip(estimates, estimates[1:]))
     assert estimates[-1] < 1e-3
-    for N in (1, 7):
-        torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=N)
-        assert cauchy_reconstruct(f, torus, x)[1]["error_estimate"] is None
+    torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=7)
+    assert cauchy_reconstruct(f, torus, x)[1]["error_estimate"] is None
+    # one sample per circle aliases x1^2: refused, not estimated
+    torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=1)
+    with pytest.raises(QuadratureAliasing,
+                       match="variable 1 has degree 2, and N = 1"):
+        cauchy_reconstruct(f, torus, x)
 
 
 def test_stem_reconstruction_builds_no_grid(O, rng):
@@ -382,6 +406,29 @@ def test_reconstruct_equals_the_integrand_summed_over_the_grid(H, O, CL03):
         for source in (f, stem, lambda p: slice_eval(stem, p)):
             value, _ = cauchy_reconstruct(source, torus, x)
             assert (value - oracle).is_zero(1e-12)
+
+
+def test_aliasing_sample_counts_are_refused_before_quadrature(
+        H, monkeypatch):
+    # N <= the degree of some variable aliases the trapezoid sums; the
+    # refusal names the variable, its degree and N, and keeps no tables
+    monkeypatch.setattr(cauchy, "_kept", {})
+    i, j = H.basis_named("i"), H.basis_named("j")
+    f = OrderedPolynomial(2, H, {(1, 3): H.one(), (2, 0): j})
+    x = SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [i, j])
+    for N, h, d in ((1, 1, 2), (2, 1, 2), (3, 2, 3)):
+        torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=N)
+        with pytest.raises(QuadratureAliasing,
+                           match=f"variable {h} has degree {d}, and N = {N} "):
+            cauchy_reconstruct(f, torus, x)
+    assert cauchy._kept == {}
+    torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=4)
+    value, diag = cauchy_reconstruct(f, torus, x)
+    assert (value - poly_eval(f, x)).euclid_norm() <= diag["error_bound"]
+    # a stem is not checked: its reference reports what went wrong
+    _, diag = cauchy_reconstruct(poly_to_stem(f), torus.discs(
+        H, [1.5, 1.5], samples_per_circle=2), x)
+    assert diag["disagreement"] > 1e-3
 
 
 def test_kernel_route_matches_expanded_route_in_quaternions(H):
@@ -548,21 +595,31 @@ def test_polynomial_reconstruction_never_forms_the_stem(H, monkeypatch):
     torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=16)
     x = SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [i, j])
     value, diag = cauchy_reconstruct(f, torus, x)
-    assert diag["disagreement"] < 1e-6
+    assert (value - poly_eval(f, x)).euclid_norm() <= diag["error_bound"]
+    assert diag["error_bound"] < 1e-6
 
 
-def test_polynomial_reconstruction_multiplies_only_for_its_reference(
+def test_polynomial_reconstruction_takes_no_element_product(
         H, O, CL03, rng, monkeypatch):
-    # the boundary values take no Element product: every call of the
-    # product loop comes from the poly_eval reference
+    # the boundary values are complex node powers and the bound is closed
+    # form: no call of the product loop and no direct evaluation
+    import sys
     calls = []
     product = AlgebraDef.product
 
     def counted(self, rows, b):
-        calls.append(self)
+        calls.append("product")
         return product(self, rows, b)
 
+    def counted_eval(*args):
+        calls.append("poly_eval")
+        return poly_eval(*args)
+
     monkeypatch.setattr(AlgebraDef, "product", counted)
+    for mod in [m for k, m in sys.modules.items()
+                if k.startswith("hyperslice")]:
+        if hasattr(mod, "poly_eval"):
+            monkeypatch.setattr(mod, "poly_eval", counted_eval)
     for A in (H, O, CL03):
         p = random_poly(2, A, rng, deg=3, exact=False)
         torus = BoundaryTorus(A, [[(0.0, 1.5, 1), (0.0, 0.5, -1)],
@@ -570,11 +627,11 @@ def test_polynomial_reconstruction_multiplies_only_for_its_reference(
         x = SlicePoint(A, [0.1, 0.2], [0.8, 0.3],
                        [random_imaginary_unit(A, rng) for _ in range(2)])
         calls.clear()
-        cauchy_reconstruct(p, torus, x)
-        in_reconstruct = len(calls)
-        calls.clear()
-        poly_eval(p, x)
-        assert in_reconstruct == len(calls) > 0
+        value, diag = cauchy_reconstruct(p, torus, x)
+        assert calls == [] and diag["error_bound"] > 0
+        # the counters do see a direct evaluation
+        sys.modules["hyperslice"].poly_eval(p, x)
+        assert calls[0] == "poly_eval" and calls.count("product") > 0
 
 
 def test_stem_is_put_on_the_slice_once_per_reconstruction(H, monkeypatch):
@@ -628,11 +685,82 @@ def test_polynomial_stem_and_callable_reconstruct_alike(case):
     # complex powers, the stem's real powers and the values node by node
     torus, x, p = case
     stem = poly_to_stem(p)
-    value, _ = cauchy_reconstruct(p, torus, x)
-    for source in (stem, lambda q: slice_eval(stem, q)):
+    sources = [stem, lambda q: slice_eval(stem, q)]
+    degree = max((max(ell) for ell in p.terms), default=0)
+    if torus.samples_per_circle <= degree:
+        # the polynomial's trapezoid sums alias: refused, and the stem
+        # stands in as the value the callable must reproduce
+        with pytest.raises(QuadratureAliasing):
+            cauchy_reconstruct(p, torus, x)
+        value, _ = cauchy_reconstruct(sources.pop(0), torus, x)
+    else:
+        value, _ = cauchy_reconstruct(p, torus, x)
+    for source in sources:
         other, _ = cauchy_reconstruct(source, torus, x)
         assert ((other - value).euclid_norm()
                 <= 1e-12 * (1 + value.euclid_norm()))
+
+
+@st.composite
+def _bound_cases(draw):
+    """(torus, point, polynomial) with N from degree + 1 to 4(degree + 1),
+    off-centre discs and annuli, near the circles and far from them."""
+    A = make_algebra(draw(st.sampled_from(["H", "O", "clifford(0,3)"])))
+    n = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = random_poly(n, A, rng, deg=draw(st.integers(0, 4)), exact=False)
+    d = max((max(ell) for ell in p.terms), default=0)
+    N = draw(st.integers(d + 1, 4 * (d + 1)))
+    circles = [[(rng.uniform(-0.3, 0.3), rng.uniform(1.1, 1.6), 1)]
+               for _ in range(n)]
+    if draw(st.booleans()):
+        # an annulus: the inner circle runs clockwise
+        circles[draw(st.integers(0, n - 1))].append(
+            (rng.uniform(-0.1, 0.1), rng.uniform(0.2, 0.5), -1))
+    J = random_imaginary_unit(A, rng) if draw(st.booleans()) else None
+    torus = BoundaryTorus(A, circles, J=J, samples_per_circle=N)
+    while True:
+        x = SlicePoint(A, [rng.uniform(-0.9, 0.9) for _ in range(n)],
+                       [rng.uniform(0.0, 1.0) for _ in range(n)],
+                       [random_imaginary_unit(A, rng) for _ in range(n)])
+        if torus.contains_point(x):
+            return torus, x, p
+
+
+@settings(deadline=None, max_examples=80, database=None)
+@given(_bound_cases())
+def test_polynomial_error_bound_holds_against_mpmath(case):
+    # |Q_N - p(x)| <= error_bound, p(x) to 50 digits in Element arithmetic
+    # on mpf coefficients; truncation dominates at these N
+    pytest.importorskip("mpmath")
+    torus, x, p = case
+    try:
+        value, diag = cauchy_reconstruct(p, torus, x)
+    except QuadratureSingularity:
+        return
+    error = distance_mp(value, poly_value_mp(p, x))
+    assert error <= diag["error_bound"] < math.inf
+
+
+@pytest.mark.parametrize("name", ["H", "O", "CL03"])
+def test_error_bound_covers_rounding_at_large_sample_counts(name, request,
+                                                            rng):
+    # at N = 256 the truncation term is far below rounding, so the bound
+    # rests on its rounding term: it must still hold, and stay small
+    pytest.importorskip("mpmath")
+    A = request.getfixturevalue(name)
+    # a constant has no unit-defect term: only the rounding term covers it
+    constant = OrderedPolynomial(2, A, {(0, 0): random_element(A, rng)})
+    for p in [constant] + [random_poly(2, A, rng, deg=4, exact=False)
+                           for _ in range(4)]:
+        torus = BoundaryTorus(A, [[(0.0, 1.5, 1), (0.1, 0.4, -1)],
+                                  [(-0.2, 1.3, 1)]], samples_per_circle=256)
+        x = SlicePoint(A, [0.3, -0.1], [0.6, 0.5],
+                       [random_imaginary_unit(A, rng) for _ in range(2)])
+        value, diag = cauchy_reconstruct(p, torus, x)
+        error = distance_mp(value, poly_value_mp(p, x))
+        assert error <= diag["error_bound"] <= 1e-7 * (
+            1 + value.euclid_norm())
 
 
 @pytest.mark.parametrize("name", ["H", "O", "CL03"])
@@ -652,8 +780,11 @@ def test_polynomial_stem_and_callable_agree_on_an_annulus(name, request,
     for source in (stem, lambda q: slice_eval(stem, q)):
         value, _ = cauchy_reconstruct(source, torus, x)
         assert (value - ref).euclid_norm() <= 1e-12 * ref.euclid_norm()
-    # (0.5 / |x_1|)^64 is below rounding: the direct reference agrees too
-    assert diag["disagreement"] <= 1e-10 * ref.euclid_norm()
+    # (0.5 / |x_1|)^64 is below rounding: the direct value agrees too,
+    # within the reported bound
+    error = (ref - poly_eval(p, x)).euclid_norm()
+    assert error <= 1e-10 * ref.euclid_norm()
+    assert error <= diag["error_bound"]
 
 
 def test_boundary_torus_refuses_a_bad_slice_unit(H, O):
@@ -770,10 +901,11 @@ def test_reconstruct_refuses_a_point_unit_that_does_not_square_to_minus_one(
     # rounding far inside DEFAULT_TOL passes, as in O
     s2 = 1 / math.sqrt(2)
     x = SlicePoint(O, [0.2], [0.5], [(O.basis(3) + O.basis(6)) * s2])
+    f = OrderedPolynomial(1, O, {(2,): O.one()})
     value, diag = cauchy_reconstruct(
-        OrderedPolynomial(1, O, {(2,): O.one()}),
-        BoundaryTorus.discs(O, [1.5], samples_per_circle=64), x)
-    assert diag["disagreement"] < 1e-12
+        f, BoundaryTorus.discs(O, [1.5], samples_per_circle=64), x)
+    error = (value - poly_eval(f, x)).euclid_norm()
+    assert error < 1e-12 and error <= diag["error_bound"]
 
 
 def test_kept_tables_give_the_cold_result_and_refuse_writes(

@@ -1,6 +1,7 @@
 """Expression grammar, subcommand dispatch, exit codes, and schemas."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -14,13 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperslice.algebra import algebra_from_json, make_algebra
+from hyperslice.algebra import DEFAULT_TOL, algebra_from_json, make_algebra
 from hyperslice.cli import Request, main, run
 from hyperslice.errors import (DimensionTooLarge, ExpressionSyntaxError,
                                HypersliceError, UnknownBasisName,
                                UnsupportedKind)
 from hyperslice.parser import format_poly, parse_expression, parse_point
 from hyperslice.regularity import OrderedPolynomial, poly_eval
+
+from oracles import distance_mp, poly_value_mp
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -489,6 +492,28 @@ def _fuzz_argv(draw):
     return argv
 
 
+def _check_cauchy_answer(argv, text):
+    """|value - p(x)| <= error_bound for a cauchy run that exited 0, p(x)
+    to 50 digits by tests/oracles.py; a text run prints no bound."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if fmt == "text":
+        return
+    if fmt == "csv":
+        rows = dict(csv.reader(io.StringIO(text)))
+        value = json.loads(rows["value"])
+        diag = json.loads(rows["diagnostics"])
+    else:
+        payload = _strict_json(text)
+        value, diag = payload["value"], payload["diagnostics"]
+    option = {key: argv[argv.index(key) + 1]
+              for key in ("--algebra", "--poly", "--point")}
+    algebra = make_algebra(option["--algebra"])
+    p = parse_expression(option["--poly"], algebra)
+    x = parse_point(option["--point"], algebra, DEFAULT_TOL, nvars=p.n)
+    error = distance_mp(algebra.element(value), poly_value_mp(p, x))
+    assert error <= diag["error_bound"], (argv, error, diag)
+
+
 @settings(deadline=None, max_examples=40, database=None)
 @given(_fuzz_argv())
 def test_roots_fuzz_exits_cleanly_with_strict_json(argv):
@@ -499,8 +524,11 @@ def test_roots_fuzz_exits_cleanly_with_strict_json(argv):
     if code != 0:
         assert out.getvalue() == ""
         check_schema(_strict_json(err.getvalue()), "error")
-    elif "--format" not in argv or "json" in argv:
+        return
+    if "--format" not in argv or "json" in argv:
         check_schema(_strict_json(out.getvalue()), argv[0])
+    if argv[0] == "cauchy":
+        _check_cauchy_answer(argv, out.getvalue())
 
 
 @pytest.mark.parametrize("argv", [
@@ -605,8 +633,12 @@ def test_cauchy_subcommand_reports_small_error(H):
     assert payload["N"] == 128
     assert payload["abs_error"] <= 1e-8
     assert payload["abs_error"] == payload["diagnostics"]["disagreement"]
+    assert payload["abs_error"] <= payload["diagnostics"]["error_bound"]
+    assert list(payload["diagnostics"]) == [
+        "N", "grid_points", "min_abs_delta", "max_inv_delta",
+        "error_estimate", "disagreement", "error_bound"]
     assert payload["diagnostics"]["min_abs_delta"] >= 1e-3
-    # the reference is the library's one direct evaluation, and only that
+    # the reference is the CLI's one direct evaluation, and only that
     reference = poly_eval(parse_expression("x1^2 x2 + (0 j 2) x1", H),
                           parse_point("[[0.2,0.3,i],[0.1,0.4,k]]", H, 1e-9))
     assert repr(payload["reference"]) == repr([float(c) for c in
@@ -624,11 +656,27 @@ def test_cauchy_reports_the_trapezoid_error_estimate():
     check_schema(payload, "cauchy")
     assert payload["abs_error"] <= payload["diagnostics"]["error_estimate"]
     # an odd sample count has no N/2 subgrid; the exit code stays 0
-    code, out, _ = invoke(**args, samples=1)
+    code, out, _ = invoke(**args, samples=5)
     assert code == 0
     payload = json.loads(out)
     check_schema(payload, "cauchy")
     assert payload["diagnostics"]["error_estimate"] is None
+    assert payload["abs_error"] <= payload["diagnostics"]["error_bound"]
+
+
+def test_cauchy_refuses_sample_counts_that_alias_the_degree():
+    # both once exited 0 with answers 4.64 and 3.96 off: N <= the degree
+    # aliases the trapezoid sums, and the refusal names both numbers
+    for poly, samples in (("x1^5", 4), ("x1^3", 1)):
+        code, out, err = invoke(subcommand="cauchy", algebra="H", poly=poly,
+                                radii="1.5", point="[[0.2,0.9,i]]",
+                                samples=samples)
+        assert code == 2 and out == ""
+        blob = _strict_json(err)
+        check_schema(blob, "error")
+        assert blob["error"]["type"] == "QuadratureAliasing"
+        assert (f"variable 1 has degree {poly[-1]}, and N = {samples} "
+                in blob["error"]["message"])
 
 
 def test_roots_subcommand():

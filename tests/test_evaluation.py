@@ -1,12 +1,15 @@
 """Slice evaluation on coefficient tuples against the Element formula.
 
-slice_eval, representation_eval, truncated_derivative and poly_eval sum
-their terms on coefficient tuples.  The oracle here recomputes them with
-plain Element + and *, in the same order, so float results must agree bit
-for bit and Fraction results exactly.
+slice_eval, representation_eval and truncated_derivative sum their terms on
+coefficient tuples.  The oracle here recomputes them with plain Element +
+and *, in the same order, so float results must agree bit for bit and
+Fraction results exactly.  poly_eval runs nested Horner, which reorders the
+float operations: its Fraction results agree exactly, and its float ones
+within a proven rounding bound of a 50-digit value.
 """
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -16,13 +19,15 @@ from hypothesis import strategies as st
 from hyperslice.algebra import (Element, is_imaginary_unit, make_algebra,
                                 ordered_product)
 from hyperslice.errors import AlgebraMismatch
-from hyperslice.regularity import OrderedPolynomial, poly_eval, poly_to_stem
+from hyperslice.regularity import (OrderedPolynomial, count_constant,
+                                   poly_eval, poly_to_stem)
 from hyperslice.slicefun import (SlicePoint, _fiber_values,
                                  representation_eval, slice_eval,
                                  truncated_derivative)
 from hyperslice.stems import _BLOCK, CallableStem, StemPoly
 
 from conftest import random_imaginary_unit, random_poly, random_stem
+from oracles import distance_mp, poly_value_mp
 
 # imaginary basis units that anticommute pairwise; a unit takes three
 _AXES = {"quaternions": (1, 2, 3), "octonions": (1, 2, 3, 4, 5, 6, 7),
@@ -146,14 +151,49 @@ def test_tuple_sums_match_element_formula(kind, sig, n, exact, rng):
                       _old_truncated_derivative(stem, point, eps))
 
 
+def _horner_bound(p, xs):
+    """A rounding bound of poly_eval(p, xs) in floats (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 3 and 5.1).
+
+    Each coordinate of a product x v sums at most dim products, and each
+    Horner step adds one coefficient, so along every path from a_l to the
+    result a term meets at most k = (dim + 2)(sum_h d_h + n) roundings, and
+    the error is at most gamma_k times the same sum on absolute values.  On
+    absolute values a product is at most B ||x|| ||v||, B the root of the
+    most pairs (i, j) that feed one coordinate (count_constant), so that
+    sum is at most sum_l ||a_l|| prod_h (B ||x_h||)^{l_h}.
+    """
+    A = p.algebra
+    B = count_constant(A)
+    degrees = [max((ell[h] for ell in p.terms), default=0)
+               for h in range(p.n)]
+    k = (A.dim + 2) * (sum(degrees) + p.n)
+    u = 2.0 ** -53
+    size = sum(a.euclid_norm() * math.prod((B * x.euclid_norm()) ** e
+                                           for x, e in zip(xs, ell))
+               for ell, a in p.terms.items())
+    return k * u / (1 - k * u) * size * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("exact", (True, False), ids=("fraction", "float"))
 def test_poly_eval_tuple_sum_matches_element_formula(H, O, exact, rng):
+    # Fractions: the same value, coefficient types and zeros as the term
+    # by term Element formula; floats: within the Horner rounding bound of
+    # the 50-digit value, since Horner reorders the operations
+    if not exact:
+        pytest.importorskip("mpmath")
     for algebra in (H, O):
         for n in (1, 2, 3):
             p = random_poly(n, algebra, rng, exact=exact)
             for point in _points(algebra, n, rng, exact):
                 xs = point.elements()
-                _same(poly_eval(p, xs), _old_poly_eval(p, xs))
+                if exact:
+                    _same(poly_eval(p, xs), _old_poly_eval(p, xs))
+                    continue
+                value = poly_eval(p, xs)
+                assert value == poly_eval(p, point)
+                assert (distance_mp(value, poly_value_mp(p, point))
+                        <= _horner_bound(p, xs))
 
 
 def _stem_with_terms(algebra, per_mask, rng):
