@@ -353,11 +353,12 @@ def cauchy_reconstruct(f, torus, x):
     degree d_h >= N in some variable h raises QuadratureAliasing before any
     quadrature: its trapezoid sums alias.  Diagnostics report the sample
     count, the worst kernel conditioning, error_estimate = |Q_N - Q_{N/2}|
-    (None for odd N), and by input kind: for a polynomial error_bound, a
-    proven bound on |Q_N - f(x)| (_error_bound, no evaluation of f); for a
-    stem, which need not be slice regular, its slice_eval value as
-    reference and the disagreement |Q_N - reference|; for a callable
-    nothing more.
+    (None for odd N, and for a polynomial of degree d_h >= N/2 in some
+    variable, which the N/2 subgrid aliases), and by input kind: for a
+    polynomial error_bound, a proven bound on |Q_N - f(x)| (_error_bound,
+    no evaluation of f); for a stem, which need not be slice regular, its
+    slice_eval value as reference and the disagreement |Q_N - reference|;
+    for a callable nothing more.
     """
     import numpy as np
     n = torus.n
@@ -373,6 +374,7 @@ def cauchy_reconstruct(f, torus, x):
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
     N = torus.samples_per_circle
+    subgrid_aliases = False
     if isinstance(f, OrderedPolynomial):
         degrees = [max(col) for col in zip(*f.terms)] or [0] * n
         for h, d in enumerate(degrees, start=1):
@@ -380,6 +382,7 @@ def cauchy_reconstruct(f, torus, x):
                 raise QuadratureAliasing(
                     f"variable {h} has degree {d}, and N = {N} samples per "
                     f"circle alias it; N must exceed {d}")
+        subgrid_aliases = 2 * max(degrees) >= N
     if not torus.contains_point(x):
         raise PointOutsideE(
             "reconstruction point must lie inside the circularized domain")
@@ -394,8 +397,8 @@ def cauchy_reconstruct(f, torus, x):
         "grid_points": N ** n * len(torus.combos()),
         "min_abs_delta": cond.min_delta,
         "max_inv_delta": 1.0 / cond.min_delta,
-        "error_estimate": (float((value - half[0]).euclid_norm()) if half
-                           else None),
+        "error_estimate": (float((value - half[0]).euclid_norm())
+                           if half and not subgrid_aliases else None),
     }
     if isinstance(f, OrderedPolynomial):
         try:

@@ -5,10 +5,13 @@ with beta_h >= 0 and J_h on the unit imaginary sphere.  Evaluating a stem F
 at such a point means summing the ordered unit products [J_K, F_K(z)] over
 all subsets K.  A StemPoly reads each F_K(z) off its evaluation plan as a
 coefficient tuple, summed by straight-line kernels cached per dimension and
-block of terms (StemPoly.coeffs_at).  The n 2^(n-1) unit actions apply
-AlgebraDef.product to tuples, given each unit's nonzero table rows, which
-an Element takes once (left_rows); the sum adds tuples, so the result is
-the only Element formed.
+block of terms (StemPoly.coeffs_at).  Off one slice, the n 2^(n-1) unit
+actions apply AlgebraDef.product to tuples, given each unit's nonzero table
+rows, which an Element takes once (left_rows); the sum adds tuples, so the
+result is the only Element formed.  On one slice, n >= 2 units all +-J,
+no unit acts: the stem collapses by J, and a StemPoly keeps its
+coefficients folded with J, so a value is one pass of the same kernels
+(slice_eval, StemPoly.slice_coeffs).
 
 The averaging operators rest on one fiber transform: f is evaluated once at
 each of the 2^n conjugates of a point, and for each K the signed sum
@@ -137,20 +140,61 @@ def _assemble(values, point):
     return Element(algebra, total)
 
 
-def _stem_values(stem, point):
-    """The 2^n stem values at the point's fiber; tuples for a StemPoly."""
+def _check(stem, point):
+    """AlgebraMismatch unless the stem and the point share algebra and n."""
     if stem.algebra != point.algebra:
         raise AlgebraMismatch("stem and point live in different algebras")
     if stem.n != point.n:
         raise AlgebraMismatch(
             f"stem has {stem.n} variables, point has {point.n}")
+
+
+def _stem_values(stem, point):
+    """The 2^n stem values at the point's fiber; tuples for a StemPoly."""
     if stem.is_polynomial:
         return stem.coeffs_at(point.z())
     return stem.value_at(point.z()).components
 
 
+def _signed_coords(point):
+    """(alpha_1, eps_1 beta_1, ...) when unit h is eps_h J for every h, J
+    the first unit, compared by coefficient tuples; else None."""
+    J = point.units[0].coeffs
+    minus = tuple(-c for c in J)
+    flat = []
+    for a, b, unit in zip(point.alphas, point.betas, point.units):
+        if unit.coeffs == J:
+            flat += a, b
+        elif unit.coeffs == minus:
+            flat += a, -b
+        else:
+            return None
+    return flat
+
+
 def slice_eval(stem, point):
-    """f(x) = sum over K of [J_K, F_K(z)], units multiplied innermost-last."""
+    """f(x) = sum over K of [J_K, F_K(z)], units multiplied innermost-last.
+
+    One slice.  When a StemPoly of n >= 2 variables meets a point whose
+    units are eps_h J, J the first unit, the value is the stem collapsed
+    by J at signed betas, sum over K of J^|K| F_K(alpha, eps beta):
+    [J_K, v] is eps_K J^|K| v, and the beta-parity law moves eps_K into
+    the betas.  That needs J(Jv) = (JJ)v, which holds in the alternative
+    algebras this package serves (poly_eval's Horner assumes it too), and
+    JJ = -1, for which J must pass is_imaginary_unit.  The stem keeps its
+    coefficients folded with the last J (StemPoly.slice_coeffs): each
+    value is then one kernel pass with no Element product, and the first
+    call at a new J pays for the check and one product per term of odd
+    |K|.  Elsewhere (n = 1, a CallableStem, units on several slices, a J
+    failing the check) the unit products act on the 2^n component values.
+    """
+    _check(stem, point)
+    if stem.is_polynomial and point.n > 1:
+        flat = _signed_coords(point)
+        if flat is not None:
+            coeffs = stem.slice_coeffs(point.units[0], flat)
+            if coeffs is not None:
+                return Element(point.algebra, coeffs)
     return _assemble(_stem_values(stem, point), point)
 
 
@@ -320,6 +364,7 @@ def truncated_derivative(stem, point, eps):
         raise HypersliceError(f"eps entries must be 0 or 1, got {eps!r}")
     kmask = sum(e << h for h, e in enumerate(eps))
     product = _beta_product(point, kmask)
+    _check(stem, point)
     vals = _stem_values(stem, point)
     values = [(0,) * stem.algebra.dim] * (1 << stem.n)
     for hmask in range(0, 1 << stem.n, 1 << m):

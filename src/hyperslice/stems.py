@@ -18,7 +18,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import sparse
-from .algebra import Element, decode_number, encode_number
+from .algebra import (Element, decode_number, encode_number,
+                      is_imaginary_unit)
 from .errors import (AlgebraMismatch, HypersliceError, IndexOutOfRange,
                      ParityError)
 
@@ -130,6 +131,7 @@ class StemPoly:
                     f"the beta-parity law ({len(bad)} violations total)")
         self.components = comps
         self._plan = None
+        self._fold = None
 
     def value_at(self, z):
         """Every component at z = ((alpha_h, beta_h))_h, as Elements.
@@ -150,6 +152,14 @@ class StemPoly:
         order, and adds each block to its component's total, from an int 0,
         with one cached kernel: coeff[i] * scalar term by term, as a loop.
         """
+        scalars = self._scalars([v for ab in z for v in ab])
+        out = [(0,) * self.algebra.dim] * (1 << self.n)
+        for mask, kernel, coeffs, start, stop in self._planned()[2]:
+            out[mask] = kernel(out[mask], coeffs, scalars[start:stop])
+        return out
+
+    def _planned(self):
+        """The evaluation plan of coeffs_at, built on first use."""
         if self._plan is None:
             index, factors, blocks = {}, [], []
             for mask, poly in self.components.items():
@@ -163,8 +173,11 @@ class StemPoly:
                                       for pair in enumerate(exp) if pair[1])
                                 for exp, _ in block]
             self._plan = tuple(index), factors, blocks
-        powers, factors, blocks = self._plan
-        flat = [v for ab in z for v in ab]
+        return self._plan
+
+    def _scalars(self, flat):
+        """Each planned term's scalar at flat = (alpha_1, beta_1, ...)."""
+        powers, factors, _ = self._planned()
         table = [flat[slot] ** k for slot, k in powers]
         scalars = []
         for term in factors:
@@ -172,10 +185,50 @@ class StemPoly:
             for i in term:
                 scalar = scalar * table[i]
             scalars.append(scalar)
-        out = [(0,) * self.algebra.dim] * (1 << self.n)
-        for mask, kernel, coeffs, start, stop in blocks:
-            out[mask] = kernel(out[mask], coeffs, scalars[start:stop])
-        return out
+        return scalars
+
+    def slice_coeffs(self, J, flat):
+        """The stem collapsed by J, sum over terms t of s_t(flat) J^|K_t| c_t,
+        at flat = (alpha_1, beta_1, ...) as a coefficient tuple; None if J
+        fails is_imaginary_unit (DEFAULT_TOL).
+
+        J^|K| c is c, Jc, -c or -(Jc) by |K| mod 4 (on_slice's powers), Jc
+        one AlgebraDef.product.  These folded coefficients are kept for the
+        last J, told apart by coefficient values and types; a failed check
+        is kept too.  The terms run in plan order, each scalar as coeffs_at
+        makes it, added one at a time to one total from an int 0.
+        """
+        key = J.coeffs, tuple(map(type, J.coeffs))
+        if self._fold is None or self._fold[0] != key:
+            self._fold = key, self._folded(J)
+        blocks = self._fold[1]
+        if blocks is None:
+            return None
+        scalars = self._scalars(flat)
+        total = (0,) * self.algebra.dim
+        for kernel, coeffs, start, stop in blocks:
+            total = kernel(total, coeffs, scalars[start:stop])
+        return total
+
+    def _folded(self, J):
+        """slice_coeffs' kernel blocks at J, or None if J is no unit."""
+        if not is_imaginary_unit(J):
+            return None
+        dim, rows = self.algebra.dim, J.left_rows()
+        folded = []
+        for mask, _, coeffs, _, _ in self._planned()[2]:
+            power = mask.bit_count() % 4
+            for i in range(0, len(coeffs), dim):
+                c = coeffs[i:i + dim]
+                if power & 1:
+                    c = self.algebra.product(rows, c)
+                if power & 2:
+                    c = tuple(-v for v in c)
+                folded.append(c)
+        return [(_kernel(dim, len(block)), sum(block, ()), start,
+                 start + len(block))
+                for start in range(0, len(folded), _BLOCK)
+                for block in [folded[start:start + _BLOCK]]]
 
     def on_slice(self, J):
         """The stem on the slice of J as one polynomial: sum_K J^|K| F_K."""

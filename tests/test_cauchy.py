@@ -339,6 +339,21 @@ def test_error_estimate_tracks_the_trapezoid_error(H):
         cauchy_reconstruct(f, torus, x)
 
 
+def test_error_estimate_is_none_where_the_subgrid_aliases(H):
+    # the N/2 rule aliases x1^5 once N/2 <= 5: its |Q_N - Q_{N/2}| once
+    # read 2.83 and 7.63 against errors of 0.035 and 0.0051
+    i = H.basis_named("i")
+    f = OrderedPolynomial(1, H, {(5,): H.one()})
+    x = SlicePoint(H, [0.2], [0.9], [i])
+    ref = slice_eval(poly_to_stem(f), x)
+    for N, estimated in ((6, False), (10, False), (12, True)):
+        torus = BoundaryTorus.discs(H, [1.5], samples_per_circle=N)
+        value, diag = cauchy_reconstruct(f, torus, x)
+        assert (diag["error_estimate"] is not None) == estimated
+        assert (value - ref).euclid_norm() <= diag["error_bound"]
+    assert (value - ref).euclid_norm() <= diag["error_estimate"]
+
+
 def test_stem_reconstruction_builds_no_grid(O, rng):
     # O, n = 2, N = 256: the grid values alone would be 4 MiB
     f = OrderedPolynomial(2, O, {(2, 1): random_element(O, rng),

@@ -664,6 +664,20 @@ def test_cauchy_reports_the_trapezoid_error_estimate():
     assert payload["abs_error"] <= payload["diagnostics"]["error_bound"]
 
 
+def test_cauchy_prints_no_estimate_where_the_subgrid_aliases():
+    # x1^5 at N = 6 and 10 once printed error_estimate 2.83 and 7.63
+    # against abs_error 0.035 and 0.0051: the N/2 rule aliases degree 5
+    for samples in (6, 10):
+        code, out, _ = invoke(subcommand="cauchy", algebra="H", poly="x1^5",
+                              radii="1.5", point="[[0.2,0.9,i]]",
+                              samples=samples)
+        assert code == 0
+        payload = json.loads(out)
+        check_schema(payload, "cauchy")
+        assert payload["diagnostics"]["error_estimate"] is None
+        assert payload["abs_error"] <= payload["diagnostics"]["error_bound"]
+
+
 def test_cauchy_refuses_sample_counts_that_alias_the_degree():
     # both once exited 0 with answers 4.64 and 3.96 off: N <= the degree
     # aliases the trapezoid sums, and the refusal names both numbers

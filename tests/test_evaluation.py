@@ -3,7 +3,9 @@
 slice_eval, representation_eval and truncated_derivative sum their terms on
 coefficient tuples.  The oracle here recomputes them with plain Element +
 and *, in the same order, so float results must agree bit for bit and
-Fraction results exactly.  poly_eval runs nested Horner, which reorders the
+Fraction results exactly; on one slice it follows slice_eval's fold, which
+the generic formula checks exactly on Fractions and within a rounding bound
+on floats.  poly_eval runs nested Horner, which reorders the
 float operations: its Fraction results agree exactly, and its float ones
 within a proven rounding bound of a 50-digit value.
 """
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperslice.algebra import (Element, is_imaginary_unit, make_algebra,
-                                ordered_product)
+from hyperslice.algebra import (AlgebraDef, Element, is_imaginary_unit,
+                                make_algebra, ordered_product)
 from hyperslice.errors import AlgebraMismatch
 from hyperslice.regularity import (OrderedPolynomial, count_constant,
                                    poly_eval, poly_to_stem)
@@ -37,15 +39,19 @@ _SPHERE = ((Q(1, 3), Q(2, 3), Q(2, 3)), (Q(3, 5), Q(4, 5), 0),
            (Q(2, 7), Q(3, 7), Q(6, 7)), (Q(-2, 3), Q(1, 3), Q(-2, 3)))
 
 
+def _old_scalar(exp, flat):
+    scalar = 1
+    for v, k in zip(flat, exp):
+        if k:
+            scalar = scalar * v ** k
+    return scalar
+
+
 def _old_value(poly, flat, algebra):
     """A stem component at flat, summed as Elements term by term."""
     total = algebra.zero()
     for exp, coeff in poly.items():
-        scalar = 1
-        for v, k in zip(flat, exp):
-            if k:
-                scalar = scalar * v ** k
-        total = total + coeff * scalar
+        total = total + coeff * _old_scalar(exp, flat)
     return total
 
 
@@ -64,8 +70,37 @@ def _old_stem_values(stem, point):
             for mask in range(1 << stem.n)]
 
 
+def _old_signed_coords(point):
+    """alpha_h, eps_h beta_h when unit h is eps_h J, J the first unit."""
+    J = point.units[0]
+    flat = []
+    for a, b, unit in zip(point.alphas, point.betas, point.units):
+        if unit.coeffs == J.coeffs:
+            flat += [a, b]
+        elif unit.coeffs == (-J).coeffs:
+            flat += [a, -b]
+        else:
+            return None
+    return flat
+
+
 def _old_slice_eval(stem, point):
-    return _old_assemble(_old_stem_values(stem, point), point)
+    # n >= 2 units on one slice: the stem collapsed by J, term by term in
+    # the plan's order (components, then terms), J^|K| c as c, Jc, -c or
+    # -(Jc), each added to one total
+    J = point.units[0]
+    flat = _old_signed_coords(point)
+    if point.n < 2 or flat is None or not is_imaginary_unit(J):
+        return _old_assemble(_old_stem_values(stem, point), point)
+    total = point.algebra.zero()
+    for mask, poly in stem.components.items():
+        for exp, coeff in poly.items():
+            if mask.bit_count() & 1:
+                coeff = J * coeff
+            if mask.bit_count() & 2:
+                coeff = -coeff
+            total = total + coeff * _old_scalar(exp, flat)
+    return total
 
 
 def _old_truncated_derivative(stem, point, eps):
@@ -212,9 +247,12 @@ def _stem_with_terms(algebra, per_mask, rng):
 def test_slice_eval_multiplies_only_by_units(H, O, per_mask, rng,
                                              monkeypatch):
     # the unit actions [J_K, .] and every sum run on coefficient tuples,
-    # so no Element product or sum is formed, whatever the terms
-    counts = {"mul": 0, "add": 0}
-    mul, add = Element.__mul__, Element.__add__
+    # so no Element product or sum is formed, whatever the terms; on one
+    # slice the first call folds J into the coefficients, a second call
+    # there makes no AlgebraDef.product at all, and a fold kept from
+    # another J leaves no trace in the bits
+    counts = {"mul": 0, "add": 0, "product": 0}
+    mul, add, product = Element.__mul__, Element.__add__, AlgebraDef.product
 
     def counting_mul(a, b):
         counts["mul"] += 1
@@ -224,16 +262,109 @@ def test_slice_eval_multiplies_only_by_units(H, O, per_mask, rng,
         counts["add"] += 1
         return add(a, b)
 
+    def counting_product(self, rows, b):
+        counts["product"] += 1
+        return product(self, rows, b)
+
     for algebra in (H, O):
         stem = _stem_with_terms(algebra, per_mask, rng)
         assert sum(map(len, stem.components.values())) == 4 * per_mask
-        point = _points(algebra, 2, rng, exact=False)[0]
-        monkeypatch.setattr(Element, "__mul__", counting_mul)
-        monkeypatch.setattr(Element, "__add__", counting_add)
-        counts.update(mul=0, add=0)
-        slice_eval(stem, point)
-        monkeypatch.undo()
-        assert counts == {"mul": 0, "add": 0}
+        twin = StemPoly(2, algebra, stem.components)
+        z = _points(algebra, 2, rng, exact=False)[0]
+        J, other = (random_imaginary_unit(algebra, rng) for _ in range(2))
+        on_slice = z.with_units([J, -1 * J])
+        slice_eval(stem, on_slice)  # checks J in Elements, then folds it
+        for point, units_act in ((z, True), (on_slice.conjugated(2), False)):
+            monkeypatch.setattr(Element, "__mul__", counting_mul)
+            monkeypatch.setattr(Element, "__add__", counting_add)
+            monkeypatch.setattr(AlgebraDef, "product", counting_product)
+            counts.update(mul=0, add=0, product=0)
+            slice_eval(stem, point)
+            monkeypatch.undo()
+            assert counts["mul"] == counts["add"] == 0
+            assert (counts["product"] > 0) == units_act
+        slice_eval(twin, z.with_units([other, other]))
+        _same(slice_eval(twin, on_slice), slice_eval(stem, on_slice))
+
+
+# unit patterns eps_h of one-slice points; a negative beta flips its unit
+_ON_SLICE = {2: ((1, -1), (1, 1)), 3: ((1, -1, 1), (1, 1, -1), (1, -1, -1))}
+
+
+def _slice_points(algebra, n, rng, exact):
+    """Points whose units are all +-J, for a basis J and a non-basis J."""
+    basis = algebra.basis(_AXES[algebra.kind.split("(")[0]][0])
+    other = (_rational_unit(algebra, rng) if exact
+             else random_imaginary_unit(algebra, rng))
+    for J in (basis, other):
+        for signs, flip in itertools.product(_ON_SLICE[n], (1, -1)):
+            z = _points(algebra, n, rng, exact)[0]
+            yield SlicePoint(algebra, z.alphas,
+                             [flip * b for b in z.betas],
+                             [s * J for s in signs])
+
+
+def _fold_bound(stem, point):
+    """A bound on |slice_eval - generic formula| in floats (Higham, 2002,
+    ch. 3).
+
+    Both sum the terms s_t(alpha, eps beta) J^|K| c_t.  On a path from the
+    inputs to the result a term meets at most 2 roundings per power (pow
+    may miss by an ulp), one per factor of s_t, one for s_t c_t, one per
+    later addition (at most T + 2^n of them, T terms) and dim + 1 per unit
+    product: k in all, so each result is within gamma_k sum_t M_t of the
+    exact sum, M_t = |s_t| (B ||J||)^|K| ||c_t|| with B = count_constant.
+    The generic formula also takes J(Jv) = -n(J) v where the fold takes -v,
+    which adds |K|/2 |n(J) - 1| M_t, n(J) found to dim + 1 roundings.
+    """
+    A = point.algebra
+    B, u = count_constant(A), 2.0 ** -53
+    J = point.units[0]
+    terms = [(mask, exp, c) for mask, poly in stem.components.items()
+             for exp, c in poly.items()]
+    n = point.n
+    k = 6 * n + 2 + len(terms) + (1 << n) + n * (A.dim + 1)
+    gamma = k * u / (1 - k * u)
+    unit_error = abs(sum(c * c for c in J.coeffs) - 1) + (A.dim + 1) * u
+    flat = [c for ab in point.z() for c in ab]
+    total = sum(abs(_old_scalar(exp, flat))
+                * (B * J.euclid_norm()) ** mask.bit_count() * c.euclid_norm()
+                * (2 * gamma + mask.bit_count() / 2 * unit_error)
+                for mask, exp, c in terms)
+    return total * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("fraction", "float"))
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("kind,sig", ALGEBRAS, ids=("H", "O", "Cl03"))
+def test_one_slice_fold_matches_generic_formula(kind, sig, n, exact, rng):
+    # the fold is the identity sum_K [J_K, F_K] = sum_K J^|K| F_K(alpha,
+    # eps beta): exact on Fractions, within the rounding bound on floats
+    algebra = make_algebra(kind, *((sig,) if sig else ()))
+    stem = random_stem(n, algebra, rng, exact=exact)
+    for point in _slice_points(algebra, n, rng, exact):
+        got = slice_eval(stem, point)
+        want = _old_assemble(_old_stem_values(stem, point), point)
+        if exact:
+            assert got == want
+        else:
+            assert (got - want).euclid_norm() <= _fold_bound(stem, point)
+        _same(got, _old_slice_eval(stem, point))
+
+
+@pytest.mark.parametrize("kind,sig", ALGEBRAS, ids=("H", "O", "Cl03"))
+def test_one_slice_of_no_unit_runs_the_generic_formula(kind, sig, rng):
+    # 2J on every variable fails is_imaginary_unit: the unit products run,
+    # with their bits, at the first call and after the failure is kept
+    algebra = make_algebra(kind, *((sig,) if sig else ()))
+    twice = 2 * algebra.basis(_AXES[algebra.kind.split("(")[0]][0])
+    for n, exact in itertools.product((2, 3), (True, False)):
+        stem = random_stem(n, algebra, rng, exact=exact)
+        for z in _points(algebra, n, rng, exact):
+            point = z.with_units([twice] * n)
+            want = _old_assemble(_old_stem_values(stem, point), point)
+            for _ in range(2):
+                _same(slice_eval(stem, point), want)
 
 
 @pytest.mark.parametrize("exact", (True, False), ids=("fraction", "float"))
@@ -347,9 +478,11 @@ def _stem_and_point(draw):
     rng = draw(st.randoms(use_true_random=False))
     stem = _plan_stem(algebra, n, counts,
                       lambda r: draw(values) if r.random() < 0.5 else 0, rng)
+    units = [_rational_unit(algebra, rng) for _ in range(n)]
+    if draw(st.booleans()):  # every unit +-J: slice_eval's one-slice fold
+        units = [rng.choice((1, -1)) * units[0] for _ in units]
     # betas may be negative: SlicePoint flips their units
-    point = SlicePoint(algebra, draw(coords), draw(coords),
-                       [_rational_unit(algebra, rng) for _ in range(n)])
+    point = SlicePoint(algebra, draw(coords), draw(coords), units)
     return stem, point
 
 

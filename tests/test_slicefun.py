@@ -24,7 +24,8 @@ from hyperslice.slicefun import (
     stem_from_values,
     truncated_derivative,
 )
-from hyperslice.stems import monomial_stem, sigma_tensor, stem_product
+from hyperslice.stems import (CallableStem, monomial_stem, sigma_tensor,
+                              stem_product)
 
 from conftest import random_imaginary_unit, random_stem
 from oracles import slice_diagonal
@@ -281,6 +282,41 @@ def test_spherical_operators_refuse_bad_arguments(H, rng):
     for eps in ((2,), (0, -1)):
         with pytest.raises(HypersliceError, match="eps"):
             truncated_derivative(F, p, eps)
+
+
+def test_point_refuses_coordinate_tuples_of_unequal_length(H):
+    with pytest.raises(AlgebraMismatch, match="unequal length"):
+        SlicePoint(H, [0, 1], [1], [H.basis_named("i")])
+
+
+def test_unit_sums_refuse_values_from_another_algebra(H, O):
+    # a callable stem over H whose components come from O, and a fiber
+    # carried from O to H
+    i = H.basis_named("i")
+    stem = CallableStem(1, H, lambda z: [O.one(), O.zero()])
+    with pytest.raises(AlgebraMismatch, match="value from octonions"):
+        slice_eval(stem, SlicePoint(H, [0], [1], [i]))
+    with pytest.raises(AlgebraMismatch, match="different algebras"):
+        representation_eval(lambda p: p.element(1),
+                            SlicePoint(O, [0], [1], [O.basis(1)]),
+                            SlicePoint(H, [0], [1], [i]))
+
+
+def test_stem_from_values_refuses_a_wrong_unit_count(H):
+    with pytest.raises(AlgebraMismatch, match="need 2 units, got 1"):
+        stem_from_values(lambda p: p.element(1), H, 2, [H.basis_named("i")])
+
+
+def test_one_variable_difference_refuses_the_real_locus(H):
+    g = one_variable_split(lambda p: p.element(1), 1, 1)
+    with pytest.raises(OnRealLocus, match="variable 1"):
+        g(SlicePoint(H, [F12], [0], [H.basis_named("i")]))
+
+
+def test_truncated_derivative_refuses_eps_past_the_variables(H, rng):
+    with pytest.raises(AlgebraMismatch, match="eps longer"):
+        truncated_derivative(random_stem(1, H, rng),
+                             _exact_point(H, ("i",), [(F12, 1)]), (0, 1))
 
 
 def test_diagonal_slice_product_law(H, rng):
