@@ -12,17 +12,16 @@ those factors, and the units act once per variable.  The function supplies
 its boundary values in product form, a core of coefficients and a table
 per circle, so no N^n grid is formed: a polynomial its coefficients and
 the complex powers z^d of the nodes (x^l a = z^l a on the slice, with no
-expansion and no Element product), a stem its coefficients on the slice
-and the real powers alpha^a beta^b, a callable its values on every node,
-one call per node.  What depends only on the circles and N (the nodes and
-the rule weights) is kept between calls as read-only arrays, at most 16
-MiB in all, oldest dropped first.  A polynomial is not evaluated directly:
-its trapezoid error has a closed form, so it gets a proven error_bound
-(_error_bound), and an N at or below its degree in some variable is
-refused as aliasing (QuadratureAliasing).  A stem, which need not be slice
-regular, gets its slice_eval value as a reference; a callable gets
-neither.  slice_cauchy_kernel is the closed-form kernel of associative
-algebras at one point.  The pointwise integrand in exact
+expansion and no Element product), a callable its values on every node,
+one call per node.  A stem is the polynomial it is the stem of, or else
+the callable that evaluates it (stem_to_poly).  What depends only on the
+circles and N (the nodes and the rule weights) is kept between calls as
+read-only arrays, at most 16 MiB in all, oldest dropped first.  A
+polynomial is not evaluated directly: its trapezoid error has a closed
+form, so it gets a proven error_bound (_error_bound), and an N at or below
+its degree in some variable is refused as aliasing (QuadratureAliasing);
+a callable gets no bound.  slice_cauchy_kernel is the closed-form kernel
+of associative algebras at one point.  The pointwise integrand in exact
 Element arithmetic, the oracle the engine is tested against, and the
 symbolic proof that the closed-form kernel is slice regular live in
 tests/oracles.py.
@@ -47,7 +46,8 @@ from .errors import (
     QuadratureAliasing,
     QuadratureSingularity,
 )
-from .regularity import OrderedPolynomial, count_constant, norm_constant
+from .regularity import (OrderedPolynomial, count_constant, norm_constant,
+                         stem_to_poly)
 from .slicefun import SlicePoint, slice_eval
 from .stems import StemPoly
 
@@ -166,8 +166,6 @@ def _input_kind(f):
     """f's boundary value supplier for _reconstruct."""
     if isinstance(f, OrderedPolynomial):
         return partial(_polynomial_on_grid, f)
-    if isinstance(f, StemPoly):
-        return partial(_stem_on_grid, f)
     return lambda torus, tables: (partial(_callable_on_grid, f, torus), None)
 
 
@@ -206,7 +204,7 @@ class _Tables(NamedTuple):
     """What the quadrature needs of C circles at N nodes each and not of
     the point or the input; R is 1 rule for odd N, 2 (the N/2 subgrid rule
     too) for even N.  The arrays are read-only, so that calls share them.
-    The input's tables (z^d, alpha^a beta^b) come from its supplier."""
+    A polynomial's tables of z^d come from its supplier."""
 
     rows: tuple     # rows[h]: the indices of the circles of variable h
     var: object     # (C,) the variable of each circle
@@ -266,20 +264,6 @@ def _keep(key, tables):
         _kept[key] = tables
 
 
-def _core(terms, torus, one):
-    """Terms {(key_1, ..., key_n): Element} as the array core[k_1..k_n] of
-    the term with key_h = keys[h][k_h], and keys; the zero function keeps
-    the key one of the monomial 1, so that no axis is empty."""
-    import numpy as np
-    keys = [sorted({key[h] for key in terms}) or [one]
-            for h in range(torus.n)]
-    index = [{key: k for k, key in enumerate(row)} for row in keys]
-    core = np.zeros(tuple(map(len, keys)) + (torus.algebra.dim,))
-    for key, a in terms.items():
-        core[tuple(ix[k] for ix, k in zip(index, key))] = a.coeffs
-    return core, keys
-
-
 def _polynomial_on_grid(f, torus, tables):
     """f(xi) in product form, f an OrderedPolynomial, without J.
 
@@ -287,12 +271,18 @@ def _polynomial_on_grid(f, torus, tables):
     and c a = Re(c) a + Im(c) J a is formed by the unit stage of
     _reconstruct (J(Ja) = (JJ)a = -a, so such values multiply as complex
     numbers).  Returns the core of the a_l, axis h over the distinct
-    degrees of variable h, and per circle the complex (A_h, N) table of z^d.
-    The powers are running products, z^d = z z^(d-1), so z^d carries at
-    most d - 1 complex roundings, as _error_bound counts them.
+    degrees of variable h (the degree 0 alone for the zero polynomial, so
+    that no axis is empty), and per circle the complex (A_h, N) table of
+    z^d.  The powers are running products, z^d = z z^(d-1), so z^d carries
+    at most d - 1 complex roundings, as _error_bound counts them.
     """
     import numpy as np
-    core, degrees = _core(f.terms, torus, 0)
+    degrees = [sorted({ell[h] for ell in f.terms}) or [0]
+               for h in range(torus.n)]
+    index = [{d: k for k, d in enumerate(row)} for row in degrees]
+    core = np.zeros(tuple(map(len, degrees)) + (torus.algebra.dim,))
+    for ell, a in f.terms.items():
+        core[tuple(ix[d] for ix, d in zip(index, ell))] = a.coeffs
     z = tables.z
     powers = np.empty((max(map(max, degrees)) + 1,) + z.shape, complex)
     powers[0] = 1.0
@@ -300,22 +290,6 @@ def _polynomial_on_grid(f, torus, tables):
         np.multiply(powers[d - 1], z, out=powers[d])
     return (lambda zs: core), [powers[degrees[h], c] for c, h in
                                enumerate(tables.var.tolist())]
-
-
-def _stem_on_grid(f, torus, tables):
-    """f(xi) in product form from f.on_slice(J), f a StemPoly.
-
-    f(xi) = sum_k core[k_1..k_n] prod_h alpha_h^a beta_h^b with (a, b) the
-    k_h-th of the distinct exponent pairs of variable h.  Returns the core
-    and per circle the real (A_h, N) table of alpha^a beta^b.
-    """
-    import numpy as np
-    core, pairs = _core({tuple(zip(exp[::2], exp[1::2])): c
-                         for exp, c in f.on_slice(torus.J).items()},
-                        torus, (0, 0))
-    pairs = [np.array(row).T[..., None] for row in pairs]
-    return (lambda zs: core), [z.real ** pairs[h][0] * z.imag ** pairs[h][1]
-                               for z, h in zip(tables.z, tables.var.tolist())]
 
 
 def _callable_on_grid(f, torus, zs):
@@ -346,7 +320,9 @@ def cauchy_reconstruct(f, torus, x):
 
     f is an OrderedPolynomial, a StemPoly, or a callable taking a
     SlicePoint to an Element; a polynomial or stem must have the torus's
-    number of variables and algebra.  Every unit of x must square to -1
+    number of variables and algebra.  A stem of an ordered polynomial
+    (stem_to_poly) is reconstructed as that polynomial, and any other stem
+    as the callable slice_eval(f, .).  Every unit of x must square to -1
     within DEFAULT_TOL (NotImaginaryUnit otherwise), since the kernel's
     factors are complex numbers in each unit.  The input only supplies
     boundary values in product form (_reconstruct).  A polynomial of
@@ -354,15 +330,13 @@ def cauchy_reconstruct(f, torus, x):
     quadrature: its trapezoid sums alias.  Diagnostics report the sample
     count, the worst kernel conditioning, error_estimate = |Q_N - Q_{N/2}|
     (None for odd N, and for a polynomial of degree d_h >= N/2 in some
-    variable, which the N/2 subgrid aliases), and by input kind: for a
-    polynomial error_bound, a proven bound on |Q_N - f(x)| (_error_bound,
-    no evaluation of f); for a stem, which need not be slice regular, its
-    slice_eval value as reference and the disagreement |Q_N - reference|;
-    for a callable nothing more.
+    variable, which the N/2 subgrid aliases), and for a polynomial
+    error_bound, a proven bound on |Q_N - f(x)| (_error_bound, no
+    evaluation of f); a callable, and so a stem of no polynomial, gets no
+    bound.
     """
     import numpy as np
     n = torus.n
-    boundary_values = _input_kind(f)
     if isinstance(f, (OrderedPolynomial, StemPoly)):
         if f.n != n:
             raise AlgebraMismatch(f"{type(f).__name__} has {f.n} variables, "
@@ -371,6 +345,10 @@ def cauchy_reconstruct(f, torus, x):
             raise AlgebraMismatch(f"{type(f).__name__} over "
                                   f"{f.algebra.kind}, torus over "
                                   f"{torus.algebra.kind}")
+    if isinstance(f, StemPoly):
+        p = stem_to_poly(f)
+        f = partial(slice_eval, f) if p is None else p
+    boundary_values = _input_kind(f)
     if x.n != n:
         raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
     N = torus.samples_per_circle
@@ -406,10 +384,6 @@ def cauchy_reconstruct(f, torus, x):
                                                       cond)
         except OverflowError:  # a power past the float range: no bound
             diagnostics["error_bound"] = math.inf
-    elif isinstance(f, StemPoly):
-        reference = slice_eval(f, x)
-        diagnostics["disagreement"] = float((value - reference).euclid_norm())
-        diagnostics["reference"] = reference
     return value, diagnostics
 
 
@@ -597,9 +571,9 @@ def _reconstruct(boundary_values, torus, x):
     by a cold call that succeeded.  boundary_values(torus, tables) runs
     once, after the pole guard and the unit check, and returns (core, V):
     f = sum_k core(zs)[k_1..k_n] prod_h V[c_h][k_h, t_h] on the nodes zs
-    of circles c_1..c_n, V[c] the real or complex table of circle c (a
-    complex c times a coefficient a is Re(c) a + Im(c) J a, formed by the
-    unit stage), or V None and core(zs) f on the nodes.  Axis h is one
+    of circles c_1..c_n, V[c] the complex table of circle c (a complex c
+    times a coefficient a is Re(c) a + Im(c) J a, formed by the unit
+    stage), or V None and core(zs) f on the nodes.  Axis h is one
     batched matmul against V[c] P, so no product is larger than 4 x N;
     the first axis takes the weights as real rows for the real core.  For
     even N the N/2 subgrid rule (odd nodes zeroed, even doubled) rides

@@ -182,6 +182,20 @@ def poly_to_stem(p):
     return StemPoly(p.n, p.algebra, comps, _skip_check=True)
 
 
+def stem_to_poly(F):
+    """The ordered polynomial p with poly_to_stem(p) == F, or None.
+
+    F_empty of x^l a is alpha^l a plus terms with beta, so p can only be
+    the beta-free terms of F_empty read as x^l a_l; it is p when its stem
+    is F exactly, with no tolerance on float coefficients either, and F
+    is then slice regular.
+    """
+    p = OrderedPolynomial(F.n, F.algebra, {
+        exp[::2]: c for exp, c in F.components.get(0, {}).items()
+        if not any(exp[1::2])})
+    return p if poly_to_stem(p) == F else None
+
+
 def star_product(p, q):
     """Coefficient of l is the convolution sum of a_u b_v over u + v = l."""
     p._check(q)

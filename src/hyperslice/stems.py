@@ -192,8 +192,8 @@ class StemPoly:
         at flat = (alpha_1, beta_1, ...) as a coefficient tuple; None if J
         fails is_imaginary_unit (DEFAULT_TOL).
 
-        J^|K| c is c, Jc, -c or -(Jc) by |K| mod 4 (on_slice's powers), Jc
-        one AlgebraDef.product.  These folded coefficients are kept for the
+        J^|K| c is c, Jc, -c or -(Jc) by |K| mod 4 (J J = -1), Jc one
+        AlgebraDef.product.  These folded coefficients are kept for the
         last J, told apart by coefficient values and types; a failed check
         is kept too.  The terms run in plan order, each scalar as coeffs_at
         makes it, added one at a time to one total from an int 0.
@@ -229,14 +229,6 @@ class StemPoly:
                  start + len(block))
                 for start in range(0, len(folded), _BLOCK)
                 for block in [folded[start:start + _BLOCK]]]
-
-    def on_slice(self, J):
-        """The stem on the slice of J as one polynomial: sum_K J^|K| F_K."""
-        powers = (self.algebra.one(), J, -1 * self.algebra.one(), -1 * J)
-        out = {}
-        for mask, poly in self.components.items():
-            sparse.add_into(out, poly, powers[mask.bit_count() % 4])
-        return out
 
     def __add__(self, other):
         self._check(other)

@@ -20,9 +20,9 @@ the slow, direct way, so the fast paths have something to agree with:
   Cauchy error bound.
 
 Beside them sit the small helpers that only tests need: approx_eq,
-slice_diagonal, boundary_value, pq_polynomials, stem_parity_check and
-apply_complex_structure, the complex structure of a StemPoly that
-stem_product is complex bilinear for.
+slice_diagonal, boundary_value, pq_polynomials, stem_parity_check,
+stem_on_slice and apply_complex_structure, the complex structure of a
+StemPoly that stem_product is complex bilinear for.
 """
 
 import math
@@ -338,6 +338,15 @@ class SplitReport:
         return f"SplitReport({state}, max residual {self.max_residual:.3g})"
 
 
+def stem_on_slice(F, J):
+    """The stem F on the slice of J as one polynomial: sum_K J^|K| F_K."""
+    powers = (F.algebra.one(), J, -1 * F.algebra.one(), -1 * J)
+    out = {}
+    for mask, poly in F.components.items():
+        sparse.add_into(out, poly, powers[mask.bit_count() % 4])
+    return out
+
+
 def split_holomorphy_check(f, J, tol=DEFAULT_TOL):
     """Classical holomorphy of the splitting components on one slice.
 
@@ -350,7 +359,7 @@ def split_holomorphy_check(f, J, tol=DEFAULT_TOL):
         raise NotImaginaryUnit("splitting needs a unit imaginary J")
     basis = splitting_basis(J)
     dim = F.algebra.dim
-    restricted = F.on_slice(J)
+    restricted = stem_on_slice(F, J)
     # coordinates over the splitting basis, one real polynomial per axis
     mat = [[basis[col].coeffs[row] for col in range(dim)]
            for row in range(dim)]

@@ -135,6 +135,11 @@ def test_unknown_names_signatures_and_mixed_operands_are_refused(H, O):
             make_algebra(kind)
     with pytest.raises(UnsupportedKind, match="requires a"):
         make_algebra("clifford")
+    # these parse, and the table builder refuses the signature
+    for kind, params in (("clifford(-1,2)", None), ("clifford", (1, -2))):
+        with pytest.raises(UnsupportedKind,
+                           match=r"invalid Clifford signature \("):
+            make_algebra(kind, params)
 
 
 def test_anti_involution_exact(H, O, CL03, rng):

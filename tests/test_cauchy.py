@@ -20,7 +20,8 @@ from hyperslice.errors import (AlgebraMismatch, HypersliceError,
                                NotInQuadraticCone, OnSingularSphere,
                                PointOutsideE, QuadratureAliasing,
                                QuadratureSingularity)
-from hyperslice.regularity import OrderedPolynomial, poly_eval, poly_to_stem
+from hyperslice.regularity import (OrderedPolynomial, poly_eval, poly_to_stem,
+                                  stem_to_poly)
 from hyperslice.slicefun import SlicePoint, representation_eval, slice_eval
 from hyperslice.stems import StemPoly
 
@@ -433,17 +434,15 @@ def test_aliasing_sample_counts_are_refused_before_quadrature(
     x = SlicePoint(H, [0.2, 0.1], [0.3, 0.4], [i, j])
     for N, h, d in ((1, 1, 2), (2, 1, 2), (3, 2, 3)):
         torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=N)
-        with pytest.raises(QuadratureAliasing,
-                           match=f"variable {h} has degree {d}, and N = {N} "):
-            cauchy_reconstruct(f, torus, x)
+        # the stem of f is reconstructed as f, so it is refused alike
+        for source in (f, poly_to_stem(f)):
+            with pytest.raises(QuadratureAliasing, match=f"variable {h} has "
+                               f"degree {d}, and N = {N} "):
+                cauchy_reconstruct(source, torus, x)
     assert cauchy._kept == {}
     torus = BoundaryTorus.discs(H, [1.5, 1.5], samples_per_circle=4)
     value, diag = cauchy_reconstruct(f, torus, x)
     assert (value - poly_eval(f, x)).euclid_norm() <= diag["error_bound"]
-    # a stem is not checked: its reference reports what went wrong
-    _, diag = cauchy_reconstruct(poly_to_stem(f), torus.discs(
-        H, [1.5, 1.5], samples_per_circle=2), x)
-    assert diag["disagreement"] > 1e-3
 
 
 def test_kernel_route_matches_expanded_route_in_quaternions(H):
@@ -649,26 +648,62 @@ def test_polynomial_reconstruction_takes_no_element_product(
         assert calls[0] == "poly_eval" and calls.count("product") > 0
 
 
-def test_stem_is_put_on_the_slice_once_per_reconstruction(H, monkeypatch):
-    # two variables with an annulus each: four circle combinations, one
-    # core for all of them
-    i, j = H.basis_named("i"), H.basis_named("j")
-    stem = poly_to_stem(OrderedPolynomial(2, H, {(2, 1): H.one() + j,
-                                                 (1, 0): i}))
-    torus = BoundaryTorus(H, [[(0.0, 1.5, 1), (0.0, 0.5, -1)]] * 2,
-                          samples_per_circle=64)
-    x = SlicePoint(H, [0.1, 0.2], [0.8, 0.7], [i, j])
-    calls = []
-    on_slice = StemPoly.on_slice
+def test_a_regular_stem_is_reconstructed_as_its_polynomial(H, O, CL03, rng):
+    # two variables with an annulus each, four circle combinations: the
+    # stem's value and diagnostics are the polynomial's, bound included
+    for A in (H, O, CL03):
+        p = random_poly(2, A, rng, deg=3, exact=False)
+        torus = BoundaryTorus(A, [[(0.0, 1.5, 1), (0.0, 0.5, -1)]] * 2,
+                              samples_per_circle=64)
+        x = SlicePoint(A, [0.1, 0.2], [0.8, 0.7],
+                       [random_imaginary_unit(A, rng) for _ in range(2)])
+        want = cauchy_reconstruct(p, torus, x)
+        got = cauchy_reconstruct(poly_to_stem(p), torus, x)
+        assert len(torus.combos()) == 4 and repr(got) == repr(want)
+        assert 0 < got[1]["error_bound"] < 1e-6
+        assert (got[0] - poly_eval(p, x)).euclid_norm() <= (
+            got[1]["error_bound"])
 
-    def counted(self, J):
-        calls.append(J)
-        return on_slice(self, J)
 
-    monkeypatch.setattr(StemPoly, "on_slice", counted)
-    value, diag = cauchy_reconstruct(stem, torus, x)
-    assert len(torus.combos()) == 4 and len(calls) == 1
-    assert diag["disagreement"] < 1e-10
+@st.composite
+def _stem_cases(draw):
+    """(torus, point, polynomial) on H, O, Cl(0,3) and Cl(1,2), n = 1-3,
+    exact or float coefficients, N above the polynomial's degree."""
+    A = make_algebra(draw(st.sampled_from(
+        ["H", "O", "clifford(0,3)", "clifford(1,2)"])))
+    n = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = random_poly(n, A, rng, deg=draw(st.integers(0, 3)),
+                    exact=draw(st.booleans()))
+    d = max((max(ell) for ell in p.terms), default=0)
+    torus = BoundaryTorus.discs(A, [rng.uniform(1.2, 1.5) for _ in range(n)],
+                                samples_per_circle=d + draw(st.integers(1, 3)))
+    x = SlicePoint(A, [rng.uniform(-0.3, 0.3) for _ in range(n)],
+                   [rng.uniform(0.3, 0.8) for _ in range(n)],
+                   [random_imaginary_unit(A, rng) for _ in range(n)])
+    return torus, x, p
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(_stem_cases())
+def test_stem_to_poly_recovers_exactly_the_stems_of_polynomials(case):
+    # the stem of p gives back p, term order and coefficient types kept,
+    # and is reconstructed as p; a planted beta_1^2 in F_empty makes the
+    # stem of no polynomial, which is reconstructed node by node
+    torus, x, p = case
+    A, n = p.algebra, p.n
+    F = poly_to_stem(p)
+    q = stem_to_poly(F)
+    assert repr([(ell, a.coeffs) for ell, a in q.terms.items()]) == repr(
+        [(ell, a.coeffs) for ell, a in p.terms.items()])
+    assert repr(cauchy_reconstruct(F, torus, x)) == repr(
+        cauchy_reconstruct(p, torus, x))
+    planted = F + StemPoly(n, A, {0: {(0, 2) + (0, 0) * (n - 1): A.one()}})
+    assert stem_to_poly(planted) is None
+    value, diag = cauchy_reconstruct(planted, torus, x)
+    assert "error_bound" not in diag
+    assert repr((value, diag)) == repr(cauchy_reconstruct(
+        lambda pt: slice_eval(planted, pt), torus, x))
 
 
 @st.composite
@@ -696,24 +731,25 @@ def _reconstruction_cases(draw):
 @settings(deadline=None, max_examples=60, database=None)
 @given(_reconstruction_cases())
 def test_polynomial_stem_and_callable_reconstruct_alike(case):
-    # three product forms of one function through one quadrature: the
-    # complex powers, the stem's real powers and the values node by node
+    # one function through one quadrature: as complex powers, as its stem,
+    # which is reconstructed as the polynomial, and node by node
     torus, x, p = case
     stem = poly_to_stem(p)
-    sources = [stem, lambda q: slice_eval(stem, q)]
     degree = max((max(ell) for ell in p.terms), default=0)
     if torus.samples_per_circle <= degree:
-        # the polynomial's trapezoid sums alias: refused, and the stem
-        # stands in as the value the callable must reproduce
-        with pytest.raises(QuadratureAliasing):
-            cauchy_reconstruct(p, torus, x)
-        value, _ = cauchy_reconstruct(sources.pop(0), torus, x)
+        # the polynomial's trapezoid sums alias: it and its stem are
+        # refused, and the callable must give the integrand summed over
+        # the grid
+        for source in (p, stem):
+            with pytest.raises(QuadratureAliasing):
+                cauchy_reconstruct(source, torus, x)
+        value = _integrand_grid_sum(p, torus, x)
     else:
-        value, _ = cauchy_reconstruct(p, torus, x)
-    for source in sources:
-        other, _ = cauchy_reconstruct(source, torus, x)
-        assert ((other - value).euclid_norm()
-                <= 1e-12 * (1 + value.euclid_norm()))
+        value, diag = cauchy_reconstruct(p, torus, x)
+        assert repr(cauchy_reconstruct(stem, torus, x)) == repr((value, diag))
+    other, _ = cauchy_reconstruct(lambda q: slice_eval(stem, q), torus, x)
+    assert ((other - value).euclid_norm()
+            <= 1e-12 * (1 + value.euclid_norm()))
 
 
 @st.composite
@@ -907,12 +943,19 @@ def test_reconstruct_refuses_a_point_unit_that_does_not_square_to_minus_one(
         calls.append(point)
         return H.one()
 
-    for bad in (0.9 * i, H.from_real(0.1) + i, (i + j) * 0.7):
+    # (1 + 5e-8) i squares to -1 within 1e-7, past DEFAULT_TOL = 1e-9
+    for bad in (0.9 * i, H.from_real(0.1) + i, (i + j) * 0.7,
+                (1 + 5e-8) * i):
         x = SlicePoint(H, [0.2, 0.1], [0.5, 0.3], [i, bad])
         for source in (f, OrderedPolynomial(2, H, {(2, 0): H.one()})):
             with pytest.raises(NotImaginaryUnit):
                 cauchy_reconstruct(source, torus, x)
     assert calls == []
+    # (1 + 2e-10) i, within 4e-10, passes
+    x = SlicePoint(H, [0.2, 0.1], [0.5, 0.3], [i, (1 + 2e-10) * i])
+    g = OrderedPolynomial(2, H, {(2, 0): H.one()})
+    value, diag = cauchy_reconstruct(g, torus, x)
+    assert (value - poly_eval(g, x)).euclid_norm() <= diag["error_bound"]
     # rounding far inside DEFAULT_TOL passes, as in O
     s2 = 1 / math.sqrt(2)
     x = SlicePoint(O, [0.2], [0.5], [(O.basis(3) + O.basis(6)) * s2])
