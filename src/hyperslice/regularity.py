@@ -99,15 +99,6 @@ class OrderedPolynomial:
         return f"OrderedPolynomial(n={self.n}, terms={len(self.terms)})"
 
 
-def ordered_monomial_eval(ell, a, xs):
-    """x_1^{l_1}( ... (x_n^{l_n} a)), innermost factor first."""
-    v = a
-    for h in reversed(range(len(ell))):
-        for _ in range(ell[h]):
-            v = xs[h] * v
-    return v
-
-
 def _point_rows(algebra, alpha, beta, unit):
     """The left_rows of alpha + beta J, formed without an Element."""
     coeffs = [beta * c for c in unit.coeffs]

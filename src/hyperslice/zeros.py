@@ -9,7 +9,7 @@ isolated and lies on a sphere of its normal polynomial q * q^c.
 Root finding never loads numpy: the real polynomials R(x) and q * q^c
 are solved by the Aberth-Ehrlich iteration started on a circle of the
 Fujiwara radius (D. A. Bini, Numer. Algorithms 13, 1996), and each zero
-is accepted on its residual |p(x)|, by Horner's rule on coefficient tuples.
+is accepted on its residual |p(x)|, which is poly_eval's Horner rule.
 """
 
 import cmath
@@ -18,12 +18,12 @@ import random
 import sys
 from collections import Counter, namedtuple
 from functools import partial
-from operator import add, mul
+from operator import mul
 
 from .algebra import encode_number, is_imaginary_unit, norm_sq, trace
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
                      RefinementFailed, UnsupportedKind)
-from .regularity import OrderedPolynomial, ordered_monomial_eval
+from .regularity import OrderedPolynomial, poly_eval
 
 RESIDUAL_SCALE = 1e-8
 SETTLE_STEPS = 8
@@ -204,15 +204,6 @@ def _deflate(stem, factor):
     return quot
 
 
-def _horner(coeffs, x):
-    """p(x) = a_0 + x(a_1 + x(...)) on tuples (x^k a_k by Artin's theorem)."""
-    product, xs = x.algebra.product, x.left_rows()
-    value = coeffs[-1]
-    for a in reversed(coeffs[:-1]):
-        value = tuple(map(add, a, product(xs, value)))
-    return value
-
-
 def _check_clifford_form(coeffs, algebra):
     if any(algebra.mul_index[g][g] != 0 or algebra.mul_sign[g][g] != -1
            for g in (1 << i for i in range(algebra.dim.bit_length() - 1))):
@@ -273,7 +264,7 @@ def roots_one_var(p):
     q q^c come from the Aberth-Ehrlich iteration (Bini, Numer. Algorithms
     13, 1996) started on a circle of the Fujiwara radius.  A real or
     isolated zero x is accepted on its residual |p(x)|, evaluated by
-    Horner's rule on coefficient tuples, when it is within the bound.
+    poly_eval's Horner rule, when it is within the bound.
 
     RefinementFailed is raised when that I is not a unit, a zero's
     residual is above the bound, or R or q q^c leaves the normal float
@@ -303,7 +294,7 @@ def roots_one_var(p):
     isolated, spherical, residuals = [], [], [0.0]
 
     def accept_isolated(x):
-        res = math.hypot(*_horner(floats, x))
+        res = math.hypot(*poly_eval(p, (x,)).coeffs)
         if not res <= bound:
             raise RefinementFailed(
                 f"candidate near {x.format()} has residual "
@@ -384,15 +375,20 @@ class ScanReport:
 
 
 def restrict_to_first_variable(f, sample):
-    """One-variable polynomial in x_1 with the other variables fixed."""
+    """One-variable polynomial in x_1 with the other variables fixed.
+
+    The terms of f are grouped by l_1; the coefficient of x_1^k is
+    poly_eval of its group, read as a polynomial in x_2 .. x_n, at sample.
+    """
     if len(sample) != f.n - 1:
         raise AlgebraMismatch(
             f"need {f.n - 1} values for the trailing variables")
-    coeffs = {}
+    groups = {}
     for ell, a in f.terms.items():
-        coeffs[ell[:1]] = (coeffs.get(ell[:1], f.algebra.zero())
-                           + ordered_monomial_eval(ell[1:], a, sample))
-    return OrderedPolynomial(1, f.algebra, coeffs)
+        groups.setdefault(ell[:1], {})[ell[1:]] = a
+    return OrderedPolynomial(1, f.algebra, {
+        k: poly_eval(OrderedPolynomial(f.n - 1, f.algebra, g), sample)
+        for k, g in groups.items()})
 
 
 def fiber_kind(report):
@@ -416,10 +412,10 @@ def zero_scan(f, samples):
     records = []
     for sample in map(tuple, samples):
         restricted = restrict_to_first_variable(f, sample)
-        coeffs = _dense_coeffs(restricted)
-        report = roots_one_var(restricted) if len(coeffs) > 1 else None
+        report = roots_one_var(restricted) if restricted.degree() else None
+        constant = restricted.terms.get((0,), f.algebra.zero())
         kind = (fiber_kind(report) if report else "identically-zero"
-                if coeffs[0].is_zero(1e-12) else "empty-leading-degenerate")
+                if constant.is_zero(1e-12) else "empty-leading-degenerate")
         records.append(FiberRecord(sample, kind, report))
     return ScanReport(records)
 

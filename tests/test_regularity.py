@@ -20,7 +20,6 @@ from hyperslice.regularity import (
     PowerSeries,
     is_slice_regular,
     norm_constant,
-    ordered_monomial_eval,
     poly_eval,
     poly_to_stem,
     series_eval,
@@ -411,8 +410,7 @@ def test_spherical_value_of_product_example(H):
     assert d(p) == x2
 
 
-def test_ordered_monomial_eval_power_tower(H):
-    j = H.basis_named("j")
-    a = H.basis_named("i")
-    v = ordered_monomial_eval((3,), a, (j,))
-    assert v == (j * (j * (j * a)))
+def test_poly_eval_power_tower(H):
+    i, j = H.basis_named("i"), H.basis_named("j")
+    v = poly_eval(OrderedPolynomial(1, H, {(3,): i}), (j,))
+    assert v == j * (j * (j * i))

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_element, random_imaginary_unit
+from conftest import random_element, random_imaginary_unit, random_poly
 from hyperslice.algebra import make_algebra
-from hyperslice.errors import (ConstantPolynomial, EmptyUnitSphere,
-                               HypersliceError, RefinementFailed,
-                               UnsupportedKind)
+from hyperslice.errors import (AlgebraMismatch, ConstantPolynomial,
+                               EmptyUnitSphere, HypersliceError,
+                               RefinementFailed, UnsupportedKind)
 from hyperslice.regularity import OrderedPolynomial, poly_eval, star_product
+from hyperslice.slicefun import SlicePoint
 from hyperslice.zeros import (_aberth, restrict_to_first_variable,
                               roots_one_var, scan_samples, zero_scan)
+from oracles import distance_mp, poly_value_mp
 
 
 def coeff_scale(p):
@@ -253,6 +255,14 @@ def test_degenerate_leading_fiber_is_recorded_not_raised(H):
     assert scan.records[1].kind == "finite(1)"
     assert (scan.records[1].report.isolated[0]
             - H.from_real(-0.5)).euclid_norm() <= 1e-12
+    # the zero polynomial restricts to zero on every fiber, and a sample
+    # of the wrong length is refused although no term is evaluated
+    zero = OrderedPolynomial.zero(2, H)
+    assert zero_scan(zero, [(H.one(),)]).records[0].kind == "identically-zero"
+    with pytest.raises(AlgebraMismatch):
+        restrict_to_first_variable(zero, ())
+    with pytest.raises(AlgebraMismatch):
+        zero_scan(zero, [()])
 
 
 def test_random_monic_scans_reach_nonempty_fibers(H, rng):
@@ -268,16 +278,24 @@ def test_random_monic_scans_reach_nonempty_fibers(H, rng):
         assert scan.nonempty()
 
 
-def test_restriction_matches_direct_evaluation(H, rng):
-    f = OrderedPolynomial(2, H, {(2, 1): H.element([0, 1, 1, 0]),
-                                 (1, 0): H.basis_named("j"),
-                                 (0, 2): H.one()})
-    sample = (random_element(H, rng, span=2),)
-    p = restrict_to_first_variable(f, sample)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["H", "O", "CL03"])
+def test_restriction_matches_direct_evaluation(name, n, request, rng):
+    # restricting to x_1 and evaluating there is f at the whole point, up
+    # to rounding: 50-digit value of the ordered monomials term by term
+    pytest.importorskip("mpmath")
+    A = request.getfixturevalue(name)
     for _ in range(5):
-        x1 = random_element(H, rng, span=2)
-        direct = poly_eval(f, [x1, sample[0]])
-        assert (poly_eval(p, [x1]) - direct).euclid_norm() <= 1e-12
+        f = random_poly(n, A, rng, terms=6, exact=False)
+        point = SlicePoint(A, [rng.uniform(-2, 2) for _ in range(n)],
+                           [rng.uniform(0.1, 2) for _ in range(n)],
+                           [random_imaginary_unit(A, rng) for _ in range(n)])
+        xs = point.elements()
+        value = poly_eval(restrict_to_first_variable(f, tuple(xs[1:])),
+                          xs[:1])
+        exact = poly_value_mp(f, point)
+        scale = 1.0 + float(sum(c * c for c in exact)) ** 0.5
+        assert distance_mp(value, exact) <= 1e-13 * scale
 
 
 def test_scan_samples_are_deterministic_and_varied(H):
