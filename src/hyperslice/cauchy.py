@@ -45,6 +45,7 @@ from .errors import (
     PointOutsideE,
     QuadratureAliasing,
     QuadratureSingularity,
+    check_space,
 )
 from .regularity import (OrderedPolynomial, count_constant, norm_constant,
                          stem_to_poly)
@@ -95,11 +96,11 @@ class BoundaryTorus:
         if J is None:
             # a basis unit, found by an exact check
             J = algebra.default_imaginary_unit()
-        elif isinstance(J, Element) and J.algebra != algebra:
-            raise AlgebraMismatch(
-                f"slice unit from {J.algebra.kind}, torus in {algebra.kind}")
-        elif not (isinstance(J, Element) and is_imaginary_unit(J)):
-            raise NotImaginaryUnit(f"{J!r} is not an imaginary unit")
+        else:
+            if isinstance(J, Element):
+                check_space("J", self.n, J.algebra, self.n, algebra)
+            if not (isinstance(J, Element) and is_imaginary_unit(J)):
+                raise NotImaginaryUnit(f"{J!r} is not an imaginary unit")
         self.J = J
         if (type(samples_per_circle) is not int  # refuses bool and float
                 or samples_per_circle < 1):
@@ -149,8 +150,7 @@ class KernelPoint:
 
     def __init__(self, x, ys):
         ys = tuple(ys)
-        if len(ys) != x.n:
-            raise AlgebraMismatch(f"need {x.n} pole coordinates")
+        check_space("ys", len(ys), x.algebra, x.n, x.algebra)
         self.x = x
         self.ys = ys
         self.deltas = tuple(char_poly(y, x.element(h + 1))
@@ -160,13 +160,6 @@ class KernelPoint:
             raise OnSingularSphere(
                 f"min |Delta| = {self.min_abs_delta:.2e} below "
                 f"{MIN_DELTA}; the kernel degenerates on pole spheres")
-
-
-def _input_kind(f):
-    """f's boundary value supplier for _reconstruct."""
-    if isinstance(f, OrderedPolynomial):
-        return partial(_polynomial_on_grid, f)
-    return lambda torus, tables: (partial(_callable_on_grid, f, torus), None)
 
 
 def slice_cauchy_kernel(x, ys):
@@ -338,22 +331,16 @@ def cauchy_reconstruct(f, torus, x):
     import numpy as np
     n = torus.n
     if isinstance(f, (OrderedPolynomial, StemPoly)):
-        if f.n != n:
-            raise AlgebraMismatch(f"{type(f).__name__} has {f.n} variables, "
-                                  f"torus has {n}")
-        if f.algebra != torus.algebra:
-            raise AlgebraMismatch(f"{type(f).__name__} over "
-                                  f"{f.algebra.kind}, torus over "
-                                  f"{torus.algebra.kind}")
+        check_space("f", f.n, f.algebra, n, torus.algebra)
     if isinstance(f, StemPoly):
         p = stem_to_poly(f)
         f = partial(slice_eval, f) if p is None else p
-    boundary_values = _input_kind(f)
-    if x.n != n:
-        raise AlgebraMismatch(f"point has {x.n} variables, torus has {n}")
+    check_space("x", x.n, x.algebra, n, torus.algebra)
     N = torus.samples_per_circle
     subgrid_aliases = False
+    # boundary_values is f's supplier of grid values for _reconstruct
     if isinstance(f, OrderedPolynomial):
+        boundary_values = partial(_polynomial_on_grid, f)
         degrees = [max(col) for col in zip(*f.terms)] or [0] * n
         for h, d in enumerate(degrees, start=1):
             if N <= d:
@@ -361,6 +348,9 @@ def cauchy_reconstruct(f, torus, x):
                     f"variable {h} has degree {d}, and N = {N} samples per "
                     f"circle alias it; N must exceed {d}")
         subgrid_aliases = 2 * max(degrees) >= N
+    else:
+        def boundary_values(torus, tables):
+            return partial(_callable_on_grid, f, torus), None
     if not torus.contains_point(x):
         raise PointOutsideE(
             "reconstruction point must lie inside the circularized domain")

@@ -12,7 +12,8 @@ Errors are emitted as JSON objects on stderr.  The
 HYPERSLICE_TOL environment variable sets the unit tolerance of --point and
 --slice-unit, 1e-9 by default; it must be a finite number >= 0, or the
 run exits 2.  cauchy still needs each point unit to square to -1 within
-1e-9 (NotImaginaryUnit, exit 2).
+1e-9 (NotImaginaryUnit, exit 2), and it exits 2 (QuadratureInaccurate)
+when the proven error_bound exceeds both HYPERSLICE_TOL and |value|.
 
 eval, diff, regular, product and algebra-dump are exact, and roots and
 scan compute in Python floats: none of them loads numpy, only cauchy
@@ -33,7 +34,7 @@ from collections import namedtuple
 from .algebra import DEFAULT_TOL, algebra_to_json, make_algebra
 from .cauchy import BoundaryTorus, cauchy_reconstruct
 from .errors import (ExpressionSyntaxError, HypersliceError, InvalidTolerance,
-                     UnsupportedKind, UsageError)
+                     QuadratureInaccurate, UnsupportedKind, UsageError)
 from .parser import (format_poly, parse_expression, parse_point, parse_unit)
 from .regularity import (OrderedPolynomial, is_slice_regular, poly_eval,
                          star_product)
@@ -105,6 +106,16 @@ def _floats(text, what):
                               f"got {text!r}") from None
 
 
+def _check_bound(value, bound, tol):
+    """QuadratureInaccurate where the bound leaves no correct leading digit
+    of the value; tol keeps a correct value near 0."""
+    size = value.euclid_norm()
+    if not bound <= max(tol, size):
+        raise QuadratureInaccurate(
+            f"error_bound {bound:.3g} exceeds both the tolerance {tol:.3g} "
+            f"and |value| = {size:.3g}")
+
+
 def _run_cauchy(req, algebra):
     p = parse_expression(req.poly, algebra)
     radii = _floats(req.radii, "--radii")
@@ -118,6 +129,7 @@ def _run_cauchy(req, algebra):
     # the direct value is the CLI's own check; the library's is the bound,
     # which stays the last diagnostic
     bound = diag.pop("error_bound")
+    _check_bound(value, bound, req.tol)
     reference = poly_eval(p, pt)
     diag["disagreement"] = (value - reference).euclid_norm()
     diag["error_bound"] = bound

@@ -19,7 +19,19 @@ class DimensionTooLarge(HypersliceError):
 
 
 class AlgebraMismatch(HypersliceError):
-    """Operands belong to different algebras."""
+    """An argument has the wrong algebra, the wrong variable count, or the
+    wrong length."""
+
+
+def check_space(what, n, algebra, want_n, want_algebra):
+    """AlgebraMismatch unless argument `what` has want_n variables over
+    want_algebra; internal, and it allocates nothing when it passes.  A site
+    that checks only the count or only the algebra passes the other twice."""
+    if n != want_n or (algebra is not want_algebra
+                       and algebra != want_algebra):
+        raise AlgebraMismatch(
+            f"{what}: n = {n} over {algebra.kind}, expected n = {want_n} "
+            f"over {want_algebra.kind}")
 
 
 class NotInQuadraticCone(HypersliceError):
@@ -92,6 +104,11 @@ class QuadratureSingularity(HypersliceError):
 
 class PointOutsideE(HypersliceError):
     """Reconstruction target lies outside the circularized product domain."""
+
+
+class QuadratureInaccurate(HypersliceError):
+    """The quadrature's proven error bound exceeds both the tolerance and
+    the value's norm, so not even the leading digit is known."""
 
 
 class QuadratureAliasing(HypersliceError):

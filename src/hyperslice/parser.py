@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import sparse
 from .algebra import is_imaginary_unit
 from .errors import (AlgebraMismatch, ExpressionSyntaxError, HypersliceError,
-                     NotImaginaryUnit, UnknownBasisName)
+                     NotImaginaryUnit, UnknownBasisName, check_space)
 from .regularity import OrderedPolynomial
 from .slicefun import SlicePoint
 
@@ -315,7 +315,6 @@ def parse_point(src, algebra, tol, nvars=None):
         alphas.append(alpha)
         betas.append(beta)
         units.append(_read_unit(unit, algebra, tol))
-    if nvars is not None and len(alphas) != nvars:
-        raise AlgebraMismatch(
-            f"need {nvars} coordinate triples, got {len(alphas)}")
+    if nvars is not None:
+        check_space("point", len(alphas), algebra, nvars, algebra)
     return SlicePoint(algebra, alphas, betas, units)

@@ -23,6 +23,7 @@ from .errors import (
     HypersliceError,
     IndexOutOfRange,
     OutsideConvergenceBall,
+    check_space,
 )
 from .slicefun import SlicePoint
 from .stems import (
@@ -62,7 +63,7 @@ class OrderedPolynomial:
         return max((sum(ell) for ell in self.terms), default=0)
 
     def __add__(self, other):
-        self._check(other)
+        check_space("other", other.n, other.algebra, self.n, self.algebra)
         out = dict(self.terms)
         sparse.add_into(out, other.terms)
         return OrderedPolynomial(self.n, self.algebra, out)
@@ -90,10 +91,6 @@ class OrderedPolynomial:
             raise IndexOutOfRange(f"variable index {h} outside 1..{self.n}")
         return OrderedPolynomial(self.n, self.algebra,
                                  sparse.dx(self.terms, h - 1))
-
-    def _check(self, other):
-        if self.n != other.n or self.algebra != other.algebra:
-            raise AlgebraMismatch("polynomials over different spaces")
 
     def __repr__(self):
         return f"OrderedPolynomial(n={self.n}, terms={len(self.terms)})"
@@ -141,16 +138,13 @@ def poly_eval(p, x):
     """
     A = p.algebra
     if isinstance(x, SlicePoint):
+        algebra = x.algebra
         coords = [_point_rows(A, *c) for c in zip(x.alphas, x.betas, x.units)]
-        algebras = [x.algebra]
     else:
         xs = tuple(x)
+        algebra = next((e.algebra for e in xs if e.algebra != A), A)
         coords = [e.left_rows() for e in xs]
-        algebras = [e.algebra for e in xs]
-    if len(coords) != p.n:
-        raise AlgebraMismatch(f"need {p.n} coordinates, got {len(coords)}")
-    if any(other != A for other in algebras):
-        raise AlgebraMismatch(f"point outside {A.kind}")
+    check_space("x", len(coords), algebra, p.n, A)
     if not p.n:
         return p.terms.get((), A.zero())
     trie = {}
@@ -189,7 +183,7 @@ def stem_to_poly(F):
 
 def star_product(p, q):
     """Coefficient of l is the convolution sum of a_u b_v over u + v = l."""
-    p._check(q)
+    check_space("q", q.n, q.algebra, p.n, p.algebra)
     return OrderedPolynomial(p.n, p.algebra, sparse.mul(p.terms, q.terms))
 
 
@@ -349,8 +343,8 @@ def series_eval(s, x, rho):
     NaN fails it.
     """
     xs = x.elements() if isinstance(x, SlicePoint) else tuple(x)
-    if len(xs) != s.n:
-        raise AlgebraMismatch(f"need {s.n} coordinates, got {len(xs)}")
+    # the count; poly_eval checks the algebra after the convergence checks
+    check_space("x", len(xs), s.algebra, s.n, s.algebra)
     if not 0 < rho < math.inf:
         raise HypersliceError(
             f"rho must be a finite positive number, got {rho!r}")

@@ -39,6 +39,7 @@ from .errors import (
     IndexOutOfRange,
     OnRealLocus,
     SphereMismatch,
+    check_space,
 )
 from .stems import CallableStem
 
@@ -140,15 +141,6 @@ def _assemble(values, point):
     return Element(algebra, total)
 
 
-def _check(stem, point):
-    """AlgebraMismatch unless the stem and the point share algebra and n."""
-    if stem.algebra != point.algebra:
-        raise AlgebraMismatch("stem and point live in different algebras")
-    if stem.n != point.n:
-        raise AlgebraMismatch(
-            f"stem has {stem.n} variables, point has {point.n}")
-
-
 def _stem_values(stem, point):
     """The 2^n stem values at the point's fiber; tuples for a StemPoly."""
     if stem.is_polynomial:
@@ -188,7 +180,7 @@ def slice_eval(stem, point):
     |K|.  Elsewhere (n = 1, a CallableStem, units on several slices, a J
     failing the check) the unit products act on the 2^n component values.
     """
-    _check(stem, point)
+    check_space("point", point.n, point.algebra, stem.n, stem.algebra)
     if stem.is_polynomial and point.n > 1:
         flat = _signed_coords(point)
         if flat is not None:
@@ -249,8 +241,8 @@ def representation_eval(f, source, target):
     Masks containing a variable with beta at or below DEFAULT_TOL are
     skipped: their alternating sums vanish identically on the fiber.
     """
-    if source.algebra != target.algebra:
-        raise AlgebraMismatch("source and target in different algebras")
+    # the algebra only: a point with another n lies on another fiber
+    check_space("target", target.n, target.algebra, target.n, source.algebra)
     if not source.same_fiber(target):
         raise SphereMismatch(
             "source and target lie on different fibers; the formula only "
@@ -266,8 +258,7 @@ def stem_from_values(f, algebra, n, source_units):
     evaluation of it calls f 2^n times.
     """
     units = list(source_units)
-    if len(units) != n:
-        raise AlgebraMismatch(f"need {n} units, got {len(units)}")
+    check_space("source_units", len(units), algebra, n, algebra)
 
     def components(z):
         point = SlicePoint(algebra, [ab[0] for ab in z],
@@ -364,7 +355,7 @@ def truncated_derivative(stem, point, eps):
         raise HypersliceError(f"eps entries must be 0 or 1, got {eps!r}")
     kmask = sum(e << h for h, e in enumerate(eps))
     product = _beta_product(point, kmask)
-    _check(stem, point)
+    check_space("point", point.n, point.algebra, stem.n, stem.algebra)
     vals = _stem_values(stem, point)
     values = [(0,) * stem.algebra.dim] * (1 << stem.n)
     for hmask in range(0, 1 << stem.n, 1 << m):

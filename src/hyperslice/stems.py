@@ -21,7 +21,7 @@ from . import sparse
 from .algebra import (Element, decode_number, encode_number,
                       is_imaginary_unit)
 from .errors import (AlgebraMismatch, HypersliceError, IndexOutOfRange,
-                     ParityError)
+                     ParityError, check_space)
 
 HALF = Fraction(1, 2)
 _BLOCK = 8  # terms per accumulation kernel
@@ -231,7 +231,7 @@ class StemPoly:
                 for block in [folded[start:start + _BLOCK]]]
 
     def __add__(self, other):
-        self._check(other)
+        check_space("other", other.n, other.algebra, self.n, self.algebra)
         out = {m: dict(p) for m, p in self.components.items()}
         for m, p in other.components.items():
             sparse.add_into(out.setdefault(m, {}), p)
@@ -253,10 +253,6 @@ class StemPoly:
         return (isinstance(other, StemPoly) and self.n == other.n
                 and self.algebra == other.algebra
                 and self.components == other.components)
-
-    def _check(self, other):
-        if self.n != other.n or self.algebra != other.algebra:
-            raise AlgebraMismatch("stems over different spaces")
 
     def __repr__(self):
         return f"StemPoly(n={self.n}, components={len(self.components)})"
@@ -351,7 +347,7 @@ def stem_product(F, G, sigma):
     Element coefficient products keep the order F then G; the result is a
     stem again (parity is additive under symmetric difference).
     """
-    F._check(G)
+    check_space("G", G.n, G.algebra, F.n, F.algebra)
     out = {}
     for HM, p in F.components.items():
         for LM, q in G.components.items():

@@ -22,7 +22,7 @@ from operator import mul
 
 from .algebra import encode_number, is_imaginary_unit, norm_sq, trace
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
-                     RefinementFailed, UnsupportedKind)
+                     RefinementFailed, UnsupportedKind, check_space)
 from .regularity import OrderedPolynomial, poly_eval
 
 RESIDUAL_SCALE = 1e-8
@@ -380,9 +380,7 @@ def restrict_to_first_variable(f, sample):
     The terms of f are grouped by l_1; the coefficient of x_1^k is
     poly_eval of its group, read as a polynomial in x_2 .. x_n, at sample.
     """
-    if len(sample) != f.n - 1:
-        raise AlgebraMismatch(
-            f"need {f.n - 1} values for the trailing variables")
+    check_space("sample", len(sample), f.algebra, f.n - 1, f.algebra)
     groups = {}
     for ell, a in f.terms.items():
         groups.setdefault(ell[:1], {})[ell[1:]] = a

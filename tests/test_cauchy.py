@@ -506,13 +506,15 @@ def test_domain_and_singularity_guards(H):
     g = OrderedPolynomial(1, H, {(2,): H.one()})
     x = SlicePoint(H, [0.1, 0.0], [0.2, 0.1], [i, i])
     for h in (g, poly_to_stem(g)):
-        with pytest.raises(AlgebraMismatch, match="1 variables, torus has 2"):
+        with pytest.raises(AlgebraMismatch, match="f: n = 1 over quaternions, "
+                           "expected n = 2 "):
             cauchy_reconstruct(h, torus, x)
     # a polynomial or stem over another algebra, refused the same way
     O = make_algebra("O")
     k = OrderedPolynomial(2, O, {(1, 1): O.one()})
     for h in (k, poly_to_stem(k)):
-        with pytest.raises(AlgebraMismatch, match="over octonions, torus"):
+        with pytest.raises(AlgebraMismatch, match="f: n = 2 over octonions, "
+                           "expected n = 2 over quaternions"):
             cauchy_reconstruct(h, torus, x)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -550,6 +551,18 @@ def test_usage_errors_are_one_json_error(argv):
     assert blob["error"]["type"] == "UsageError"
 
 
+def test_unknown_option_in_process_is_one_json_error(capsys):
+    # the same refusal as above without a child, so every run reaches it
+    assert main(["eval", "--poly", "x1", "--point", "[[0,1,i]]",
+                 "--bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    blob = _strict_json(captured.err)
+    check_schema(blob, "error")
+    assert blob["error"]["type"] == "UsageError"
+    assert "--bogus" in blob["error"]["message"]
+
+
 @pytest.mark.parametrize("argv,error", [
     (["scan", "--span", "nan"], "HypersliceError"),
     (["scan", "--span", "inf"], "HypersliceError"),
@@ -691,6 +704,38 @@ def test_cauchy_refuses_sample_counts_that_alias_the_degree():
         assert blob["error"]["type"] == "QuadratureAliasing"
         assert (f"variable 1 has degree {poly[-1]}, and N = {samples} "
                 in blob["error"]["message"])
+
+
+def test_cauchy_refuses_an_answer_its_bound_disowns():
+    # once exited 0 with value 3.9e35 for a value near 1: the boundary
+    # values grow as 1.1^1200, and the proven bound, 4.08e39, says so
+    code, out, err = invoke(subcommand="cauchy", algebra="clifford(0,3)",
+                            poly="x1^1200 + (1)", radii="1.1",
+                            point="[[0.1,0.2,e1]]", samples=1201)
+    assert code == 2 and out == ""
+    blob = _strict_json(err)
+    check_schema(blob, "error")
+    assert blob["error"]["type"] == "QuadratureInaccurate"
+    # the bound is closed-form; the value's last digits follow the BLAS
+    message = blob["error"]["message"]
+    assert message.startswith("error_bound 4.08e+39 exceeds both the "
+                              "tolerance 1e-09 and |value| = 3.8")
+    assert message.endswith("e+35")
+
+
+def test_cauchy_keeps_a_zero_value_within_the_tolerance():
+    # p(i) = 0: the bound exceeds |value| but not the tolerance, which is
+    # what lets a correct value near 0 through; with tol 0 it is refused
+    args = dict(subcommand="cauchy", algebra="H", poly="x1^2 + (1)",
+                radii="1.5", point="[[0,1,i]]", samples=128)
+    code, out, _ = invoke(**args)
+    assert code == 0
+    payload = json.loads(out)
+    value = math.hypot(*payload["value"])
+    assert value < payload["diagnostics"]["error_bound"] <= DEFAULT_TOL
+    code, out, err = invoke(**args, tol=0.0)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "QuadratureInaccurate"
 
 
 def test_roots_subcommand():

@@ -296,14 +296,16 @@ def test_unit_sums_refuse_values_from_another_algebra(H, O):
     stem = CallableStem(1, H, lambda z: [O.one(), O.zero()])
     with pytest.raises(AlgebraMismatch, match="value from octonions"):
         slice_eval(stem, SlicePoint(H, [0], [1], [i]))
-    with pytest.raises(AlgebraMismatch, match="different algebras"):
+    with pytest.raises(AlgebraMismatch, match="target: n = 1 over "
+                       "quaternions, expected n = 1 over octonions"):
         representation_eval(lambda p: p.element(1),
                             SlicePoint(O, [0], [1], [O.basis(1)]),
                             SlicePoint(H, [0], [1], [i]))
 
 
 def test_stem_from_values_refuses_a_wrong_unit_count(H):
-    with pytest.raises(AlgebraMismatch, match="need 2 units, got 1"):
+    with pytest.raises(AlgebraMismatch, match="source_units: n = 1 over "
+                       "quaternions, expected n = 2 "):
         stem_from_values(lambda p: p.element(1), H, 2, [H.basis_named("i")])
 
 
