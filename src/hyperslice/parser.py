@@ -24,6 +24,7 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import sparse
@@ -33,58 +34,31 @@ from .errors import (AlgebraMismatch, ExpressionSyntaxError, HypersliceError,
 from .regularity import OrderedPolynomial
 from .slicefun import SlicePoint
 
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r"""(?P<NEWLINE>\n) | (?P<SKIP>[ \t\r]+) | (?P<OP>[-+()^])
+    | (?P<NUMBER>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+    | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<BAD>.)  # any other character, so finditer skips none
+    """, re.VERBOSE | re.DOTALL)
+_OPS = {"+": "PLUS", "-": "MINUS", "(": "LPAREN", ")": "RPAREN", "^": "CARET"}
 _INT = re.compile(r"\d+")
 _VARIABLE = re.compile(r"x([0-9]+)\Z")
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(src):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        ch = src[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if ch in "+-()^":
-            kind = {"+": "PLUS", "-": "MINUS", "(": "LPAREN",
-                    ")": "RPAREN", "^": "CARET"}[ch]
-            tokens.append(_Token(kind, ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        m = _NUMBER.match(src, pos)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        m = _NAME.match(src, pos)
-        if m:
-            tokens.append(_Token("NAME", m.group(), line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ExpressionSyntaxError(f"unexpected character {text!r}",
+                                        line, col)
+        elif kind != "SKIP":
+            tokens.append(_Token(_OPS.get(text, kind), text, line, col))
+    tokens.append(_Token("END", "", line, len(src) - line_start + 1))
     return tokens
 
 

@@ -68,6 +68,9 @@ class SlicePoint:
     def from_elements(cls, xs):
         """Decompose cone elements into coordinates; rejects non-cone points."""
         xs = list(xs)
+        if not xs:
+            raise HypersliceError("an empty point has no algebra; "
+                                  "SlicePoint(algebra, (), (), ()) builds one")
         algebra = xs[0].algebra
         alphas, betas, units = [], [], []
         for x in xs:

@@ -380,12 +380,14 @@ def restrict_to_first_variable(f, sample):
     The terms of f are grouped by l_1; the coefficient of x_1^k is
     poly_eval of its group, read as a polynomial in x_2 .. x_n, at sample.
     """
-    check_space("sample", len(sample), f.algebra, f.n - 1, f.algebra)
+    A = f.algebra
+    came = next((e.algebra for e in sample if e.algebra != A), A)
+    check_space("sample", len(sample), came, f.n - 1, A)
     groups = {}
     for ell, a in f.terms.items():
         groups.setdefault(ell[:1], {})[ell[1:]] = a
-    return OrderedPolynomial(1, f.algebra, {
-        k: poly_eval(OrderedPolynomial(f.n - 1, f.algebra, g), sample)
+    return OrderedPolynomial(1, A, {
+        k: poly_eval(OrderedPolynomial(f.n - 1, A, g), sample)
         for k, g in groups.items()})
 
 

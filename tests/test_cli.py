@@ -21,7 +21,8 @@ from hyperslice.cli import Request, main, run
 from hyperslice.errors import (DimensionTooLarge, ExpressionSyntaxError,
                                HypersliceError, UnknownBasisName,
                                UnsupportedKind)
-from hyperslice.parser import format_poly, parse_expression, parse_point
+from hyperslice.parser import (_tokenize, format_poly, parse_expression,
+                               parse_point)
 from hyperslice.regularity import OrderedPolynomial, poly_eval
 
 from oracles import distance_mp, poly_value_mp
@@ -57,6 +58,13 @@ def test_parse_positions_are_deterministic(H):
         "x1 ^": (1, 5),
         "": (1, 1),
         "x1 @": (1, 4),
+        "x1 x2 y": (1, 7),
+        "x0": (1, 1),
+        "(1 2)": (1, 4),
+        "x1 )": (1, 4),
+        "x1 +\n\t@": (2, 2),
+        "x1 +\r\n": (2, 1),
+        "x1^\n": (2, 1),
     }
     for src, where in cases.items():
         with pytest.raises(ExpressionSyntaxError) as info:
@@ -66,6 +74,35 @@ def test_parse_positions_are_deterministic(H):
         parse_expression("(0 w 1) x1", H)
     assert (info.value.line, info.value.col) == (1, 4)
     assert "i, j, k" in info.value.expected
+
+
+_SCAN_ALPHABET = list("x0123456789^+-().eEijk@_é٣ \t\r\n") + [
+    "x1", "x2", "(1 i 2)", "1e5", ".5", "x1^2"]
+
+
+@settings(deadline=None, max_examples=300, database=None)
+@given(st.lists(st.sampled_from(_SCAN_ALPHABET), max_size=12).map("".join))
+def test_tokens_sit_at_their_positions(src):
+    starts = [0] + [k + 1 for k, ch in enumerate(src) if ch == "\n"]
+
+    def offset(line, col):
+        return starts[line - 1] + col - 1
+
+    try:
+        tokens = _tokenize(src)
+    except ExpressionSyntaxError as exc:
+        at = offset(exc.line, exc.col)
+        # a character that starts no token: no number follows a bare '.'
+        assert src[at] in "@é" or (src[at] == "."
+                                   and not src[at + 1:at + 2].isdecimal())
+        return
+    end = 0
+    for tok in tokens:
+        at = offset(tok.line, tok.col)
+        assert src[at:at + len(tok.text)] == tok.text
+        assert not src[end:at].strip(" \t\r\n")
+        end = at + len(tok.text)
+    assert tokens[-1].kind == "END" and end == len(src)
 
 
 def test_round_trip_is_identity_on_the_corpus(H, O):
@@ -551,16 +588,23 @@ def test_usage_errors_are_one_json_error(argv):
     assert blob["error"]["type"] == "UsageError"
 
 
-def test_unknown_option_in_process_is_one_json_error(capsys):
-    # the same refusal as above without a child, so every run reaches it
-    assert main(["eval", "--poly", "x1", "--point", "[[0,1,i]]",
-                 "--bogus"]) == 2
+@pytest.mark.parametrize("argv,error,fragment", [
+    (["eval", "--poly", "x1", "--point", "[[0,1,i]]", "--bogus"],
+     "UsageError", "--bogus"),
+    (["cauchy", "--poly", "x1", "--point", "[[0.1,0.2,i]]",
+      "--radii", "1.5,a"], "UnsupportedKind", "comma-separated numbers"),
+], ids=["unknown-option", "radii-not-numbers"])
+def test_unknown_option_in_process_is_one_json_error(capsys, argv, error,
+                                                     fragment):
+    # refusals the subprocess tests also make, without a child, so that
+    # every run reaches them
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     blob = _strict_json(captured.err)
     check_schema(blob, "error")
-    assert blob["error"]["type"] == "UsageError"
-    assert "--bogus" in blob["error"]["message"]
+    assert blob["error"]["type"] == error
+    assert fragment in blob["error"]["message"]
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -67,6 +67,13 @@ def test_point_from_elements_round_trip(H):
     assert p.z() == ((F12, F32), (-F13, 2))
 
 
+def test_point_from_no_elements_is_refused(H):
+    # an empty list carries no algebra to build the point over
+    with pytest.raises(HypersliceError, match="empty point has no algebra"):
+        SlicePoint.from_elements([])
+    assert SlicePoint(H, (), (), ()).elements() == ()
+
+
 def test_eval_matches_nested_products(H, O):
     for algebra, names in ((H, ("i", "j")), (O, ("e1", "e4"))):
         p = _exact_point(algebra, names, [(F12, F32), (-F13, 2)])

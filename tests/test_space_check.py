@@ -80,6 +80,13 @@ SITES = {
                       "J", 1, "O", 1, "H"),
     "restrict_to_first_variable": (lambda: restrict_to_first_variable(P2, ()),
                                    "sample", 0, "H", 1, "H"),
+    "restrict_to_first_variable/algebra": (
+        lambda: restrict_to_first_variable(P2, (e1,)),
+        "sample", 1, "O", 1, "H"),
+    "restrict_to_first_variable/zero-polynomial": (
+        lambda: restrict_to_first_variable(OrderedPolynomial.zero(2, H),
+                                           (e1,)),
+        "sample", 1, "O", 1, "H"),
     "parse_point": (lambda: parse_point("[[0,1,i]]", H, 1e-9, nvars=2),
                     "point", 1, "H", 2, "H"),
 }
