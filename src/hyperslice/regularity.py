@@ -123,18 +123,31 @@ def _horner(node, rows, product):
     return acc
 
 
+def _fold_trailing(p, rows):
+    """{k: the nested Horner in x_2 .. x_n, at the table rows rows, of the
+    terms with l_1 = k}: the first level of the trie of exponents, n >= 1."""
+    trie = {}
+    for ell, a in p.terms.items():
+        node = trie
+        for e in ell[:-1]:
+            node = node.setdefault(e, {})
+        node[ell[-1]] = a.coeffs
+    return {k: _horner(node, rows, p.algebra.product)
+            for k, node in trie.items()}
+
+
 def poly_eval(p, x):
     """Pointwise value; x is a SlicePoint or a tuple of Elements.
 
     One nested Horner on coefficient tuples over the trie of exponents:
     p = q_0 + x_1(q_1 + x_1(q_2 + ...)), each q_k a nested Horner in
-    x_2, ..., x_n, and multiplying by x_h is AlgebraDef.product with x_h's
-    table rows (for a SlicePoint taken straight from alpha_h + beta_h J_h).
-    Left multiplication is linear, so this is the sum of the ordered
-    monomials x_1(...(x_1(x_2(...a_l)))) term by term for any units, which
-    is x^l a_l since x(xv) = (xx)v in an alternative algebra.  Exact
-    coefficients give the exact value; float rounding follows the Horner
-    order, not the term order.
+    x_2, ..., x_n from _fold_trailing, and multiplying by x_h is
+    AlgebraDef.product with x_h's table rows (for a SlicePoint taken
+    straight from alpha_h + beta_h J_h).  Left multiplication is linear,
+    so this is the sum of the ordered monomials x_1(...(x_1(x_2(...a_l))))
+    term by term for any units, which is x^l a_l since x(xv) = (xx)v in an
+    alternative algebra.  Exact coefficients give the exact value; float
+    rounding follows the Horner order, not the term order.
     """
     A = p.algebra
     if isinstance(x, SlicePoint):
@@ -147,15 +160,8 @@ def poly_eval(p, x):
     check_space("x", len(coords), algebra, p.n, A)
     if not p.n:
         return p.terms.get((), A.zero())
-    trie = {}
-    for ell, a in p.terms.items():
-        node = trie
-        for e in ell[:-1]:
-            node = node.setdefault(e, {})
-        node[ell[-1]] = a.coeffs
-    if not trie:
-        return A.zero()
-    return Element(A, _horner(trie, coords, A.product))
+    qs = _fold_trailing(p, coords[1:])
+    return Element(A, _horner(qs, coords[:1], A.product)) if qs else A.zero()
 
 
 def poly_to_stem(p):

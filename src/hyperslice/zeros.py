@@ -23,7 +23,7 @@ from operator import mul
 from .algebra import encode_number, is_imaginary_unit, norm_sq, trace
 from .errors import (AlgebraMismatch, ConstantPolynomial, HypersliceError,
                      RefinementFailed, UnsupportedKind, check_space)
-from .regularity import OrderedPolynomial, poly_eval
+from .regularity import OrderedPolynomial, _fold_trailing, poly_eval
 
 RESIDUAL_SCALE = 1e-8
 SETTLE_STEPS = 8
@@ -377,18 +377,15 @@ class ScanReport:
 def restrict_to_first_variable(f, sample):
     """One-variable polynomial in x_1 with the other variables fixed.
 
-    The terms of f are grouped by l_1; the coefficient of x_1^k is
-    poly_eval of its group, read as a polynomial in x_2 .. x_n, at sample.
+    The coefficient of x_1^k is poly_eval's nested Horner in x_2 .. x_n of
+    the terms with l_1 = k at sample, from one trie (_fold_trailing).
     """
     A = f.algebra
     came = next((e.algebra for e in sample if e.algebra != A), A)
     check_space("sample", len(sample), came, f.n - 1, A)
-    groups = {}
-    for ell, a in f.terms.items():
-        groups.setdefault(ell[:1], {})[ell[1:]] = a
-    return OrderedPolynomial(1, A, {
-        k: poly_eval(OrderedPolynomial(f.n - 1, A, g), sample)
-        for k, g in groups.items()})
+    folded = _fold_trailing(f, [e.left_rows() for e in sample])
+    return OrderedPolynomial(1, A, {(k,): A.element(q)
+                                    for k, q in folded.items()})
 
 
 def fiber_kind(report):
@@ -398,13 +395,27 @@ def fiber_kind(report):
     return f"finite({len(report.isolated)})"
 
 
+def _constant_kind(f, sample, constant):
+    """zero_scan's kind of the fiber whose restriction is the constant."""
+    norms = [x.euclid_norm() for x in sample]
+    # products, not powers, so that an overflow reads inf, not an error
+    size = sum(a.euclid_norm() * math.prod(
+        r for r, e in zip(norms, ell[1:]) for _ in range(e))
+        for ell, a in f.terms.items() if not ell[0])
+    return ("identically-zero" if constant.euclid_norm() <= 1e-12 * size
+            < math.inf else "empty-leading-degenerate")
+
+
 def zero_scan(f, samples):
     """Fiber taxonomy of the projection onto the trailing variables.
 
     samples is an iterable of tuples of Elements for (x_2 .. x_n).  A
-    fiber whose restricted polynomial degenerates to a nonzero constant
-    reports empty-leading-degenerate; an identically zero restriction
-    reports identically-zero.  Root-finding errors propagate.
+    fiber whose restricted polynomial degenerates to a constant c reports
+    identically-zero when |c| is at most 1e-12 times the size of the terms
+    that sum to it, sum over l_1 = 0 of |a_l| prod_h |x_h|^{l_h}, and that
+    size is finite, so rounding reads as zero at any scale of f; it
+    reports empty-leading-degenerate otherwise.  Root-finding errors
+    propagate.
     """
     if f.n < 2:
         raise AlgebraMismatch("zero_scan needs at least two variables, "
@@ -413,9 +424,8 @@ def zero_scan(f, samples):
     for sample in map(tuple, samples):
         restricted = restrict_to_first_variable(f, sample)
         report = roots_one_var(restricted) if restricted.degree() else None
-        constant = restricted.terms.get((0,), f.algebra.zero())
-        kind = (fiber_kind(report) if report else "identically-zero"
-                if constant.is_zero(1e-12) else "empty-leading-degenerate")
+        kind = fiber_kind(report) if report else _constant_kind(
+            f, sample, restricted.terms.get((0,), f.algebra.zero()))
         records.append(FiberRecord(sample, kind, report))
     return ScanReport(records)
 

@@ -806,6 +806,16 @@ def test_scan_subcommand_json_and_csv():
     assert len(lines) == 7
 
 
+def test_scan_calls_a_small_constant_fiber_nonzero():
+    # 1e-13 x2 vanishes at no sample: the zero test is relative to the
+    # size of the terms, not 1e-12 in absolute size
+    for poly in ("(1) x2", "(1e-13) x2"):
+        code, out, _ = invoke(subcommand="scan", algebra="H", poly=poly,
+                              count=4, fmt="text")
+        assert (code, out) == (0, "empty-leading-degenerate: 4\n"
+                                  "nonempty: false\n")
+
+
 def test_algebra_dump_table(H):
     code, out, _ = invoke(subcommand="algebra-dump", algebra="H")
     payload = json.loads(out)

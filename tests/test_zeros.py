@@ -3,17 +3,19 @@
 import json
 import math
 import random
+import re
 import sys
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_imaginary_unit, random_poly
-from hyperslice.algebra import make_algebra
+from hyperslice.algebra import Element, make_algebra
 from hyperslice.errors import (AlgebraMismatch, ConstantPolynomial,
                                EmptyUnitSphere, HypersliceError,
-                               RefinementFailed, UnsupportedKind)
+                               RefinementFailed, UnsupportedKind, check_space)
 from hyperslice.regularity import OrderedPolynomial, poly_eval, star_product
 from hyperslice.slicefun import SlicePoint
 from hyperslice.zeros import (_aberth, restrict_to_first_variable,
@@ -265,6 +267,30 @@ def test_degenerate_leading_fiber_is_recorded_not_raised(H):
         zero_scan(zero, [()])
 
 
+def test_constant_fiber_zero_test_is_relative_to_its_terms(H):
+    # c x2 is nonzero at every sample whatever the scale c; an absolute
+    # test at 1e-12 called c = 1e-13 identically zero
+    degenerate = "empty-leading-degenerate"
+    for c in (1.0, 1e-13, 1e-300):
+        f = OrderedPolynomial(2, H, {(0, 1): H.from_real(c)})
+        assert zero_scan(f, scan_samples(H, 2, 4)).counts() == {degenerate: 4}
+    # c (x2^2 + 1) cancels to rounding, about 2e-16 c, on the unit-sphere
+    # sample alone
+    for c in (1.0, 1e-7):
+        f = OrderedPolynomial(2, H, {(0, 2): H.from_real(c),
+                                     (0, 0): H.from_real(c)})
+        scan = zero_scan(f, scan_samples(H, 2, 4))
+        kinds = [rec.kind for rec in scan.records]
+        assert kinds == [degenerate, degenerate, "identically-zero",
+                         degenerate]
+    # an exact zero has size 0 and is zero; an overflow is not
+    x2 = OrderedPolynomial(2, H, {(0, 1): H.one()})
+    assert zero_scan(x2, [(H.zero(),)]).records[0].kind == "identically-zero"
+    square = OrderedPolynomial(2, H, {(0, 2): H.one()})
+    assert (zero_scan(square, [(H.from_real(1e200),)]).records[0].kind
+            == degenerate)
+
+
 def test_random_monic_scans_reach_nonempty_fibers(H, rng):
     for trial in range(20):
         deg = rng.randint(1, 3)
@@ -296,6 +322,101 @@ def test_restriction_matches_direct_evaluation(name, n, request, rng):
         exact = poly_value_mp(f, point)
         scale = 1.0 + float(sum(c * c for c in exact)) ** 0.5
         assert distance_mp(value, exact) <= 1e-13 * scale
+
+
+# poly_eval and restrict_to_first_variable as they were before the
+# restriction read poly_eval's trie: the reference for their bits
+
+
+def _old_point_rows(algebra, alpha, beta, unit):
+    coeffs = [beta * c for c in unit.coeffs]
+    coeffs[0] = alpha + coeffs[0]
+    return algebra.left_rows(coeffs)
+
+
+def _old_horner(node, rows, product):
+    if not rows:
+        return node
+    x, rest = rows[0], rows[1:]
+    acc, top = None, 0
+    for k in sorted(node, reverse=True):
+        q = _old_horner(node[k], rest, product)
+        if acc is not None:
+            for _ in range(top - k):
+                acc = product(x, acc)
+            q = tuple(map(add, acc, q))
+        acc, top = q, k
+    for _ in range(top):
+        acc = product(x, acc)
+    return acc
+
+
+def _old_poly_eval(p, x):
+    A = p.algebra
+    if isinstance(x, SlicePoint):
+        algebra = x.algebra
+        coords = [_old_point_rows(A, *c)
+                  for c in zip(x.alphas, x.betas, x.units)]
+    else:
+        xs = tuple(x)
+        algebra = next((e.algebra for e in xs if e.algebra != A), A)
+        coords = [e.left_rows() for e in xs]
+    check_space("x", len(coords), algebra, p.n, A)
+    if not p.n:
+        return p.terms.get((), A.zero())
+    trie = {}
+    for ell, a in p.terms.items():
+        node = trie
+        for e in ell[:-1]:
+            node = node.setdefault(e, {})
+        node[ell[-1]] = a.coeffs
+    if not trie:
+        return A.zero()
+    return Element(A, _old_horner(trie, coords, A.product))
+
+
+def _old_restrict_to_first_variable(f, sample):
+    A = f.algebra
+    came = next((e.algebra for e in sample if e.algebra != A), A)
+    check_space("sample", len(sample), came, f.n - 1, A)
+    groups = {}
+    for ell, a in f.terms.items():
+        groups.setdefault(ell[:1], {})[ell[1:]] = a
+    return OrderedPolynomial(1, A, {
+        k: _old_poly_eval(OrderedPolynomial(f.n - 1, A, g), sample)
+        for k, g in groups.items()})
+
+
+def _bits(value):
+    """Each coefficient's repr: equal for equal values of one type, and
+    -0.0 apart from 0.0."""
+    return [repr(c) for c in value.coeffs]
+
+
+@settings(deadline=None, max_examples=200, database=None)
+@given(name=st.sampled_from(["H", "O", "CL03", "CL11"]), n=st.integers(1, 4),
+       terms=st.integers(0, 6), exact=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_restriction_and_poly_eval_keep_their_bits(name, n, terms, exact,
+                                                   seed, request):
+    # the fold over poly_eval's one trie gives the per-group reference's
+    # values exactly, with the same coefficient types; terms = 0 is the
+    # zero polynomial, and n = 1 restricts to the empty sample
+    A = request.getfixturevalue(name)
+    rng = random.Random(seed)
+    f = random_poly(n, A, rng, deg=3, terms=terms, exact=exact)
+    sample = tuple(rng.choice([A.zero(), random_element(A, rng, exact)])
+                   for _ in range(n - 1))
+    new = restrict_to_first_variable(f, sample)
+    old = _old_restrict_to_first_variable(f, sample)
+    assert new == old
+    assert ({ell: _bits(a) for ell, a in new.terms.items()}
+            == {ell: _bits(a) for ell, a in old.terms.items()})
+    point = SlicePoint(A, [rng.uniform(-2, 2) for _ in range(n)],
+                       [rng.uniform(0.1, 2) for _ in range(n)],
+                       [random_imaginary_unit(A, rng) for _ in range(n)])
+    for x in (point, sample + (random_element(A, rng, exact),)):
+        assert _bits(poly_eval(f, x)) == _bits(_old_poly_eval(f, x))
 
 
 def test_scan_samples_are_deterministic_and_varied(H):
@@ -530,6 +651,26 @@ def test_seeded_random_products_are_solved(H, O):
         if why is not None:
             failures.append(f"trial {trial}: {why}")
     assert failures == []
+
+
+@pytest.mark.parametrize("first,second,point,message", [
+    ((-1.021, 1e-4), (-1.015, 1e-5), (-0.96, 1.22, 1.15, -0.89),
+     "sphere (-1.015, 4.216e-09) admits no unit"),
+    ((0.468, 1e-6), (0.98, 1e-6), (0.98, 1.18, -1.23, 0.21),
+     "sphere (0.468, 1.9e-07): recovered direction is not an imaginary unit"),
+])
+def test_isolated_zero_refusals_are_reached(H, first, second, point,
+                                            message):
+    # two spheres of radius 1e-6 to 1e-4 times a linear factor:
+    # _isolated_zero meets a root of the normal polynomial at a radius of
+    # 4e-9 or 2e-7, where F_1 vanishes to rounding or -F_0 F_1^c / |F_1|^2
+    # is no unit, and refuses it (found by a seeded search)
+    line = OrderedPolynomial(1, H, {(1,): H.one(),
+                                    (0,): -1 * H.element(point)})
+    p = star_product(star_product(_sphere(H, *first), _sphere(H, *second)),
+                     line)
+    with pytest.raises(RefinementFailed, match=re.escape(message)):
+        roots_one_var(p)
 
 
 # -- the real-coefficient root finder against numpy.roots -----------------
